@@ -14,17 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .spaces import (
-    NEG_INF,
-    ImageSpace,
-    _log_bcpf_sum,
-    _log_cpf_sum_tail,
-    log_binomial,
-)
-
-LN2 = math.log(2.0)
+from .spaces import LN2, NEG_INF, ImageSpace, log_distance_counts, log_hamming_sum
 
 
 @dataclass(frozen=True)
@@ -80,10 +70,6 @@ class BoundReport:
     mbar_adv: float
 
 
-def _clip01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
 def _log_pow(F: float, exponent: float) -> float:
     """log(F^exponent) for F in [0, 1]."""
     if F <= 0.0:
@@ -91,56 +77,6 @@ def _log_pow(F: float, exponent: float) -> float:
     if F >= 1.0:
         return 0.0
     return exponent * math.log(F)
-
-
-def _uniform_lower(m: int, log_f: float) -> float:
-    """((f + 1)^m - 1) / 2^(m+1) with f = exp(log_f), stable for any m."""
-    L = m * math.log1p(math.exp(log_f)) if log_f > -745 else 0.0
-    B = (m + 1) * LN2
-    if L <= 0.0:
-        return 0.0
-    if L < 0.5:
-        return math.exp(-B) * math.expm1(L)
-    return math.exp(L - B) - math.exp(-B)
-
-
-def _uniform_upper(m: int, log_f: float) -> float:
-    """min(local Helstrom bound, joint-measurement bound) on uniform spaces."""
-    local = -math.expm1(m * math.log1p(-0.5 * math.exp(log_f)))
-    lse = m * math.log1p(math.exp(log_f)) if log_f > -745 else 0.0
-    pgm = math.expm1(lse) if lse < LN2 else 1.0
-    return min(local, pgm, 1.0)
-
-
-def _cpf_lower(m: int, k: int, log_f: float) -> float:
-    tail = _log_cpf_sum_tail(m, k, log_f)
-    if tail == NEG_INF:
-        return 0.0
-    return math.exp(tail - LN2 - float(log_binomial(m, k)))
-
-
-def _cpf_upper(m: int, k: int, log_f: float) -> float:
-    tail = _log_cpf_sum_tail(m, k, log_f)
-    if tail == NEG_INF:
-        return 0.0
-    return 1.0 if tail >= 0.0 else math.exp(tail)
-
-
-def _bcpf_lower(m: int, ks, log_f: float) -> float:
-    total = _log_bcpf_sum(m, ks, log_f)
-    if total == NEG_INF:
-        return 0.0
-    log_count = float(np.logaddexp.reduce([log_binomial(m, k) for k in ks]))
-    return math.exp(total - 2.0 * log_count - LN2)
-
-
-def _bcpf_upper(m: int, ks, log_f: float) -> float:
-    total = _log_bcpf_sum(m, ks, log_f)
-    if total == NEG_INF:
-        return 0.0
-    log_count = float(np.logaddexp.reduce([log_binomial(m, k) for k in ks]))
-    val = total - log_count
-    return 1.0 if val >= 0.0 else math.exp(val)
 
 
 def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
@@ -154,7 +90,7 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
         F_cl: single-pixel output fidelity of the vacuum-probe strategy.
 
     Returns:
-        ``BoundReport`` with all probabilities clipped to [0, 1].  A pair
+        ``BoundReport`` with all probabilities in [0, 1].  A pair
         with F_q > F_cl or values outside [0, 1] triggers a warning, not an
         error.
     """
@@ -165,24 +101,22 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
             f"expected 0 <= F_q <= F_cl <= 1, got F_q={F_q}, F_cl={F_cl}",
             stacklevel=2,
         )
-    log_q1 = _log_pow(F_q, float(M))
-    log_q2 = _log_pow(F_q, 2.0 * M)
-    log_c2 = _log_pow(F_cl, 2.0 * M)
+    # every bound is S(f) = sum over ordered unequal pattern pairs of
+    # f^hamming, read off the space's cached distance spectrum
+    log_counts = log_distance_counts(space)
+    log_size = space.log_pattern_count()
 
+    def lower(F: float) -> float:  # S(F^2M) / (2 |S|^2)
+        log_sum = log_hamming_sum(log_counts, _log_pow(F, 2.0 * M))
+        return math.exp(log_sum - 2.0 * log_size - LN2)
+
+    log_fm = _log_pow(F_q, float(M))
+    # min(1, S(F^M) / |S|), exponentiated only where it cannot overflow
+    q_upper = math.exp(min(log_hamming_sum(log_counts, log_fm) - log_size, 0.0))
     if space.kind == "uniform":
-        q_lower = _uniform_lower(space.m, log_q2)
-        q_upper = _uniform_upper(space.m, log_q1)
-        cl_lower = _uniform_lower(space.m, log_c2)
-    elif space.kind == "cpf":
-        q_lower = _cpf_lower(space.m, space.k, log_q2)
-        q_upper = _cpf_upper(space.m, space.k, log_q1)
-        cl_lower = _cpf_lower(space.m, space.k, log_c2)
-    else:
-        q_lower = _bcpf_lower(space.m, space.ks, log_q2)
-        q_upper = _bcpf_upper(space.m, space.ks, log_q1)
-        cl_lower = _bcpf_lower(space.m, space.ks, log_c2)
-
-    q_lower, q_upper, cl_lower = map(_clip01, (q_lower, q_upper, cl_lower))
+        # local Helstrom bound of pixel-by-pixel measurement: 1 - (1 - F^M/2)^m
+        q_upper = min(q_upper, -math.expm1(space.m * math.log1p(-0.5 * math.exp(log_fm))))
+    q_lower, cl_lower = lower(F_q), lower(F_cl)
     return BoundReport(
         q_lower=q_lower,
         q_upper=q_upper,

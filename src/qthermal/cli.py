@@ -10,6 +10,7 @@ seeds produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 import warnings
@@ -28,7 +29,12 @@ from .channels import (
 from .classify import advantage_regions
 from .cnn import NetworkSpec, TrainConfig, make_predictor, train
 from .data import dataset_dir, load_idx_split, synthetic_digits
-from .errors import ExtrapolationWarning, IdxFormatError, NonPhysicalChannelError
+from .errors import (
+    ExtrapolationWarning,
+    IdxFormatError,
+    NonFiniteLossError,
+    NonPhysicalChannelError,
+)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -76,12 +82,9 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in text.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
-        vals = []
-        v = start
-        while v <= stop + 1e-12:
-            vals.append(v)
-            v += step
-        return vals
+        # index the points instead of accumulating step, which drifts
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        return [start + i * step for i in range(max(count, 0))]
     return [float(p) for p in text.split(",") if p]
 
 
@@ -195,17 +198,19 @@ def cmd_simulate(args) -> int:
     rows = [
         "M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"
     ]
-    table = advantage_regions(
-        training,
-        evaluation,
-        pair,
-        M_grid,
-        trials=args.trials,
-        master_seed=args.seed,
-        threads=args.threads,
-        predictor_factory=predictor_factory,
-        p_override=args.p_override,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = advantage_regions(
+            training,
+            evaluation,
+            pair,
+            M_grid,
+            trials=args.trials,
+            master_seed=args.seed,
+            threads=args.threads,
+            predictor_factory=predictor_factory,
+            p_override=args.p_override,
+        )
     for row in table:
         rows.append(
             ",".join(
@@ -228,6 +233,8 @@ def cmd_simulate(args) -> int:
         )
     digests = training.provenance.get("source", {})
     _emit(rows, _manifest(args, {"input_digests": digests}), args.out)
+    if any(issubclass(w.category, ExtrapolationWarning) for w in caught):
+        return EXIT_NONCONVERGENCE
     return 0
 
 
@@ -338,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
+    except NonFiniteLossError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -1,22 +1,33 @@
-"""Binary image spaces and their Hamming-distance fidelity functionals.
+"""Binary image spaces and their Hamming-distance spectra.
 
 An m-pixel binary image space is either the full set of 2^m patterns
 (uniform), the patterns with exactly k target pixels (k-CPF), or a union of
 such sets over a bounded set of target counts (k-BCPF).  The discrimination
-bounds all reduce to weighted sums of f^hamming over ordered unequal pattern
-pairs; the closed forms below are terminating hypergeometric-type sums,
-evaluated with log-domain binomials so that pixel counts up to ~10^4 do not
-overflow.
+bounds all reduce to sums S(f) of f^hamming over ordered unequal pattern
+pairs, so a space is described once by its distance spectrum: log N_d, the
+log count of such pairs at Hamming distance d = 1..m.  Every sum is then one
+log-sum-exp of log N_d + d log f over m terms.
+
+The spectrum is built by splitting each pair's distance d = a + b into the a
+ones of x that flip and the b zeros of x that flip, which makes each
+contribution a multinomial coefficient.  A uniform space has the closed form
+N_d = 2^m C(m, d) at O(m) cost; a BCPF space with target counts ks costs
+O(|ks|^2 * max(ks)) array work, about 10 ms at m = 784 and 50 counts.  The
+spectrum is cached per (frozen, hashable) space, so repeated bounds on one
+space pay it once.  All arithmetic is in the log domain, so pixel counts up
+to ~10^4 do not overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 NEG_INF = float("-inf")
+LN2 = float(np.log(2.0))
 
 
 def log_binomial(n: int, k) -> np.ndarray:
@@ -73,10 +84,64 @@ class ImageSpace:
     def log_pattern_count(self) -> float:
         """log of the number of patterns in the space."""
         if self.kind == "uniform":
-            return self.m * np.log(2.0)
+            return self.m * LN2
         if self.kind == "cpf":
             return float(log_binomial(self.m, self.k))
-        return float(logsumexp([log_binomial(self.m, k) for k in self.ks]))
+        return float(logsumexp(log_binomial(self.m, self.ks)))
+
+
+def log_pair_counts(m: int, ks, ls) -> np.ndarray:
+    """log N_d for d = 1..m: the number of ordered pattern pairs (x, y) with
+    x != y, |x| in ``ks`` and |y| in ``ls`` at Hamming distance d.
+
+    A pair splits the m pixels into a flipped ones of x, k - a kept ones,
+    b = a + l - k flipped zeros and m - k - b kept zeros, so it contributes
+    the multinomial m! / (a! (k-a)! b! (m-k-b)!) = C(m,k) C(k,a) C(m-k,b) at
+    distance d = a + b.
+    """
+    lf = gammaln(np.arange(m + 1) + 1.0)
+    ls = np.asarray(ls)
+    out = np.full(m + 1, NEG_INF)
+    for k in ks:
+        a = np.arange(k + 1)
+        b = a + (ls - k)[:, None]
+        ok = (b >= 0) & (b <= m - k) & (a + b > 0)
+        a, b = np.broadcast_to(a, b.shape)[ok], b[ok]
+        terms = lf[m] - lf[a] - lf[k - a] - lf[b] - lf[m - k - b]
+        out = np.logaddexp(out, _grouped_logsumexp(a + b, terms, m + 1))
+    return out[1:]
+
+
+def _grouped_logsumexp(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """log sum of exp(values) per group index in 0..n-1; -inf for empty groups."""
+    top = np.full(n, NEG_INF)
+    np.maximum.at(top, groups, values)
+    sums = np.bincount(groups, weights=np.exp(values - top[groups]), minlength=n)
+    with np.errstate(divide="ignore"):
+        return top + np.log(sums)
+
+
+@lru_cache(maxsize=256)
+def log_distance_counts(space: ImageSpace) -> np.ndarray:
+    """Read-only log N_d, d = 1..m, over ordered unequal pattern pairs of
+    ``space``; cached per space.  Uniform spaces use N_d = 2^m C(m, d)."""
+    if space.kind == "uniform":
+        out = space.m * LN2 + log_binomial(space.m, np.arange(1, space.m + 1))
+    else:
+        ks = space.ks or (space.k,)
+        out = log_pair_counts(space.m, ks, ks)
+    out.setflags(write=False)
+    return out
+
+
+def log_hamming_sum(log_counts: np.ndarray, log_f: float) -> float:
+    """log of sum_d N_d f^d over d = 1..m from ``log_counts`` = log N_d;
+    ``log_f`` = log f may be -inf (f = 0) or 0 (f = 1)."""
+    terms = log_counts + log_f * np.arange(1, len(log_counts) + 1)
+    top = terms.max()
+    if top == NEG_INF:
+        return NEG_INF
+    return float(top + np.log(np.exp(terms - top).sum()))
 
 
 def hamming_functional_uniform(m: int, f: float) -> float:
@@ -86,17 +151,7 @@ def hamming_functional_uniform(m: int, f: float) -> float:
     f^hamming.
     """
     _check_mf(m, f)
-    return float(np.expm1(m * np.log1p(f)))
-
-
-def _log_cpf_sum_tail(m: int, k: int, log_f: float) -> float:
-    """log of sum_{j>=1} C(k,j) C(m-k,j) f^{2j}  (the j = 0 term dropped)."""
-    jmax = min(k, m - k)
-    if jmax < 1 or log_f == NEG_INF:
-        return NEG_INF
-    js = np.arange(1, jmax + 1, dtype=float)
-    terms = log_binomial(k, js) + log_binomial(m - k, js) + 2.0 * js * log_f
-    return float(logsumexp(terms))
+    return _per_pattern(ImageSpace.uniform(m), f)
 
 
 def cpf_functional(m: int, k: int, f: float) -> float:
@@ -106,27 +161,7 @@ def cpf_functional(m: int, k: int, f: float) -> float:
     singleton spaces k = 0 and k = m.
     """
     _check_mf(m, f)
-    if not 0 <= k <= m:
-        raise ValueError(f"target count k must lie in [0, {m}], got {k}")
-    return float(np.exp(_log_cpf_sum_tail(m, k, _safe_log(f))))
-
-
-def _log_cross_sum(m: int, k: int, l: int, log_f: float) -> float:
-    """log of the ordered cross sum between the k- and l-CPF spaces."""
-    if k > l:
-        k, l = l, k
-    if log_f == NEG_INF:
-        # all Hamming exponents are >= l - k > 0, so every term vanishes
-        return NEG_INF
-    ts = np.arange(l, k + l + 1, dtype=float)
-    exps = 2.0 * ts - (k + l)
-    terms = (
-        log_binomial(m, ts)
-        + log_binomial(ts, float(l))
-        + log_binomial(l, k + l - ts)
-        + exps * log_f
-    )
-    return float(logsumexp(terms))
+    return _per_pattern(ImageSpace.cpf(m, k), f)
 
 
 def cross_functional(m: int, k: int, l: int, f: float) -> float:
@@ -138,42 +173,19 @@ def cross_functional(m: int, k: int, l: int, f: float) -> float:
     for v in (k, l):
         if not 0 <= v <= m:
             raise ValueError(f"target count {v} outside [0, {m}]")
-    return float(np.exp(_log_cross_sum(m, k, l, _safe_log(f))))
-
-
-def _log_bcpf_sum(m: int, ks: tuple[int, ...], log_f: float) -> float:
-    """log of the unnormalised Hamming sum over the union of k-CPF spaces.
-
-    Diagonal blocks contribute C(m,k) * (per-pattern k-CPF sum); off-diagonal
-    blocks contribute the plain cross sums.
-    """
-    parts = []
-    for k in ks:
-        diag = _log_cpf_sum_tail(m, k, log_f)
-        if diag != NEG_INF:
-            parts.append(float(log_binomial(m, k)) + diag)
-    for i, k in enumerate(ks):
-        for l in ks[i + 1 :]:
-            cross = _log_cross_sum(m, k, l, log_f)
-            if cross != NEG_INF:
-                # ordered pairs count both directions
-                parts.append(cross + np.log(2.0))
-    if not parts:
-        return NEG_INF
-    return float(logsumexp(parts))
+    return float(np.exp(log_hamming_sum(log_pair_counts(m, (k,), (l,)), _safe_log(f))))
 
 
 def bcpf_functional(space: ImageSpace, f: float) -> float:
     """Unnormalised sum of f^hamming over ordered unequal pattern pairs of a
     BCPF space; for the full count set it equals 2^m * ((f+1)^m - 1)."""
     _check_mf(space.m, f)
-    if space.kind == "uniform":
-        ks = tuple(range(space.m + 1))
-    elif space.kind == "bcpf":
-        ks = space.ks
-    elif space.kind == "cpf":
-        ks = (space.k,)
-    return float(np.exp(_log_bcpf_sum(space.m, ks, _safe_log(f))))
+    return float(np.exp(log_hamming_sum(log_distance_counts(space), _safe_log(f))))
+
+
+def _per_pattern(space: ImageSpace, f: float) -> float:
+    log_sum = log_hamming_sum(log_distance_counts(space), _safe_log(f))
+    return float(np.exp(log_sum - space.log_pattern_count()))
 
 
 def _safe_log(f: float) -> float:

@@ -6,8 +6,16 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from qthermal.data import synthetic_digits
+from qthermal.spaces import ImageSpace
+
+# Fixed examples and no per-example deadline: the suite gives the same
+# result on every run and does not flake on slow or shared machines.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +66,23 @@ def brute_bcpf(m: int, ks, f: float) -> float:
     ks = set(ks)
     mask = lambda pop: np.isin(pop, list(ks))
     return brute_pair_sum(m, f, mask, mask)
+
+
+@st.composite
+def image_spaces(draw, max_m: int = 10) -> ImageSpace:
+    """Uniform, k-CPF or k-BCPF space with m <= max_m pixels."""
+    m = draw(st.integers(1, max_m))
+    ks = draw(st.sets(st.integers(0, m), min_size=1))
+    if len(ks) == 1 and draw(st.booleans()):
+        return ImageSpace.cpf(m, ks.pop())
+    return ImageSpace.bcpf(m, ks)
+
+
+def brute_distance_counts(m: int, ks, ls) -> np.ndarray:
+    """Ordered pairs (x, y), x != y, |x| in ks, |y| in ls, per distance 1..m."""
+    pop = all_patterns(m).sum(axis=1)
+    sub = hamming_matrix(m)[np.ix_(np.isin(pop, list(ks)), np.isin(pop, list(ls)))]
+    return np.bincount(sub.ravel(), minlength=m + 1)[1:]
 
 
 def random_symplectic(modes: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qthermal.bounds import (
     bounds,
@@ -13,6 +15,8 @@ from qthermal.bounds import (
 )
 from qthermal.channels import choi_fidelity_additive, classical_fidelity_additive
 from qthermal.spaces import ImageSpace
+
+from conftest import image_spaces
 
 F_Q_ADD = choi_fidelity_additive(0.01, 0.02)
 F_CL_ADD = classical_fidelity_additive(0.01, 0.02)
@@ -180,3 +184,50 @@ class TestMinRelProbe:
 
     def test_perfect_quantum_discrimination(self):
         assert min_rel_probe_uniform(0.0, 0.9) == 0.0
+
+
+fidelities = st.floats(0.0, 1.0)
+copies = st.integers(1, 2000)
+
+
+def ordered(a: float, b: float) -> bool:
+    """a <= b up to the rounding of one log-sum-exp."""
+    return a <= b * (1.0 + 1e-12)
+
+
+class TestBoundProperties:
+    @given(image_spaces(), fidelities, fidelities, copies)
+    def test_ordering(self, space, f1, f2, M):
+        F_q, F_cl = min(f1, f2), max(f1, f2)
+        rep = bounds(space, M, F_q, F_cl)
+        assert ordered(rep.q_lower, rep.q_upper)
+        assert ordered(rep.q_lower, rep.cl_lower)
+        for p in (rep.q_lower, rep.q_upper, rep.cl_lower):
+            assert 0.0 <= p <= 1.0
+
+    @given(image_spaces(), fidelities, fidelities, copies, copies)
+    def test_non_increasing_in_copies(self, space, f1, f2, M1, M2):
+        F_q, F_cl = min(f1, f2), max(f1, f2)
+        few = bounds(space, min(M1, M2), F_q, F_cl)
+        many = bounds(space, max(M1, M2), F_q, F_cl)
+        for field in ("q_lower", "q_upper", "cl_lower"):
+            assert ordered(getattr(many, field), getattr(few, field))
+
+    @given(image_spaces(), fidelities, copies)
+    def test_exact_endpoints(self, space, F, M):
+        perfect = bounds(space, M, 0.0, F)
+        assert perfect.q_lower == 0.0 and perfect.q_upper == 0.0
+        assert bounds(space, M, 0.0, 0.0).cl_lower == 0.0
+        blind = bounds(space, M, 1.0, 1.0)
+        size = math.exp(space.log_pattern_count())
+        # every unequal pair counts at F = 1: (|S|^2 - |S|) / (2 |S|^2)
+        assert blind.q_lower == pytest.approx((1.0 - 1.0 / size) / 2.0, rel=1e-12)
+        if space.kind != "uniform" and size > 1.5:
+            assert blind.q_upper == 1.0
+
+    @given(st.integers(1, 60), st.booleans(), fidelities, fidelities, copies)
+    def test_singleton_spaces_are_error_free(self, m, ones, f1, f2, M):
+        k = m if ones else 0
+        for space in (ImageSpace.cpf(m, k), ImageSpace.bcpf(m, [k])):
+            rep = bounds(space, M, min(f1, f2), max(f1, f2))
+            assert (rep.q_lower, rep.q_upper, rep.cl_lower) == (0.0, 0.0, 0.0)

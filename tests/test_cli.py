@@ -172,6 +172,36 @@ class TestSimulateCommand:
         )
         assert code == 4
 
+    def test_extrapolation_warning_exit_code(self, capsys, monkeypatch):
+        import qthermal.channels as channels
+
+        calls = iter([0.9, 0.7])
+        monkeypatch.setattr(channels, "_mp_choi_fidelity", lambda *a, **k: next(calls))
+        code, out, _ = run(
+            ["simulate", "--kind", "thermal", "--tau", "0.9", "--epsB", "18.5",
+             "--epsT", "20.2", "--T", "40", "--eval-size", "10", "--trials", "1",
+             "--M", "10"],
+            capsys,
+        )
+        assert code == 4
+        assert len(out.strip().split("\n")) == 2
+
+    def test_non_finite_loss_exit_code(self, capsys, monkeypatch):
+        import qthermal.cnn as cnn
+        from qthermal.errors import NonFiniteLossError
+
+        def diverge(*args, **kwargs):
+            raise NonFiniteLossError("loss evaluated to nan")
+
+        monkeypatch.setattr(cnn, "loss_and_grad", diverge)
+        code, out, err = run(
+            [*self.BASE, "--classifier", "cnn", "--epochs", "1"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "error: loss evaluated to nan" in err.splitlines()
+        assert "Traceback" not in err
+
     def test_cnn_classifier_runs(self, capsys):
         code, out, _ = run(
             [
@@ -205,6 +235,13 @@ class TestTempCommand:
     def test_requires_exactly_one_input(self, capsys):
         code, _, _ = run(["temp", "--eps", "1.5", "--nbar", "1.0"], capsys)
         assert code == 2
+
+    def test_range_grid_does_not_drift(self, capsys):
+        code, out, _ = run(["temp", "--nbar", "0.1:1:0.1"], capsys)
+        assert code == 0
+        nbars = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+        assert nbars == [repr(0.1 + i * 0.1) for i in range(10)]
+        assert nbars[-1] == "1.0"
 
 
 class TestManifestAndConfig:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from qthermal.spaces import (
     ImageSpace,
@@ -11,9 +14,19 @@ from qthermal.spaces import (
     cpf_functional,
     cross_functional,
     hamming_functional_uniform,
+    log_distance_counts,
+    log_hamming_sum,
+    log_pair_counts,
 )
 
-from conftest import brute_bcpf, brute_cpf, brute_cross, brute_uniform
+from conftest import (
+    brute_bcpf,
+    brute_cpf,
+    brute_cross,
+    brute_distance_counts,
+    brute_uniform,
+    image_spaces,
+)
 
 F_GRID = (0.0, 0.1, 0.5, 0.9, 1.0)
 
@@ -124,3 +137,48 @@ class TestBcpfFunctional:
         for ks in ks_sets:
             space = ImageSpace.bcpf(m, ks)
             assert rel_close(bcpf_functional(space, f), brute_bcpf(m, ks, f))
+
+
+class TestDistanceSpectrum:
+    @given(image_spaces())
+    def test_matches_enumeration(self, space):
+        ks = range(space.m + 1) if space.kind == "uniform" else space.ks or (space.k,)
+        expected = brute_distance_counts(space.m, ks, ks)
+        counts = np.rint(np.exp(log_distance_counts(space)))
+        np.testing.assert_array_equal(counts, expected)
+
+    @given(st.integers(1, 10).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.sets(st.integers(0, m), min_size=1),
+            st.sets(st.integers(0, m), min_size=1),
+        )
+    ))
+    def test_pair_counts_match_enumeration(self, args):
+        m, ks, ls = args
+        counts = np.rint(np.exp(log_pair_counts(m, tuple(ks), tuple(ls))))
+        np.testing.assert_array_equal(counts, brute_distance_counts(m, ks, ls))
+
+    @given(image_spaces(max_m=60))
+    def test_counts_sum_to_unequal_pairs(self, space):
+        log_size = space.log_pattern_count()
+        total = logsumexp(log_distance_counts(space))
+        if log_size == 0.0:
+            assert total == -np.inf
+        else:
+            # log(|S|^2 - |S|) = 2 log|S| + log(1 - 1/|S|)
+            assert total == pytest.approx(2 * log_size + np.log1p(-np.exp(-log_size)), rel=1e-13)
+
+    def test_cached_per_space_and_read_only(self):
+        space = ImageSpace.bcpf(30, range(5, 12))
+        counts = log_distance_counts(space)
+        assert log_distance_counts(ImageSpace.bcpf(30, range(5, 12))) is counts
+        with pytest.raises(ValueError):
+            counts[0] = 0.0
+
+    def test_evaluator_endpoints(self):
+        counts = log_distance_counts(ImageSpace.cpf(8, 3))
+        assert log_hamming_sum(counts, -np.inf) == -np.inf
+        # f = 1 counts every ordered unequal pair: 56^2 - 56
+        assert log_hamming_sum(counts, 0.0) == pytest.approx(math.log(56 * 55), rel=1e-14)
+        assert log_hamming_sum(log_distance_counts(ImageSpace.cpf(8, 0)), 0.0) == -np.inf
