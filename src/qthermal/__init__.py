@@ -42,6 +42,7 @@ from .classify import (
     endpoint_noise_models,
     estimate_error,
     nn_classify,
+    nn_predictor,
     sample_noisy,
     snapp_fit,
     trial_stream,
@@ -109,6 +110,7 @@ __all__ = [
     "min_rel_probe_additive",
     "min_rel_probe_uniform",
     "nn_classify",
+    "nn_predictor",
     "parse_idx",
     "pixel_error_bounds",
     "sample_noisy",

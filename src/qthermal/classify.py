@@ -2,9 +2,10 @@
 error estimation.
 
 Sensor imperfection is modelled as independent symmetric pixel flips whose
-probability comes from the single-pixel error bounds.  All randomness flows
-through counter-based streams keyed on (master seed, trial, image), so any
-parallel schedule of the trials reproduces the same numbers bit for bit.
+probability comes from the single-pixel error bounds.  Each trial flips the
+whole evaluation set with one block of uniforms from a counter-based stream
+keyed on (master seed, M index, trial), shared by the four noise endpoints of
+one M, so any parallel schedule reproduces the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -68,48 +69,60 @@ class NoiseModel:
         return cls(flip_probability=p, derivation=derivation, fidelity=fidelity, copies=copies)
 
 
-def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, NoiseModel]:
-    """The four noise models spanned by the quantum/classical error bounds."""
-    f_q = fidelity_choi_inf(pair)
-    f_cl = fidelity_classical(pair)
+def _endpoint_models(f_q: float, f_cl: float, copies: int) -> dict[str, NoiseModel]:
     return {
         tag: NoiseModel.from_bounds(f_cl if tag.startswith("classical") else f_q, copies, tag)
         for tag in NOISE_DERIVATIONS
     }
 
 
+def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, NoiseModel]:
+    """The four noise models spanned by the quantum/classical error bounds."""
+    return _endpoint_models(fidelity_choi_inf(pair), fidelity_classical(pair), copies)
+
+
 def trial_stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, trial, image, ...) coordinate."""
+    """Counter-based generator for one (seed, trial, ...) coordinate."""
     entropy = (int(master_seed),) + tuple(int(p) for p in path)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def sample_noisy(image: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Flip each pixel independently with the model's probability."""
-    image = np.asarray(image, dtype=np.uint8)
-    flips = rng.random(image.shape) < noise.flip_probability
-    return image ^ flips.astype(np.uint8)
+def sample_noisy(images: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Flip each pixel independently with the model's probability: pixel
+    flips when its uniform U < p, so one stream's flips nest as p grows."""
+    images = np.asarray(images, dtype=np.uint8)
+    flips = rng.random(images.shape) < noise.flip_probability
+    return images ^ flips.view(np.uint8)
+
+
+def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch nearest-neighbour label predictor over ``training``.
+
+    hamming(q, t) = |q| + |t| - 2 q.t for binary vectors; |q| is the same for
+    every training image, so the label comes from argmin(|t| - 2 q.t).  The
+    training set is cast to float32 and its row norms taken once, on build; every
+    float32 product and sum is an exact integer below 2**24, and argmin
+    resolves ties to the lowest training index.
+    """
+    if training is None or len(training) == 0:
+        raise EmptyTrainingSetError("training set is empty")
+    t_images = training.images.astype(np.float32)
+    t_norms = t_images.sum(axis=1)
+    t_labels = training.labels
+
+    def predict(batch: np.ndarray) -> np.ndarray:
+        scores = np.asarray(batch, dtype=np.float32) @ t_images.T
+        scores *= -2.0
+        scores += t_norms
+        return t_labels[np.argmin(scores, axis=1)]
+
+    return predict
 
 
 def nn_classify(query: np.ndarray, training: BinaryImageDataset) -> int:
     """Label of the Hamming-nearest training image; ties resolve to the
     lowest training index."""
-    if len(training) == 0:
-        raise EmptyTrainingSetError("training set is empty")
-    distances = np.count_nonzero(training.images != np.asarray(query, dtype=np.uint8), axis=1)
-    return int(training.labels[int(np.argmin(distances))])
-
-
-def _nn_label_batch(
-    queries: np.ndarray, train_images: np.ndarray, train_labels: np.ndarray
-) -> np.ndarray:
-    # hamming(a, b) = |a| + |b| - 2 a.b for binary vectors; the float32
-    # products are exact integers below 2**24, and argmin picks the first
-    # (lowest-index) minimiser
-    qf = queries.astype(np.float32)
-    tf = train_images.astype(np.float32)
-    d = qf.sum(axis=1)[:, None] + tf.sum(axis=1)[None, :] - 2.0 * (qf @ tf.T)
-    return train_labels[np.argmin(d, axis=1)]
+    return int(nn_predictor(training)(np.asarray(query, dtype=np.uint8)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -126,16 +139,6 @@ class ErrorEstimate:
         return self.trials * self.evaluations
 
 
-def _noisy_eval_batch(
-    evaluation: BinaryImageDataset, noise: NoiseModel, master_seed: int, trial: int
-) -> np.ndarray:
-    out = np.empty_like(evaluation.images)
-    for i in range(len(evaluation)):
-        rng = trial_stream(master_seed, trial, i)
-        out[i] = sample_noisy(evaluation.images[i], noise, rng)
-    return out
-
-
 def estimate_error(
     training: BinaryImageDataset | None,
     evaluation: BinaryImageDataset,
@@ -147,34 +150,25 @@ def estimate_error(
 ) -> ErrorEstimate:
     """Expected misclassification probability over noisy evaluation samples.
 
-    Each trial draws a fresh noisy copy of every evaluation image from its
-    (seed, trial, image) stream and classifies it, by nearest neighbour
-    against ``training`` unless a ``predictor`` batch callable is supplied.
-    The result is independent of ``threads`` for a fixed master seed.
+    Trial t flips the whole evaluation set with one block of uniforms from
+    the (``master_seed``, t) stream and classifies it with ``predictor``, or
+    by nearest neighbour against ``training`` when none is given.  The result
+    is independent of ``threads`` for a fixed master seed.
 
     Returns:
         ``ErrorEstimate`` with mean error and standard error
         sample-stddev / sqrt(trials * |evaluation|).
     """
-    if predictor is None and (training is None or len(training) == 0):
-        raise EmptyTrainingSetError("training set is empty")
+    if predictor is None:
+        predictor = nn_predictor(training)
     if len(evaluation) == 0:
         raise EmptyEvaluationSetError("evaluation set is empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    if predictor is None:
-        t_images, t_labels = training.images, training.labels
-
-        def predict(batch: np.ndarray) -> np.ndarray:
-            return _nn_label_batch(batch, t_images, t_labels)
-
-    else:
-        predict = predictor
-
     def run_trial(trial: int) -> int:
-        noisy = _noisy_eval_batch(evaluation, noise, master_seed, trial)
-        return int(np.count_nonzero(predict(noisy) != evaluation.labels))
+        noisy = sample_noisy(evaluation.images, noise, trial_stream(master_seed, trial))
+        return int(np.count_nonzero(predictor(noisy) != evaluation.labels))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -312,37 +306,34 @@ def advantage_regions(
     For each M the pixel error bounds of the quantum and classical strategies
     define four flip probabilities; the classification error is estimated at
     each, and the guaranteed/potential error advantages are their
-    differences.  ``predictor_factory(noise, M)`` may supply a trained
+    differences, taken with common random numbers: the four estimates of one
+    M share the seed drawn from the (``master_seed``, M index) stream.
+    ``predictor_factory(noise, M)`` may supply a trained
     classifier per endpoint (the nearest-neighbour rule is used otherwise);
     ``p_override`` forces one flip probability everywhere, for diagnostics.
     """
     f_q = fidelity_choi_inf(pair)
     f_cl = fidelity_classical(pair)
+    nn = None if predictor_factory else nn_predictor(training)
     rows = []
     for mi, M in enumerate(M_grid):
-        models = {
-            tag: NoiseModel.from_bounds(
-                f_cl if tag.startswith("classical") else f_q, M, tag
-            )
-            for tag in NOISE_DERIVATIONS
-        }
-        if p_override is not None:
-            models = {
-                tag: NoiseModel(flip_probability=p_override, derivation="override")
-                for tag in NOISE_DERIVATIONS
-            }
-        estimates = {}
-        for ei, tag in enumerate(NOISE_DERIVATIONS):
-            predictor = predictor_factory(models[tag], M) if predictor_factory else None
-            estimates[tag] = estimate_error(
+        if p_override is None:
+            models = _endpoint_models(f_q, f_cl, M)
+        else:
+            models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override, "override"))
+        seed = trial_stream(master_seed, mi).integers(2**63)
+        estimates = {
+            tag: estimate_error(
                 training,
                 evaluation,
-                models[tag],
+                model,
                 trials,
-                trial_stream(master_seed, mi, ei).integers(2**63),
+                seed,
                 threads=threads,
-                predictor=predictor,
+                predictor=predictor_factory(model, M) if predictor_factory else nn,
             )
+            for tag, model in models.items()
+        }
         rows.append(
             AdvantageRow(
                 M=int(M),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import ErrorEstimate, NoiseModel, estimate_error, trial_stream
 from .data import BinaryImageDataset
-from .errors import NonFiniteLossError, ShapeMismatchError
+from .errors import NonFiniteLossError, ShapeMismatchError, TruncatedPayloadError
 
 CHECKPOINT_MAGIC = b"QTHC"
 CHECKPOINT_VERSION = 1
@@ -415,13 +415,16 @@ def load_params(path: str, net: NetworkSpec):
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a parameter checkpoint")
+    if len(data) < 48:
+        raise TruncatedPayloadError("checkpoint header truncated")
     (version,) = struct.unpack("<I", data[4:8])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     if data[8:40] != spec_digest(net):
         raise ValueError("checkpoint was written for a different architecture")
     (count,) = struct.unpack("<Q", data[40:48])
-    flat = np.frombuffer(data, dtype="<f8", offset=48)
-    if flat.size != count:
-        raise ValueError("checkpoint payload truncated")
-    return _unflatten(net, flat.astype(float))
+    if len(data) < 48 + 8 * count:
+        raise TruncatedPayloadError("checkpoint payload truncated")
+    if len(data) > 48 + 8 * count:
+        raise ValueError(f"{len(data) - 48 - 8 * count} trailing bytes after the checkpoint")
+    return _unflatten(net, np.frombuffer(data, dtype="<f8", offset=48).astype(float))

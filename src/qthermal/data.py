@@ -230,12 +230,13 @@ def synthetic_digits(
     base_r = (height - gh) // 2
     base_c = (width - gw) // 2
     shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
-    for i in range(n):
-        r = int(np.clip(base_r + shifts[i, 0], 0, height - gh))
-        c = int(np.clip(base_c + shifts[i, 1], 0, width - gw))
-        images[i, r : r + gh, c : c + gw] = glyphs[labels[i]]
+    # every image's glyph window is written by one fancy-indexed assignment
+    r, c = np.clip(shifts + [base_r, base_c], 0, [height - gh, width - gw]).T
+    rows = r[:, None, None] + np.arange(gh)[:, None]
+    cols = c[:, None, None] + np.arange(gw)
+    images[np.arange(n)[:, None, None], rows, cols] = np.stack(glyphs)[labels]
     flips = rng.random((n, height, width)) < speckle
-    images ^= flips.astype(np.uint8)
+    images ^= flips.view(np.uint8)
     return BinaryImageDataset(
         images=images.reshape(n, height * width),
         labels=labels,

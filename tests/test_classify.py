@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qthermal.bounds import pixel_error_bounds
 from qthermal.channels import EnvironmentPair
@@ -11,6 +13,7 @@ from qthermal.classify import (
     endpoint_noise_models,
     estimate_error,
     nn_classify,
+    nn_predictor,
     sample_noisy,
     snapp_fit,
     trial_stream,
@@ -101,6 +104,22 @@ class TestSampleNoisy:
         b = sample_noisy(img, NoiseModel(0.3), trial_stream(5, 1, 2))
         assert np.array_equal(a, b)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 0.5),
+        st.integers(1, 6),
+        st.integers(1, 40),
+    )
+    def test_flip_masks_nest(self, seed, p1, p2, rows, cols):
+        # common random numbers: one stream flips a superset of the pixels
+        # at any larger flip probability
+        p_lo, p_hi = sorted((p1, p2))
+        images = np.zeros((rows, cols), np.uint8)
+        lo = sample_noisy(images, NoiseModel(p_lo), trial_stream(seed, 3))
+        hi = sample_noisy(images, NoiseModel(p_hi), trial_stream(seed, 3))
+        assert np.all(lo <= hi)
+
 
 class TestNNClassify:
     def test_exact_match_returns_own_label(self):
@@ -119,6 +138,24 @@ class TestNNClassify:
         train = make_dataset(np.zeros((0, 3), np.uint8), [])
         with pytest.raises(EmptyTrainingSetError):
             nn_classify([0, 0, 0], train)
+
+
+class TestNNPredictor:
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda m: st.tuples(*(
+                st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=n)
+                for n in (8, 5)
+            ))
+        )
+    )
+    def test_matches_hamming_argmin(self, rows):
+        train_rows, queries = rows
+        train = make_dataset(train_rows, np.arange(len(train_rows)))
+        queries = np.array(queries, np.uint8)
+        # labels are training indices, so this checks the lowest-index tie rule
+        distances = np.count_nonzero(queries[:, None, :] != train.images[None, :, :], axis=2)
+        assert np.array_equal(nn_predictor(train)(queries), np.argmin(distances, axis=1))
 
 
 class TestEstimateError:
@@ -237,6 +274,17 @@ class TestAdvantageRegions:
         row = rows[0]
         assert row.e_cl_low.mean == row.e_q_up.mean == 0.0
         assert row.de_min == row.de_max == 0.0
+
+    def test_endpoints_share_uniforms(self, digits_small):
+        # with one flip probability everywhere, common random numbers make
+        # the four endpoint estimates identical
+        train, evaluation = digits_small
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        row = advantage_regions(
+            train, evaluation, pair, [10], trials=3, master_seed=2, p_override=0.2
+        )[0]
+        assert row.e_cl_low.mean > 0.0
+        assert row.e_cl_low == row.e_cl_up == row.e_q_low == row.e_q_up
 
     def test_pixel_probabilities_recorded(self, digits_small):
         train, evaluation = digits_small

@@ -132,6 +132,17 @@ class TestSimulateCommand:
         _, out2, _ = run([*self.BASE, "--seed", "3"], capsys)
         assert out1 == out2
 
+    def test_thread_count_does_not_change_bytes(self, capsys):
+        argv = [
+            "simulate", "--classifier", "nn", "--kind", "additive", "--nuT", "0.01",
+            "--nuB", "0.02", "--T", "200", "--eval-size", "20", "--trials", "3",
+            "--M", "10,40", "--seed", "5",
+        ]
+        code1, out1, _ = run([*argv, "--threads", "1"], capsys)
+        code3, out3, _ = run([*argv, "--threads", "3"], capsys)
+        assert code1 == code3 == 0
+        assert out1 == out3
+
     def test_p_override_zero(self, capsys):
         code, out, _ = run([*self.BASE, "--p-override", "0", "--seed", "1"], capsys)
         assert code == 0

@@ -19,7 +19,7 @@ from qthermal.cnn import (
     train,
 )
 from qthermal.data import BinaryImageDataset, synthetic_digits
-from qthermal.errors import ShapeMismatchError
+from qthermal.errors import ShapeMismatchError, TruncatedPayloadError
 
 from conftest import max_fd_error, smooth_configuration
 
@@ -230,4 +230,27 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
+            load_params(str(path), SMALL)
+
+    @pytest.mark.parametrize("keep", [6, 44])
+    def test_truncated_header(self, tmp_path, keep):
+        path = tmp_path / "params.bin"
+        save_params(str(path), SMALL, init_params(SMALL, 13))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(TruncatedPayloadError):
+            load_params(str(path), SMALL)
+
+    def test_truncated_payload(self, tmp_path):
+        # a cut that leaves a payload length not a multiple of 8
+        path = tmp_path / "params.bin"
+        save_params(str(path), SMALL, init_params(SMALL, 13))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(TruncatedPayloadError, match="payload truncated"):
+            load_params(str(path), SMALL)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_params(str(path), SMALL, init_params(SMALL, 13))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_params(str(path), SMALL)

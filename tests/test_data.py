@@ -1,5 +1,6 @@
 """IDX parsing, binarisation and dataset handling."""
 
+import hashlib
 import os
 import struct
 
@@ -140,6 +141,17 @@ class TestSyntheticDigits:
         b = synthetic_digits(50, seed=3)
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_output_pinned(self):
+        # digests of the generator's output before glyph placement was
+        # vectorised; any change to the streams or the placement shows here
+        ds = synthetic_digits(300, seed=11, split="evaluation")
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
+            "1d31dfa7b538ddf9c96594da3f212944e561a6d6a06a9ab2961db85ecb72f399"
+        )
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+            "9480ba47a7076d94b5c81ad6f7726cbb47e760de59a85670b36e95a079213fb2"
+        )
 
     def test_balanced_classes(self):
         ds = synthetic_digits(100, seed=1)
