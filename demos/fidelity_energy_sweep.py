@@ -31,8 +31,7 @@ def sweep(pair: EnvironmentPair, label: str) -> None:
     print(f"  asymptotic entangled-probe limit  : {f_inf:.10f}")
     print("  a = nbar_signal + 1/2 sweep:")
     print("      a      F(a)          gap closed")
-    for a in A_GRID:
-        f = fidelity_finite(pair, a)
+    for a, f in zip(A_GRID, fidelity_finite(pair, np.array(A_GRID))):
         closed = (f_cl - f) / (f_cl - f_inf) if f_cl > f_inf else 1.0
         print(f"  {a:7.1f}  {f:.10f}  {100 * closed:6.2f}%")
 
@@ -73,7 +72,7 @@ def main() -> None:
             (EnvironmentPair.additive(0.02, 0.01), "additive noise"),
         ],
     ):
-        ax.plot(a_fine, [fidelity_finite(pair, a) for a in a_fine], label="finite energy")
+        ax.plot(a_fine, fidelity_finite(pair, a_fine), label="finite energy")
         ax.axhline(fidelity_classical(pair), ls=":", color="gray", label="vacuum probe")
         ax.axhline(fidelity_choi_inf(pair), ls="--", color="C3", label="asymptotic")
         ax.set_xscale("log")

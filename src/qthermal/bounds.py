@@ -19,7 +19,7 @@ from .spaces import LN2, NEG_INF, ImageSpace, log_distance_counts, log_hamming_s
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Probe budget and energy regime of the quantum strategy.
+    """Energy regime of the quantum strategy.
 
     ``energy`` selects how the quantum-side fidelity is obtained:
     ``"classical"`` uses the vacuum probe (a = 1/2), ``"finite"`` the
@@ -27,13 +27,10 @@ class ProbeSpec:
     limit.
     """
 
-    copies: int
     energy: str = "asymptotic"
     a: float | None = None
 
     def __post_init__(self):
-        if self.copies < 1:
-            raise ValueError(f"probe copy number must be >= 1, got {self.copies}")
         if self.energy not in ("classical", "finite", "asymptotic"):
             raise ValueError(f"unknown energy regime {self.energy!r}")
         if self.energy == "finite" and (self.a is None or self.a < 0.5):

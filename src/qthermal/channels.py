@@ -27,7 +27,7 @@ from .errors import (
     ExtrapolationWarning,
     NonPhysicalChannelError,
 )
-from .gaussian import MP_LOCK, Z2, CovarianceMatrix, gaussian_fidelity, symplectic_form
+from .gaussian import MP_LOCK, CovarianceMatrix, _fidelity_mp, gaussian_fidelity
 
 _CP_TOL = 1e-12
 
@@ -119,23 +119,24 @@ class EnvironmentPair:
         )
 
 
-def choi_cm(channel: ChannelSpec, a: float) -> CovarianceMatrix:
+def choi_cm(channel: ChannelSpec, a) -> CovarianceMatrix:
     """Covariance matrix of the finite-energy Choi state at squeezing a.
 
     One half of a two-mode squeezed vacuum with diagonal parameter
     a = n_s + 1/2 is sent through the channel.  Mode 1 is the retained
     idler (variance a), mode 2 the channel output (variance a*tau + nu),
-    with q/p correlations +-sqrt(tau*(a^2 - 1/4)).
+    with q/p correlations +-sqrt(tau*(a^2 - 1/4)).  An array of a gives
+    the stack of shape a.shape + (4, 4).
     """
-    if a < 0.5:
-        raise ValueError(f"squeezing parameter a must be >= 1/2, got {a}")
+    a = np.asarray(a, dtype=float)
+    if np.any(a < 0.5):
+        raise ValueError(f"squeezing parameter a must be >= 1/2, got {a.min()}")
     c = np.sqrt(channel.tau * (a * a - 0.25))
-    V = np.block(
-        [
-            [a * np.eye(2), c * Z2],
-            [c * Z2, (a * channel.tau + channel.nu) * np.eye(2)],
-        ]
-    )
+    V = np.zeros(a.shape + (4, 4))
+    V[..., 0, 0] = V[..., 1, 1] = a
+    V[..., 2, 2] = V[..., 3, 3] = a * channel.tau + channel.nu
+    V[..., 0, 2] = V[..., 2, 0] = c
+    V[..., 1, 3] = V[..., 3, 1] = -c
     return CovarianceMatrix(V)
 
 
@@ -144,11 +145,12 @@ def classical_output_cm(channel: ChannelSpec) -> CovarianceMatrix:
     return CovarianceMatrix((channel.tau / 2.0 + channel.nu) * np.eye(2))
 
 
-def fidelity_finite(pair: EnvironmentPair, a: float) -> float:
+def fidelity_finite(pair: EnvironmentPair, a):
     """Fidelity between the pair's finite-energy Choi states at squeezing a.
 
-    At a = 1/2 the probe is vacuum and the idler decouples, recovering
-    :func:`fidelity_classical`; the value is non-increasing in a.
+    An array of a gives an array of its shape, each entry equal to the
+    scalar call.  At a = 1/2 the probe is vacuum and the idler decouples,
+    recovering :func:`fidelity_classical`; the value is non-increasing in a.
     """
     return gaussian_fidelity(choi_cm(pair.target, a), choi_cm(pair.background, a))
 
@@ -183,18 +185,7 @@ def _mp_choi_fidelity(pair: EnvironmentPair, a: float, dps: int = 60) -> float:
 
         A1 = choi(pair.target.nu)
         A2 = choi(pair.background.nu)
-        O = mp.matrix(symplectic_form(2).tolist())
-        S = A1 + A2
-        Vaux = O.T * (S ** -1) * (O / 4 + A2 * O * A1)
-        eig, _ = mp.eig(Vaux * O)
-        mods = sorted(abs(x) for x in eig)
-        prod = mp.mpf(1)
-        for vt in mods[::2]:
-            d = 4 * vt * vt - 1
-            if d < 0:
-                d = mp.mpf(0)
-            prod *= 2 * vt + mp.sqrt(d)
-        return float(mp.sqrt(prod) / mp.det(S) ** mp.mpf(0.25))
+    return _fidelity_mp(A1, A2, dps)
 
 
 def fidelity_choi_inf_extrapolated(pair: EnvironmentPair) -> float:

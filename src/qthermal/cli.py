@@ -112,8 +112,8 @@ def cmd_fidelity(args) -> int:
     pair = _pair_from_args(args)
     grid = sorted(set(_parse_grid(args.a)) | {0.5})
     rows = ["a,F"]
-    for a in grid:
-        rows.append(f"{_fmt(a)},{_fmt(fidelity_finite(pair, a))}")
+    for a, f in zip(grid, fidelity_finite(pair, grid)):
+        rows.append(f"{_fmt(a)},{_fmt(f)}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         f_inf = fidelity_choi_inf(pair)
@@ -143,7 +143,7 @@ def cmd_bounds(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         f_cl = fidelity_classical(pair)
-        probe = ProbeSpec(copies=min(M_grid), energy=args.energy, a=args.a)
+        probe = ProbeSpec(energy=args.energy, a=args.a)
         f_q = probe.quantum_fidelity(pair)
     rows = ["M,q_lower,q_upper,cl_lower,mga,mpa"]
     for M in M_grid:

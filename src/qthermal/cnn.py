@@ -264,11 +264,11 @@ def loss_and_grad(net: NetworkSpec, params, images: np.ndarray, labels: np.ndarr
                 (dz_flat.T @ cols_flat).reshape(W.shape),
                 dz_flat.sum(axis=0),
             )
-            dcols = (dz_flat @ W.reshape(filters, -1)).reshape(
-                B2, oh, ow, *cols.shape[3:]
-            )
-            dx = _col2im(dcols, x_shape, kernel, stride)
-            da = dx
+            if idx > 0:  # the first layer's input gradient is the image's
+                dcols = (dz_flat @ W.reshape(filters, -1)).reshape(
+                    B2, oh, ow, *cols.shape[3:]
+                )
+                da = _col2im(dcols, x_shape, kernel, stride)
             idx -= 1
     return loss, grads
 

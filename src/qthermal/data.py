@@ -152,7 +152,8 @@ def load_idx_split(
     """Load and binarise one IDX split from a directory.
 
     Looks for the conventional file names (``train-images-idx3-ubyte`` etc.),
-    optionally with a ``.gz`` suffix.
+    optionally with a ``.gz`` suffix.  A split left with no images after
+    ``limit`` raises ``IdxFormatError``.
     """
     if split not in _SPLIT_FILES:
         raise ValueError(f"split must be one of {sorted(_SPLIT_FILES)}, got {split!r}")
@@ -172,6 +173,8 @@ def load_idx_split(
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
     n, h, w = images.shape
+    if n == 0:
+        raise IdxFormatError(f"{split} split holds no images")
     return BinaryImageDataset(
         images=binarize(images, threshold).reshape(n, h * w),
         labels=labels.astype(np.int64),

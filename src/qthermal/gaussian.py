@@ -3,7 +3,8 @@
 Quadrature ordering is (q1, p1, ..., qN, pN) throughout, with shot noise 1/2,
 i.e. the N-mode vacuum has covariance matrix I/2.  All matrix functions are
 computed through symmetric eigendecompositions; the matrices handled here are
-tiny (at most 4x4), so robustness is preferred over speed.
+tiny (at most 4x4), so robustness is preferred over speed; sweeps pass
+(..., 2N, 2N) stacks, which numpy's linalg treats matrix by matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def symplectic_form(modes: int) -> np.ndarray:
 
 
 class CovarianceMatrix:
-    """Validated second-moment matrix of a zero-mean Gaussian state.
+    """Validated second-moment matrix of a zero-mean Gaussian state, or a
+    (..., 2N, 2N) stack of them with every matrix checked.
 
     The input is symmetrised as (V + V^T)/2 before validation; asymmetry
     beyond ``SYMMETRY_TOL`` and symplectic eigenvalues below
@@ -57,18 +59,19 @@ class CovarianceMatrix:
 
     def __init__(self, matrix) -> None:
         arr = np.array(matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] % 2:
             raise ValueError(f"covariance matrix must be square 2Nx2N, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NonPhysicalError("covariance matrix has non-finite entries")
-        gap = np.max(np.abs(arr - arr.T))
+        arr_t = np.swapaxes(arr, -1, -2)
+        gap = np.max(np.abs(arr - arr_t), initial=0.0)
         if gap > SYMMETRY_TOL:
             raise NonSymmetricError(f"asymmetry {gap:.3e} exceeds tolerance")
-        arr = 0.5 * (arr + arr.T)
+        arr = 0.5 * (arr + arr_t)
         arr.setflags(write=False)
         self._matrix = arr
-        self._modes = arr.shape[0] // 2
-        nu_min = _symplectic_eigenvalues(arr).min()
+        self._modes = arr.shape[-1] // 2
+        nu_min = np.min(_symplectic_eigenvalues(arr), initial=np.inf)
         if nu_min < 0.5 - PHYSICALITY_TOL:
             raise NonPhysicalError(
                 f"minimal symplectic eigenvalue {nu_min:.12g} below 1/2"
@@ -115,32 +118,33 @@ def _as_matrix(V) -> np.ndarray:
 def _symplectic_eigenvalues(arr: np.ndarray) -> np.ndarray:
     # sqrt(V) Omega sqrt(V) is antisymmetric with singular values
     # {nu_1, nu_1, nu_2, nu_2, ...}; SVD of it is numerically stable.
+    # LAPACK runs on each matrix of a stack alone: results ignore the stack.
     w, Q = np.linalg.eigh(arr)
     w = np.clip(w, 0.0, None)
-    root = (Q * np.sqrt(w)) @ Q.T
-    n = arr.shape[0] // 2
+    root = (Q * np.sqrt(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    n = arr.shape[-1] // 2
     s = np.linalg.svd(root @ symplectic_form(n) @ root, compute_uv=False)
-    return s[::2]
+    return s[..., ::2]
 
 
 def symplectic_eigenvalues(V) -> np.ndarray:
-    """Symplectic spectrum of a bona fide covariance matrix, descending.
+    """Symplectic spectrum of a bona fide covariance matrix (or of each
+    matrix in a stack), descending.
 
     Raises:
         NonSymmetricError: asymmetry above tolerance.
         NonPhysicalError: any symplectic eigenvalue below 1/2 - 1e-8.
     """
-    arr = _as_matrix(V)
-    return _symplectic_eigenvalues(arr)
+    return _symplectic_eigenvalues(_as_matrix(V))
 
 
-def _fidelity_mp(V1: np.ndarray, V2: np.ndarray) -> float:
-    """Extended-precision evaluation of the Gaussian fidelity product form."""
-    with MP_LOCK, mp.workdps(_MP_DPS):
-        n = V1.shape[0] // 2
-        O = mp.matrix(symplectic_form(n).tolist())
-        A1 = mp.matrix(V1.tolist())
-        A2 = mp.matrix(V2.tolist())
+def _fidelity_mp(V1, V2, dps: int = _MP_DPS) -> float:
+    """Gaussian fidelity product form evaluated with ``dps`` significant
+    digits; V1 and V2 are numpy arrays or ``mp.matrix`` objects."""
+    with MP_LOCK, mp.workdps(dps):
+        A1 = mp.matrix(V1)
+        A2 = mp.matrix(V2)
+        O = mp.matrix(symplectic_form(A1.rows // 2).tolist())
         S = A1 + A2
         Vaux = O.T * (S ** -1) * (O / 4 + A2 * O * A1)
         eig, _ = mp.eig(Vaux * O)
@@ -155,7 +159,7 @@ def _fidelity_mp(V1: np.ndarray, V2: np.ndarray) -> float:
         return float(F)
 
 
-def gaussian_fidelity(V1, V2) -> float:
+def gaussian_fidelity(V1, V2):
     """Bures fidelity F(rho1, rho2) = ||sqrt(rho1) sqrt(rho2)||_1 of two
     zero-mean Gaussian states.
 
@@ -167,30 +171,35 @@ def gaussian_fidelity(V1, V2) -> float:
 
     Args:
         V1, V2: covariance matrices (arrays or ``CovarianceMatrix``) with the
-            same mode count; both must be bona fide.
+            same mode count; both must be bona fide.  Both may also be
+            equal-shaped (..., 2N, 2N) stacks, compared pair by pair.
 
     Returns:
-        Fidelity in [0, 1]; symmetric in its arguments.
+        Fidelity in [0, 1], a float for one pair and an array of the stack
+        shape for stacks; symmetric in its arguments.
     """
     A1 = _as_matrix(V1)
     A2 = _as_matrix(V2)
     if A1.shape != A2.shape:
         raise DimensionMismatchError(f"mode mismatch: {A1.shape} vs {A2.shape}")
-    n = A1.shape[0] // 2
+    batch, n = A1.shape[:-2], A1.shape[-1] // 2
+    A1, A2 = A1.reshape(-1, 2 * n, 2 * n), A2.reshape(-1, 2 * n, 2 * n)
     O = symplectic_form(n)
     S = A1 + A2
     w, Q = np.linalg.eigh(S)
-    Sinv = (Q / w) @ Q.T
-    detS = float(np.prod(w))
+    Sinv = (Q / w[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    detS = np.prod(w, axis=-1)
     Vaux = O.T @ Sinv @ (O / 4.0 + A2 @ O @ A1)
     lam = np.linalg.eigvals(Vaux @ O)
     # eigenvalues come in +-i v pairs of equal modulus
-    vt = np.sort(np.abs(lam))[::2]
-    if vt.min() < 0.5 + _NEAR_PURE_MARGIN:
-        return min(_fidelity_mp(A1, A2), 1.0)
-    factors = 2.0 * vt + np.sqrt(4.0 * vt * vt - 1.0)
-    F = float(np.prod(np.sqrt(factors)) / detS ** 0.25)
-    return min(F, 1.0)
+    vt = np.sort(np.abs(lam), axis=-1)[..., ::2]
+    # near-pure pairs are redone in 50 digits below; the clip avoids nan
+    factors = 2.0 * vt + np.sqrt(np.maximum(4.0 * vt * vt - 1.0, 0.0))
+    F = np.prod(np.sqrt(factors), axis=-1) / detS ** 0.25
+    for i in np.flatnonzero(vt.min(axis=-1) < 0.5 + _NEAR_PURE_MARGIN):
+        F[i] = _fidelity_mp(A1[i], A2[i])
+    F = np.minimum(F, 1.0).reshape(batch)
+    return F if batch else float(F)
 
 
 def _thermal_occupations(arr: np.ndarray) -> np.ndarray:

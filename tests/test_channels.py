@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qthermal.channels import (
@@ -200,6 +202,53 @@ class TestFiniteEnergy:
         pair = EnvironmentPair.additive(0.02, 0.0200001)
         assert fidelity_classical(pair) < 1.0
         assert fidelity_choi_inf(pair) < 1.0
+
+
+@st.composite
+def environment_pairs(draw) -> EnvironmentPair:
+    """Additive, loss or amplifier pair, pure environments included."""
+    if draw(st.booleans()):
+        return EnvironmentPair.additive(draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0)))
+    tau = draw(st.one_of(st.floats(0.01, 0.999), st.floats(1.001, 3.0)))
+    return EnvironmentPair.thermal(tau, draw(st.floats(0.5, 30.0)), draw(st.floats(0.5, 30.0)))
+
+
+squeezing = st.floats(0.5, 1e3)
+
+
+def resolution(a: float) -> float:
+    """Accuracy of the double-precision route at squeezing a: 1e-9 up to the
+    CLI's default a = 100, then growing like a^2, because near-pure Choi
+    pairs make V1 + V2 condition like a^2 (about 3e6 at a = 500)."""
+    return 1e-9 * max(1.0, a / 100.0) ** 2
+
+
+class TestFiniteEnergyProperties:
+    @given(environment_pairs(), squeezing)
+    def test_symmetric_and_in_unit_interval(self, pair, a):
+        F = fidelity_finite(pair, a)
+        swapped = EnvironmentPair(background=pair.target, target=pair.background)
+        assert isinstance(F, float)
+        assert 0.0 <= F <= 1.0
+        assert fidelity_finite(swapped, a) == pytest.approx(F, abs=resolution(a))
+
+    @given(environment_pairs(), squeezing, squeezing)
+    def test_non_increasing_in_squeezing(self, pair, a1, a2):
+        low, high = fidelity_finite(pair, np.array([min(a1, a2), max(a1, a2)]))
+        assert high <= low + resolution(max(a1, a2))
+
+    @given(environment_pairs(), st.lists(squeezing, max_size=6), st.integers(0, 6))
+    def test_grid_equals_scalar_calls(self, pair, grid, at):
+        # the vacuum-probe row a = 1/2 is the near-pure, 50-digit case
+        grid.insert(min(at, len(grid)), 0.5)
+        F = fidelity_finite(pair, np.array(grid))
+        assert F.shape == (len(grid),)
+        for a, f in zip(grid, F):
+            assert f == fidelity_finite(pair, a)
+
+    def test_rejects_squeezing_below_half_anywhere_in_grid(self):
+        with pytest.raises(ValueError, match="squeezing parameter"):
+            fidelity_finite(EnvironmentPair.additive(0.02, 0.01), np.array([1.0, 0.4]))
 
 
 class TestTemperature:

@@ -1,5 +1,7 @@
 """Command-line surface: schemas, determinism and exit codes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,17 @@ class TestSimulateCommand:
         code, _, err = run([*self.BASE, "--data-dir", str(tmp_path)], capsys)
         assert code == 3
         assert "data error" in err
+
+    def test_empty_idx_split_is_data_error(self, capsys, tmp_path):
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x00000803, 0, 28, 28)
+        )
+        (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x00000801, 0)
+        )
+        code, _, err = run([*self.BASE, "--data-dir", str(tmp_path)], capsys)
+        assert code == 3
+        assert "data error" in err and "no images" in err
 
     def test_thermal_figure_parameters(self, capsys):
         code, out, _ = run(

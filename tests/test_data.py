@@ -130,6 +130,16 @@ class TestDataset:
         assert ds.provenance["threshold"] == 100
         assert len(ds.provenance["source"]) == 2
 
+    @pytest.mark.parametrize("count,limit", [(0, None), (3, 0)])
+    def test_empty_split_rejected(self, tmp_path, count, limit):
+        imgs = np.zeros((count, 2, 2), np.uint8)
+        (tmp_path / "t10k-images-idx3-ubyte").write_bytes(
+            idx_images(imgs.tobytes(), imgs.shape)
+        )
+        (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(idx_labels(bytes(count)))
+        with pytest.raises(IdxFormatError, match="no images"):
+            load_idx_split(str(tmp_path), "evaluation", limit=limit)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_idx_split(str(tmp_path), "evaluation")

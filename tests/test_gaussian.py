@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qthermal.errors import (
@@ -152,6 +154,40 @@ class TestGaussianFidelity:
         expected = thermal_pair_closed(1.0, 0.0) * thermal_pair_closed(2.0, 3.0)
         assert gaussian_fidelity(V1, V2) == pytest.approx(expected, abs=1e-10)
         assert fock_fidelity_oracle(V1, V2, 1024) == pytest.approx(expected, abs=1e-9)
+
+
+def random_stack(seed: int, size: int, modes: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.array([random_cm(modes, rng) for _ in range(size)])
+
+
+class TestStacks:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 2))
+    def test_stack_equals_pairwise_calls(self, seed, size, modes):
+        V1 = random_stack(seed, size, modes)
+        V2 = random_stack(seed + 1, size, modes)
+        # one near-pure pair exercises the 50-digit fallback inside a stack
+        V1[0] = V2[0] = 0.5 * np.eye(2 * modes)
+        F = gaussian_fidelity(V1, V2)
+        nus = symplectic_eigenvalues(V1)
+        assert F.shape == (size,) and nus.shape == (size, modes)
+        for i in range(size):
+            assert F[i] == gaussian_fidelity(V1[i], V2[i])
+            assert np.array_equal(nus[i], symplectic_eigenvalues(V1[i]))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+    def test_one_nonphysical_matrix_rejects_the_stack(self, seed, size, data):
+        V = random_stack(seed, size, 2)
+        bad = data.draw(st.integers(0, size - 1))
+        V[bad] = np.diag([0.3, 0.3, 1.0, 1.0])
+        with pytest.raises(NonPhysicalError):
+            gaussian_fidelity(V, random_stack(seed + 1, size, 2))
+        with pytest.raises(NonPhysicalError):
+            symplectic_eigenvalues(V)
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            gaussian_fidelity(random_stack(0, 2, 1), random_stack(1, 3, 1))
 
 
 class TestFockOracle:
