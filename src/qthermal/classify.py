@@ -5,7 +5,9 @@ Sensor imperfection is modelled as independent symmetric pixel flips whose
 probability comes from the single-pixel error bounds.  Each trial flips the
 whole evaluation set with one block of uniforms from a counter-based stream
 keyed on (master seed, M index, trial), shared by the four noise endpoints of
-one M, so any parallel schedule reproduces the same numbers bit for bit.
+one M.  ``advantage_regions`` runs its (M, endpoint) estimates concurrently on
+``threads`` workers, classifier training included; every job depends only on
+its own streams, so any thread count reproduces the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -95,6 +97,14 @@ def sample_noisy(images: np.ndarray, noise: NoiseModel, rng: np.random.Generator
     return images ^ flips.view(np.uint8)
 
 
+def _map(fn: Callable, items: Sequence, threads: int) -> list:
+    """``fn`` over ``items`` in order, on ``threads`` pool workers when > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], np.ndarray]:
     """Batch nearest-neighbour label predictor over ``training``.
 
@@ -170,12 +180,7 @@ def estimate_error(
         noisy = sample_noisy(evaluation.images, noise, trial_stream(master_seed, trial))
         return int(np.count_nonzero(predictor(noisy) != evaluation.labels))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(run_trial, range(trials)))
-    else:
-        counts = [run_trial(t) for t in range(trials)]
-
+    counts = _map(run_trial, range(trials), threads)
     n = trials * len(evaluation)
     wrong = sum(counts)
     mean = wrong / n
@@ -311,40 +316,44 @@ def advantage_regions(
     ``predictor_factory(noise, M)`` may supply a trained
     classifier per endpoint (the nearest-neighbour rule is used otherwise);
     ``p_override`` forces one flip probability everywhere, for diagnostics.
+
+    Each (M, endpoint) pair is one job: build its predictor (training it,
+    with a factory), then run all its trials.  ``threads`` workers run the
+    jobs of the whole grid concurrently; the rows are bit-identical for any
+    thread count.
     """
     f_q = fidelity_choi_inf(pair)
     f_cl = fidelity_classical(pair)
     nn = None if predictor_factory else nn_predictor(training)
-    rows = []
+    grid = []
     for mi, M in enumerate(M_grid):
         if p_override is None:
             models = _endpoint_models(f_q, f_cl, M)
         else:
             models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override, "override"))
-        seed = trial_stream(master_seed, mi).integers(2**63)
-        estimates = {
-            tag: estimate_error(
-                training,
-                evaluation,
-                model,
-                trials,
-                seed,
-                threads=threads,
-                predictor=predictor_factory(model, M) if predictor_factory else nn,
-            )
-            for tag, model in models.items()
-        }
+        grid.append((int(M), models, trial_stream(master_seed, mi).integers(2**63)))
+
+    def run_job(job: tuple[int, NoiseModel, int]) -> ErrorEstimate:
+        M, model, seed = job
+        predictor = predictor_factory(model, M) if predictor_factory else nn
+        return estimate_error(training, evaluation, model, trials, seed, predictor=predictor)
+
+    jobs = [(M, model, seed) for M, models, seed in grid for model in models.values()]
+    estimates = iter(_map(run_job, jobs, threads))
+    rows = []
+    for M, models, _ in grid:
+        e = {tag: next(estimates) for tag in models}
         rows.append(
             AdvantageRow(
-                M=int(M),
+                M=M,
                 p_cl_low=models["classical-lower"].flip_probability,
                 p_cl_up=models["classical-upper"].flip_probability,
                 p_q_low=models["quantum-lower"].flip_probability,
                 p_q_up=models["quantum-upper"].flip_probability,
-                e_cl_low=estimates["classical-lower"],
-                e_cl_up=estimates["classical-upper"],
-                e_q_low=estimates["quantum-lower"],
-                e_q_up=estimates["quantum-upper"],
+                e_cl_low=e["classical-lower"],
+                e_cl_up=e["classical-upper"],
+                e_q_low=e["quantum-lower"],
+                e_q_up=e["quantum-upper"],
             )
         )
     return rows

@@ -29,6 +29,10 @@ PHYSICALITY_TOL = 1e-8
 # double-precision sqrt(4*v^2 - 1) in the fidelity loses half the digits,
 # so the computation is redone in extended precision.
 _NEAR_PURE_MARGIN = 1e-5
+# Above this condition number of V1 + V2 (strong squeezing) the double-precision
+# inverse loses more than ~1e-12 of the fidelity, so it is redone in extended
+# precision too; the CLI's sweeps up to a = 100 stay below 2.3e4.
+_MAX_CONDITION = 5e4
 _MP_DPS = 50
 
 # mpmath's working precision is process-global state; serialise the
@@ -193,10 +197,14 @@ def gaussian_fidelity(V1, V2):
     lam = np.linalg.eigvals(Vaux @ O)
     # eigenvalues come in +-i v pairs of equal modulus
     vt = np.sort(np.abs(lam), axis=-1)[..., ::2]
-    # near-pure pairs are redone in 50 digits below; the clip avoids nan
+    # near-pure and ill-conditioned pairs are redone in 50 digits below; the
+    # clip avoids nan
     factors = 2.0 * vt + np.sqrt(np.maximum(4.0 * vt * vt - 1.0, 0.0))
     F = np.prod(np.sqrt(factors), axis=-1) / detS ** 0.25
-    for i in np.flatnonzero(vt.min(axis=-1) < 0.5 + _NEAR_PURE_MARGIN):
+    redo = (vt.min(axis=-1) < 0.5 + _NEAR_PURE_MARGIN) | (
+        w.max(axis=-1) > _MAX_CONDITION * w.min(axis=-1)
+    )
+    for i in np.flatnonzero(redo):
         F[i] = _fidelity_mp(A1[i], A2[i])
     F = np.minimum(F, 1.0).reshape(batch)
     return F if batch else float(F)

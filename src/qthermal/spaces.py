@@ -166,21 +166,31 @@ def cpf_functional(m: int, k: int, f: float) -> float:
 
 def cross_functional(m: int, k: int, l: int, f: float) -> float:
     """Sum of f^hamming over all ordered pairs drawn from the k- and l-CPF
-    spaces (k != l); equals C(m,k) C(m,l) at f = 1."""
+    spaces (k != l); equals C(m,k) C(m,l) at f = 1.  A sum beyond double
+    range returns ``math.inf`` without a warning; its log is
+    ``log_hamming_sum(log_pair_counts(m, (k,), (l,)), log f)``."""
     _check_mf(m, f)
     if k == l:
         raise ValueError("cross functional requires distinct target counts")
     for v in (k, l):
         if not 0 <= v <= m:
             raise ValueError(f"target count {v} outside [0, {m}]")
-    return float(np.exp(log_hamming_sum(log_pair_counts(m, (k,), (l,)), _safe_log(f))))
+    return _exp(log_hamming_sum(log_pair_counts(m, (k,), (l,)), _safe_log(f)))
 
 
 def bcpf_functional(space: ImageSpace, f: float) -> float:
     """Unnormalised sum of f^hamming over ordered unequal pattern pairs of a
-    BCPF space; for the full count set it equals 2^m * ((f+1)^m - 1)."""
+    BCPF space; for the full count set it equals 2^m * ((f+1)^m - 1).  A sum
+    beyond double range returns ``math.inf`` without a warning; its log is
+    ``log_hamming_sum(log_distance_counts(space), log f)``."""
     _check_mf(space.m, f)
-    return float(np.exp(log_hamming_sum(log_distance_counts(space), _safe_log(f))))
+    return _exp(log_hamming_sum(log_distance_counts(space), _safe_log(f)))
+
+
+def _exp(log_value: float) -> float:
+    """exp that saturates to inf past double range instead of warning."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_value))
 
 
 def _per_pattern(space: ImageSpace, f: float) -> float:

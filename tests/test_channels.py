@@ -19,6 +19,7 @@ from qthermal.channels import (
     fidelity_finite,
     temperature_of,
 )
+from qthermal.channels import _mp_choi_fidelity
 from qthermal.errors import NonPhysicalChannelError
 from qthermal.gaussian import gaussian_fidelity, thermal_cm, tmsv_cm
 
@@ -216,11 +217,10 @@ def environment_pairs(draw) -> EnvironmentPair:
 squeezing = st.floats(0.5, 1e3)
 
 
-def resolution(a: float) -> float:
-    """Accuracy of the double-precision route at squeezing a: 1e-9 up to the
-    CLI's default a = 100, then growing like a^2, because near-pure Choi
-    pairs make V1 + V2 condition like a^2 (about 3e6 at a = 500)."""
-    return 1e-9 * max(1.0, a / 100.0) ** 2
+# Accuracy of fidelity_finite: ill-conditioned V1 + V2 (strong squeezing,
+# near-pure Choi pairs) is redone in 50 digits, so double precision keeps
+# about nine digits everywhere.
+RESOLUTION = 1e-9
 
 
 class TestFiniteEnergyProperties:
@@ -230,12 +230,12 @@ class TestFiniteEnergyProperties:
         swapped = EnvironmentPair(background=pair.target, target=pair.background)
         assert isinstance(F, float)
         assert 0.0 <= F <= 1.0
-        assert fidelity_finite(swapped, a) == pytest.approx(F, abs=resolution(a))
+        assert fidelity_finite(swapped, a) == pytest.approx(F, abs=RESOLUTION)
 
     @given(environment_pairs(), squeezing, squeezing)
     def test_non_increasing_in_squeezing(self, pair, a1, a2):
         low, high = fidelity_finite(pair, np.array([min(a1, a2), max(a1, a2)]))
-        assert high <= low + resolution(max(a1, a2))
+        assert high <= low + RESOLUTION
 
     @given(environment_pairs(), st.lists(squeezing, max_size=6), st.integers(0, 6))
     def test_grid_equals_scalar_calls(self, pair, grid, at):
@@ -245,6 +245,17 @@ class TestFiniteEnergyProperties:
         assert F.shape == (len(grid),)
         for a, f in zip(grid, F):
             assert f == fidelity_finite(pair, a)
+
+    def test_large_squeezing_matches_extended_precision(self):
+        # V1 + V2 conditions like a: about 2e5 at a = 1e4 for this pair
+        pair = EnvironmentPair.thermal(0.99, 18.5, 20.2)
+        assert fidelity_finite(pair, 1e4) == pytest.approx(
+            _mp_choi_fidelity(pair, 1e4), rel=1e-12, abs=0.0
+        )
+
+    def test_large_squeezing_sweep_non_increasing(self):
+        F = fidelity_finite(EnvironmentPair.thermal(0.99, 18.5, 20.2), np.geomspace(2e4, 1e6, 40))
+        assert np.all(np.diff(F) <= 0.0)
 
     def test_rejects_squeezing_below_half_anywhere_in_grid(self):
         with pytest.raises(ValueError, match="squeezing parameter"):

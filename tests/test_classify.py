@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qthermal.bounds import pixel_error_bounds
 from qthermal.channels import EnvironmentPair
 from qthermal.classify import (
+    NOISE_DERIVATIONS,
     NoiseModel,
     advantage_regions,
     endpoint_noise_models,
@@ -295,3 +296,28 @@ class TestAdvantageRegions:
             assert row.p_q_low <= row.p_q_up
             assert row.p_cl_low <= row.p_cl_up
             assert row.p_q_up < row.p_cl_up
+
+    def test_one_predictor_per_endpoint_and_thread_invariance(self, digits_small):
+        train, evaluation = digits_small
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        nn = nn_predictor(train)
+
+        def run(threads):
+            built = []
+
+            def factory(noise, M):
+                built.append((M, noise.derivation))
+                return nn
+
+            rows = advantage_regions(
+                train, evaluation, pair, [10, 40], trials=3, master_seed=6,
+                threads=threads, predictor_factory=factory,
+            )
+            return rows, built
+
+        rows1, built1 = run(1)
+        rows4, built4 = run(4)
+        expected = sorted((M, tag) for M in (10, 40) for tag in NOISE_DERIVATIONS)
+        assert sorted(built1) == sorted(built4) == expected
+        assert rows1 == rows4
+        assert any(row.e_cl_up.mean > 0.0 for row in rows1)

@@ -145,6 +145,17 @@ class TestSimulateCommand:
         assert code1 == code3 == 0
         assert out1 == out3
 
+    def test_cnn_thread_count_does_not_change_bytes(self, capsys):
+        argv = [
+            "simulate", "--classifier", "cnn", "--kind", "additive", "--nuT", "0.01",
+            "--nuB", "0.02", "--T", "80", "--eval-size", "20", "--trials", "2",
+            "--M", "10,40", "--epochs", "1", "--seed", "5",
+        ]
+        code1, out1, _ = run([*argv, "--threads", "1"], capsys)
+        code3, out3, _ = run([*argv, "--threads", "3"], capsys)
+        assert code1 == code3 == 0
+        assert out1 == out3
+
     def test_p_override_zero(self, capsys):
         code, out, _ = run([*self.BASE, "--p-override", "0", "--seed", "1"], capsys)
         assert code == 0
@@ -218,8 +229,9 @@ class TestSimulateCommand:
             raise NonFiniteLossError("loss evaluated to nan")
 
         monkeypatch.setattr(cnn, "loss_and_grad", diverge)
+        # raised on a pool worker, re-raised in the caller
         code, out, err = run(
-            [*self.BASE, "--classifier", "cnn", "--epochs", "1"], capsys
+            [*self.BASE, "--classifier", "cnn", "--epochs", "1", "--threads", "2"], capsys
         )
         assert code == 4
         assert out == ""

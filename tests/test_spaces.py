@@ -1,6 +1,7 @@
 """Hamming functionals against brute-force enumeration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,14 @@ class TestBcpfFunctional:
         for ks in ks_sets:
             space = ImageSpace.bcpf(m, ks)
             assert rel_close(bcpf_functional(space, f), brute_bcpf(m, ks, f))
+
+
+class TestOverflow:
+    def test_sums_beyond_double_range_are_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bcpf_functional(ImageSpace.bcpf(784, range(100, 150)), 0.9) == math.inf
+            assert cross_functional(784, 300, 400, 0.99) == math.inf
 
 
 class TestDistanceSpectrum:
