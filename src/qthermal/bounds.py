@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .spaces import LN2, NEG_INF, ImageSpace, log_distance_counts, log_hamming_sum
+from .spaces import LN2, ImageSpace, log_distance_counts, log_hamming_sum, log_pow
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,6 @@ class BoundReport:
     mbar_adv: float
 
 
-def _log_pow(F: float, exponent: float) -> float:
-    """log(F^exponent) for F in [0, 1]."""
-    if F <= 0.0:
-        return NEG_INF
-    if F >= 1.0:
-        return 0.0
-    return exponent * math.log(F)
-
-
 def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
     """Error-probability bounds for discriminating patterns of ``space`` with
     M probe copies per pixel.
@@ -104,10 +95,10 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
     log_size = space.log_pattern_count()
 
     def lower(F: float) -> float:  # S(F^2M) / (2 |S|^2)
-        log_sum = log_hamming_sum(log_counts, _log_pow(F, 2.0 * M))
+        log_sum = log_hamming_sum(log_counts, log_pow(F, 2.0 * M))
         return math.exp(log_sum - 2.0 * log_size - LN2)
 
-    log_fm = _log_pow(F_q, float(M))
+    log_fm = log_pow(F_q, float(M))
     # min(1, S(F^M) / |S|), exponentiated only where it cannot overflow
     q_upper = math.exp(min(log_hamming_sum(log_counts, log_fm) - log_size, 0.0))
     if space.kind == "uniform":
@@ -171,13 +162,6 @@ def pixel_error_bounds(F: float, M: int) -> tuple[float, float]:
         raise ValueError(f"fidelity must lie in [0, 1], got {F}")
     if M < 1:
         raise ValueError(f"probe copy number must be >= 1, got {M}")
-    log_f2m = _log_pow(F, 2.0 * M)
-    if log_f2m == NEG_INF:
-        lower = 0.0
-    else:
-        # 1 - sqrt(1-x) = x / (1 + sqrt(1-x)) avoids cancellation at small x
-        x = math.exp(log_f2m)
-        lower = 0.5 * x / (1.0 + math.sqrt(max(1.0 - x, 0.0)))
-    log_fm = _log_pow(F, float(M))
-    upper = 0.5 * math.exp(log_fm) if log_fm > NEG_INF else 0.0
-    return lower, upper
+    # 1 - sqrt(1-x) = x / (1 + sqrt(1-x)) avoids cancellation at small x
+    x = math.exp(log_pow(F, 2.0 * M))
+    return 0.5 * x / (1.0 + math.sqrt(1.0 - x)), 0.5 * math.exp(log_pow(F, float(M)))

@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from scipy.constants import c as _c_light
-from scipy.constants import h as _h_planck
-from scipy.constants import k as _k_boltzmann
 
 from .errors import (
     ConventionUnresolvedWarning,
@@ -28,6 +25,10 @@ from .errors import (
     NonPhysicalChannelError,
 )
 from .gaussian import MP_LOCK, CovarianceMatrix, _fidelity_mp, gaussian_fidelity
+
+_h_planck = 6.62607015e-34  # J s, exact in the SI
+_c_light = 299792458.0  # m / s, exact in the SI
+_k_boltzmann = 1.380649e-23  # J / K, exact in the SI
 
 _CP_TOL = 1e-12
 

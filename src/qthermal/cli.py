@@ -88,6 +88,13 @@ def _parse_grid(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p]
 
 
+def _probe_grid(text: str) -> list[int]:
+    grid = [int(v) for v in _parse_grid(text)]
+    if not grid:
+        raise ValueError("empty probe copy grid")
+    return grid
+
+
 def _pair_from_args(args) -> EnvironmentPair:
     if args.kind == "additive":
         if args.nuT is None or args.nuB is None:
@@ -137,9 +144,7 @@ def cmd_bounds(args) -> int:
             raise ValueError("BCPF spaces require --k as a comma list")
         space = ImageSpace.bcpf(args.m, [int(float(v)) for v in args.k.split(",")])
 
-    M_grid = [int(v) for v in _parse_grid(args.M)]
-    if not M_grid:
-        raise ValueError("empty probe copy grid")
+    M_grid = _probe_grid(args.M)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         f_cl = fidelity_classical(pair)
@@ -177,8 +182,8 @@ def _load_datasets(args):
 
 def cmd_simulate(args) -> int:
     pair = _pair_from_args(args)
+    M_grid = _probe_grid(args.M)
     training, evaluation = _load_datasets(args)
-    M_grid = [int(v) for v in _parse_grid(args.M)]
 
     predictor_factory = None
     if args.classifier == "cnn":
@@ -330,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config_file(argv)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.exit(EXIT_USAGE, f"error: cannot read config file: {exc}\n")
     args = parser.parse_args(argv)
     args._t0 = time.time()

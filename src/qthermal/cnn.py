@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import ErrorEstimate, NoiseModel, estimate_error, trial_stream
+from .classify import ErrorEstimate, NoiseModel, estimate_error, sample_noisy, trial_stream
 from .data import BinaryImageDataset
 from .errors import NonFiniteLossError, ShapeMismatchError, TruncatedPayloadError
 
@@ -316,11 +316,9 @@ def train(
         total_loss = 0.0
         for bi in range(0, len(order), config.batch_size):
             sel = fit_idx[order[bi : bi + config.batch_size]]
-            xb = images[sel].astype(float)
+            xb = images[sel]
             if apply_noise:
-                rng = trial_stream(config.seed, 0x7A, epoch, bi)
-                flips = rng.random(xb.shape) < noise.flip_probability
-                xb = np.abs(xb - flips)
+                xb = sample_noisy(xb, noise, trial_stream(config.seed, 0x7A, epoch, bi))
             loss, grads = loss_and_grad(net, params, xb, labels[sel])
             total_loss += loss
             lr = config.learning_rate / len(sel)
@@ -328,12 +326,9 @@ def train(
                 (W - lr * gW, b - lr * gb)
                 for (W, b), (gW, gb) in zip(params, grads)
             ]
+        x_eval = x_hold
         if apply_noise:
-            rng = trial_stream(config.seed, 0x40, epoch)
-            flips = rng.random(x_hold.shape) < noise.flip_probability
-            x_eval = np.abs(x_hold.astype(float) - flips)
-        else:
-            x_eval = x_hold
+            x_eval = sample_noisy(x_hold, noise, trial_stream(config.seed, 0x40, epoch))
         acc = float(np.mean(predict_labels(net, params, x_eval) == y_hold)) if len(y_hold) else 0.0
         trace.append(
             {

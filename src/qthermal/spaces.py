@@ -20,21 +20,46 @@ to ~10^4 do not overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 NEG_INF = float("-inf")
-LN2 = float(np.log(2.0))
+LN2 = math.log(2.0)
+
+
+@lru_cache(maxsize=256)
+def log_factorials(m: int) -> np.ndarray:
+    """Read-only log n! for n = 0..m from ``math.lgamma``; cached per m."""
+    out = np.array([math.lgamma(n + 1.0) for n in range(m + 1)])
+    out.setflags(write=False)
+    return out
 
 
 def log_binomial(n: int, k) -> np.ndarray:
-    """log C(n, k), elementwise; -inf outside 0 <= k <= n."""
-    k = np.asarray(k, dtype=float)
-    out = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    return np.where((k < 0) | (k > n), NEG_INF, out)
+    """log C(n, k) for integer k, elementwise; -inf outside 0 <= k <= n."""
+    lf, k = log_factorials(n), np.asarray(k)
+    j = np.clip(k, 0, n)
+    return np.where(k == j, lf[n] - lf[j] - lf[n - j], NEG_INF)
+
+
+def log_sum_exp(values: np.ndarray) -> float:
+    """log of sum exp(values), shifted by the maximum; -inf if all are -inf."""
+    top = values.max()
+    if top == NEG_INF:
+        return NEG_INF
+    return float(top + np.log(np.exp(values - top).sum()))
+
+
+def log_pow(f: float, exponent: float = 1.0) -> float:
+    """log(f^exponent) for f in [0, 1]: -inf at f = 0 and 0 at f = 1."""
+    if f <= 0.0:
+        return NEG_INF
+    if f >= 1.0:
+        return 0.0
+    return exponent * math.log(f)
 
 
 @dataclass(frozen=True)
@@ -85,9 +110,7 @@ class ImageSpace:
         """log of the number of patterns in the space."""
         if self.kind == "uniform":
             return self.m * LN2
-        if self.kind == "cpf":
-            return float(log_binomial(self.m, self.k))
-        return float(logsumexp(log_binomial(self.m, self.ks)))
+        return log_sum_exp(log_binomial(self.m, self.ks or (self.k,)))
 
 
 def log_pair_counts(m: int, ks, ls) -> np.ndarray:
@@ -99,7 +122,7 @@ def log_pair_counts(m: int, ks, ls) -> np.ndarray:
     the multinomial m! / (a! (k-a)! b! (m-k-b)!) = C(m,k) C(k,a) C(m-k,b) at
     distance d = a + b.
     """
-    lf = gammaln(np.arange(m + 1) + 1.0)
+    lf = log_factorials(m)
     ls = np.asarray(ls)
     out = np.full(m + 1, NEG_INF)
     for k in ks:
@@ -137,11 +160,7 @@ def log_distance_counts(space: ImageSpace) -> np.ndarray:
 def log_hamming_sum(log_counts: np.ndarray, log_f: float) -> float:
     """log of sum_d N_d f^d over d = 1..m from ``log_counts`` = log N_d;
     ``log_f`` = log f may be -inf (f = 0) or 0 (f = 1)."""
-    terms = log_counts + log_f * np.arange(1, len(log_counts) + 1)
-    top = terms.max()
-    if top == NEG_INF:
-        return NEG_INF
-    return float(top + np.log(np.exp(terms - top).sum()))
+    return log_sum_exp(log_counts + log_f * np.arange(1, len(log_counts) + 1))
 
 
 def hamming_functional_uniform(m: int, f: float) -> float:
@@ -175,7 +194,7 @@ def cross_functional(m: int, k: int, l: int, f: float) -> float:
     for v in (k, l):
         if not 0 <= v <= m:
             raise ValueError(f"target count {v} outside [0, {m}]")
-    return _exp(log_hamming_sum(log_pair_counts(m, (k,), (l,)), _safe_log(f)))
+    return _exp(log_hamming_sum(log_pair_counts(m, (k,), (l,)), log_pow(f)))
 
 
 def bcpf_functional(space: ImageSpace, f: float) -> float:
@@ -184,7 +203,7 @@ def bcpf_functional(space: ImageSpace, f: float) -> float:
     beyond double range returns ``math.inf`` without a warning; its log is
     ``log_hamming_sum(log_distance_counts(space), log f)``."""
     _check_mf(space.m, f)
-    return _exp(log_hamming_sum(log_distance_counts(space), _safe_log(f)))
+    return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)))
 
 
 def _exp(log_value: float) -> float:
@@ -194,12 +213,7 @@ def _exp(log_value: float) -> float:
 
 
 def _per_pattern(space: ImageSpace, f: float) -> float:
-    log_sum = log_hamming_sum(log_distance_counts(space), _safe_log(f))
-    return float(np.exp(log_sum - space.log_pattern_count()))
-
-
-def _safe_log(f: float) -> float:
-    return float(np.log(f)) if f > 0.0 else NEG_INF
+    return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)) - space.log_pattern_count())
 
 
 def _check_mf(m: int, f: float) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
 
 from qthermal.bounds import (
     bounds,
@@ -13,7 +14,13 @@ from qthermal.bounds import (
     min_rel_probe_uniform,
     pixel_error_bounds,
 )
-from qthermal.channels import choi_fidelity_additive, classical_fidelity_additive
+from qthermal.channels import (
+    EnvironmentPair,
+    choi_fidelity_additive,
+    classical_fidelity_additive,
+    fidelity_choi_inf,
+    fidelity_classical,
+)
 from qthermal.spaces import ImageSpace
 
 from conftest import image_spaces
@@ -76,6 +83,20 @@ class TestUniformBounds:
         assert 0.0 <= rep.q_lower <= rep.q_upper <= 1.0
         rep = bounds(ImageSpace.uniform(10_000), 5, 0.9, 0.99)
         assert np.isfinite(rep.q_lower) and 0.0 <= rep.q_lower <= 1.0
+
+    def test_paper_scale_matches_closed_form(self):
+        # m = 784 over the benchmark grid M = 100..20000 and thermal pair:
+        # S(f)/(2|S|^2) = ((1+f)^m - 1) / 2^(m+1) with f = F^(2M), in 50 digits
+        pair = EnvironmentPair.thermal(0.99, 18.5, 20.2)
+        F_q, F_cl = fidelity_choi_inf(pair), fidelity_classical(pair)
+        space, m = ImageSpace.uniform(784), 784
+        with mp.workdps(50):
+            for M in range(100, 20001, 100):
+                rep = bounds(space, M, F_q, F_cl)
+                for got, F in ((rep.q_lower, F_q), (rep.cl_lower, F_cl)):
+                    f = mp.mpf(F) ** (2 * M)
+                    exact = ((1 + f) ** m - 1) / mp.mpf(2) ** (m + 1)
+                    assert abs(got - exact) <= 2e-12 * exact, (M, F)
 
     def test_warns_on_inverted_fidelities(self):
         with pytest.warns(UserWarning):

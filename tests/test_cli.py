@@ -164,6 +164,12 @@ class TestSimulateCommand:
         # seeds; zero pixel noise still leaves a small clean NN error
         assert float(row[9]) == float(row[10]) == 0.0
 
+    def test_empty_probe_grid_is_usage_error(self, capsys):
+        code, out, err = run([*self.BASE, "--M", ""], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: empty probe copy grid" in err
+
     def test_missing_dataset_dir(self, capsys, tmp_path):
         code, _, err = run([*self.BASE, "--data-dir", str(tmp_path)], capsys)
         assert code == 3
@@ -302,6 +308,17 @@ class TestManifestAndConfig:
         assert code == 0
         expected = fidelity_classical(EnvironmentPair.additive(0.02, 0.01))
         assert float(out.strip().split("\n")[1].split(",")[1]) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("content", [None, b"M=\xff\xfe5\n"], ids=["missing", "non-utf8"])
+    def test_unreadable_config_is_usage_error(self, capsys, tmp_path, content):
+        cfg = tmp_path / "bad.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--kind", "additive", "--nuT", "0.02", "--nuB", "0.01",
+                  "--m", "4", "--M", "1", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "error: cannot read config file: " in capsys.readouterr().err
 
     def test_identical_manifest_params_identical_csv(self, capsys, tmp_path):
         args = ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02",
