@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundReport,
-    ProbeSpec,
     bounds,
     min_rel_probe_additive,
     min_rel_probe_uniform,
@@ -83,7 +82,6 @@ __all__ = [
     "ErrorEstimate",
     "ImageSpace",
     "NoiseModel",
-    "ProbeSpec",
     "SnappFit",
     "advantage_regions",
     "bcpf_functional",

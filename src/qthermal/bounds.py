@@ -18,36 +18,6 @@ from .spaces import LN2, ImageSpace, log_distance_counts, log_hamming_sum, log_p
 
 
 @dataclass(frozen=True)
-class ProbeSpec:
-    """Energy regime of the quantum strategy.
-
-    ``energy`` selects how the quantum-side fidelity is obtained:
-    ``"classical"`` uses the vacuum probe (a = 1/2), ``"finite"`` the
-    Choi state at squeezing ``a``, ``"asymptotic"`` the infinite-squeezing
-    limit.
-    """
-
-    energy: str = "asymptotic"
-    a: float | None = None
-
-    def __post_init__(self):
-        if self.energy not in ("classical", "finite", "asymptotic"):
-            raise ValueError(f"unknown energy regime {self.energy!r}")
-        if self.energy == "finite" and (self.a is None or self.a < 0.5):
-            raise ValueError("finite energy requires a squeezing parameter a >= 1/2")
-
-    def quantum_fidelity(self, pair) -> float:
-        """Single-pixel output fidelity of this probe on a channel pair."""
-        from .channels import fidelity_choi_inf, fidelity_classical, fidelity_finite
-
-        if self.energy == "classical":
-            return fidelity_classical(pair)
-        if self.energy == "finite":
-            return fidelity_finite(pair, self.a)
-        return fidelity_choi_inf(pair)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Bounds and advantage metrics for one (space, M, fidelity) configuration.
 

@@ -2,9 +2,15 @@
 simulations and temperature tables, all emitted as CSV with a manifest
 sidecar.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
-non-convergence.  Output is deterministic: identical flags, input files and
-seeds produce byte-identical CSVs.
+Each ``cmd_*`` returns its CSV rows and extra manifest fields; ``main``
+runs it, writes the output and picks the exit code: 0 success, 2 usage
+error, 3 data error, 4 numeric non-convergence.  Every distinct warning
+raised during a command goes to stderr once, as ``warning: <Category>:
+<message>``; an ``ExtrapolationWarning`` turns exit 0 into 4.  Probe copy
+(``--M``) and target count (``--k``) grids must hold integers, and an empty
+``--M``, ``--k``, ``--nbar`` or ``--eps`` grid is a usage error.  Output is
+deterministic: identical flags, input files and seeds produce
+byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .bounds import ImageSpace, ProbeSpec, bounds, min_rel_probe_uniform
+from .bounds import ImageSpace, bounds, min_rel_probe_uniform
 from .channels import (
     EnvironmentPair,
     fidelity_choi_inf,
@@ -48,6 +54,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _row(*values) -> str:
+    return ",".join(_fmt(v) for v in values)
+
+
 def _emit(rows: list[str], manifest: list[str], out_path: str | None) -> None:
     text = "\n".join(rows) + "\n"
     if out_path:
@@ -60,7 +70,7 @@ def _emit(rows: list[str], manifest: list[str], out_path: str | None) -> None:
         sys.stderr.write("\n".join(manifest) + "\n")
 
 
-def _manifest(args: argparse.Namespace, extra: dict | None = None) -> list[str]:
+def _manifest(args: argparse.Namespace, extra: dict) -> list[str]:
     skip = {"func", "_t0"}
     lines = [
         f"command: {args.command}",
@@ -70,7 +80,7 @@ def _manifest(args: argparse.Namespace, extra: dict | None = None) -> list[str]:
         if key in skip or key == "command":
             continue
         lines.append(f"param {key}: {getattr(args, key)}")
-    for key, val in (extra or {}).items():
+    for key, val in extra.items():
         lines.append(f"{key}: {val}")
     lines.append(f"wall_time_s: {time.time() - args._t0:.3f}")
     return lines
@@ -88,11 +98,18 @@ def _parse_grid(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p]
 
 
-def _probe_grid(text: str) -> list[int]:
-    grid = [int(v) for v in _parse_grid(text)]
+def _grid(text: str, name: str) -> list[float]:
+    grid = _parse_grid(text)
     if not grid:
-        raise ValueError("empty probe copy grid")
+        raise ValueError(f"empty {name} grid")
     return grid
+
+
+def _int_grid(text: str, name: str) -> list[int]:
+    grid = _grid(text, name)
+    if not all(v.is_integer() for v in grid):
+        raise ValueError(f"{name} grid must hold integers, got {text!r}")
+    return [int(v) for v in grid]
 
 
 def _pair_from_args(args) -> EnvironmentPair:
@@ -115,55 +132,43 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nuB", type=float, help="background additive noise")
 
 
-def cmd_fidelity(args) -> int:
+def cmd_fidelity(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     grid = sorted(set(_parse_grid(args.a)) | {0.5})
-    rows = ["a,F"]
-    for a, f in zip(grid, fidelity_finite(pair, grid)):
-        rows.append(f"{_fmt(a)},{_fmt(f)}")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        f_inf = fidelity_choi_inf(pair)
-    rows.append(f"inf,{_fmt(f_inf)}")
-    _emit(rows, _manifest(args), args.out)
-    if any(issubclass(w.category, ExtrapolationWarning) for w in caught):
-        return EXIT_NONCONVERGENCE
-    return 0
+    rows = ["a,F"] + [_row(a, f) for a, f in zip(grid, fidelity_finite(pair, grid))]
+    rows.append(_row("inf", fidelity_choi_inf(pair)))
+    return rows, {}
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     if args.space == "uniform":
         space = ImageSpace.uniform(args.m)
-    elif args.space == "cpf":
-        if args.k is None:
-            raise ValueError("CPF spaces require --k")
-        space = ImageSpace.cpf(args.m, int(float(args.k)))
     else:
         if args.k is None:
-            raise ValueError("BCPF spaces require --k as a comma list")
-        space = ImageSpace.bcpf(args.m, [int(float(v)) for v in args.k.split(",")])
+            raise ValueError(f"{args.space.upper()} spaces require --k")
+        ks = _int_grid(args.k, "target count")
+        if args.space == "bcpf":
+            space = ImageSpace.bcpf(args.m, ks)
+        elif len(ks) == 1:
+            space = ImageSpace.cpf(args.m, ks[0])
+        else:
+            raise ValueError("CPF spaces take a single --k")
 
-    M_grid = _probe_grid(args.M)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        f_cl = fidelity_classical(pair)
-        probe = ProbeSpec(energy=args.energy, a=args.a)
-        f_q = probe.quantum_fidelity(pair)
+    M_grid = _int_grid(args.M, "probe copy")
+    f_cl = fidelity_classical(pair)
+    if args.energy == "classical":
+        f_q = f_cl
+    elif args.energy == "finite":
+        f_q = fidelity_finite(pair, args.a)
+    else:
+        f_q = fidelity_choi_inf(pair)
     rows = ["M,q_lower,q_upper,cl_lower,mga,mpa"]
     for M in M_grid:
-        rep = bounds(space, int(M), f_q, f_cl)
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (int(M), rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa)
-            )
-        )
+        rep = bounds(space, M, f_q, f_cl)
+        rows.append(_row(M, rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa))
     rows.append(f"# mbar_adv = {_fmt(min_rel_probe_uniform(f_q, f_cl))}")
-    _emit(rows, _manifest(args, {"F_q": f_q, "F_cl": f_cl}), args.out)
-    if any(issubclass(w.category, ExtrapolationWarning) for w in caught):
-        return EXIT_NONCONVERGENCE
-    return 0
+    return rows, {"F_q": f_q, "F_cl": f_cl}
 
 
 def _load_datasets(args):
@@ -180,9 +185,9 @@ def _load_datasets(args):
     return training, evaluation
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
-    M_grid = _probe_grid(args.M)
+    M_grid = _int_grid(args.M, "probe copy")
     training, evaluation = _load_datasets(args)
 
     predictor_factory = None
@@ -200,62 +205,39 @@ def cmd_simulate(args) -> int:
             result = train(net, training, noise, config)
             return make_predictor(net, result.params)
 
-    rows = [
-        "M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"
-    ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = advantage_regions(
-            training,
-            evaluation,
-            pair,
-            M_grid,
-            trials=args.trials,
-            master_seed=args.seed,
-            threads=args.threads,
-            predictor_factory=predictor_factory,
-            p_override=args.p_override,
-        )
-    for row in table:
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.M,
-                    row.p_cl_low,
-                    row.p_cl_up,
-                    row.p_q_low,
-                    row.p_q_up,
-                    row.e_cl_low.mean,
-                    row.e_cl_up.mean,
-                    row.e_q_low.mean,
-                    row.e_q_up.mean,
-                    row.de_min,
-                    row.de_max,
-                    row.stderr_max,
-                )
-            )
-        )
-    digests = training.provenance.get("source", {})
-    _emit(rows, _manifest(args, {"input_digests": digests}), args.out)
-    if any(issubclass(w.category, ExtrapolationWarning) for w in caught):
-        return EXIT_NONCONVERGENCE
-    return 0
+    table = advantage_regions(
+        training,
+        evaluation,
+        pair,
+        M_grid,
+        trials=args.trials,
+        master_seed=args.seed,
+        threads=args.threads,
+        predictor_factory=predictor_factory,
+        p_override=args.p_override,
+    )
+    rows = ["M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"]
+    for r in table:
+        rows.append(_row(
+            r.M, r.p_cl_low, r.p_cl_up, r.p_q_low, r.p_q_up,
+            r.e_cl_low.mean, r.e_cl_up.mean, r.e_q_low.mean, r.e_q_up.mean,
+            r.de_min, r.de_max, r.stderr_max,
+        ))
+    return rows, {"input_digests": training.provenance.get("source", {})}
 
 
-def cmd_temp(args) -> int:
+def cmd_temp(args) -> tuple[list[str], dict]:
     if (args.nbar is None) == (args.eps is None):
         raise ValueError("give exactly one of --nbar or --eps")
     if args.eps is not None:
-        nbars = [e - 0.5 for e in _parse_grid(args.eps)]
+        nbars = [e - 0.5 for e in _grid(args.eps, "thermal parameter")]
     else:
-        nbars = _parse_grid(args.nbar)
+        nbars = _grid(args.nbar, "occupation")
     rows = ["nbar,T_K,T_C"]
     for nb in nbars:
         t_k = temperature_of(nb, args.wavelength)
-        rows.append(f"{_fmt(nb)},{_fmt(t_k)},{_fmt(t_k - 273.15)}")
-    _emit(rows, _manifest(args), args.out)
-    return 0
+        rows.append(_row(nb, t_k, t_k - 273.15))
+    return rows, {}
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
@@ -339,20 +321,31 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(EXIT_USAGE, f"error: cannot read config file: {exc}\n")
     args = parser.parse_args(argv)
     args._t0 = time.time()
-    try:
-        return args.func(args)
-    except (ValueError, NonPhysicalChannelError) as exc:
-        if isinstance(exc, IdxFormatError):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows, extras = args.func(args)
+        except (ValueError, NonPhysicalChannelError) as exc:
+            if isinstance(exc, IdxFormatError):
+                sys.stderr.write(f"data error: {exc}\n")
+                return EXIT_DATA
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
+        except FileNotFoundError as exc:
             sys.stderr.write(f"data error: {exc}\n")
             return EXIT_DATA
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return EXIT_DATA
-    except NonFiniteLossError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        except NonFiniteLossError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_NONCONVERGENCE
+        finally:
+            for line in dict.fromkeys(
+                f"warning: {w.category.__name__}: {w.message}\n" for w in caught
+            ):
+                sys.stderr.write(line)
+    _emit(rows, _manifest(args, extras), args.out)
+    if any(issubclass(w.category, ExtrapolationWarning) for w in caught):
         return EXIT_NONCONVERGENCE
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,18 +39,7 @@ class NetworkSpec:
     def __post_init__(self):
         if self.classes < 1:
             raise ValueError("need at least one output class")
-        h, w = self.input_shape
-        c = 1
-        for filters, kernel, stride in self.conv:
-            if filters < 1 or kernel < 1 or stride < 1:
-                raise ValueError(f"bad conv stage ({filters}, {kernel}, {stride})")
-            if kernel > h or kernel > w:
-                raise ValueError(
-                    f"kernel {kernel} exceeds spatial extent ({h}, {w})"
-                )
-            h = (h - kernel) // stride + 1
-            w = (w - kernel) // stride + 1
-            c = filters
+        self.feature_shapes()
         if any(d < 1 for d in self.dense):
             raise ValueError("dense widths must be positive")
 
@@ -59,6 +48,12 @@ class NetworkSpec:
         h, w = self.input_shape
         shapes = [(1, h, w)]
         for filters, kernel, stride in self.conv:
+            if filters < 1 or kernel < 1 or stride < 1:
+                raise ValueError(f"bad conv stage ({filters}, {kernel}, {stride})")
+            if kernel > h or kernel > w:
+                raise ValueError(
+                    f"kernel {kernel} exceeds spatial extent ({h}, {w})"
+                )
             h = (h - kernel) // stride + 1
             w = (w - kernel) // stride + 1
             shapes.append((filters, h, w))
@@ -151,41 +146,35 @@ def _col2im(dcols: np.ndarray, x_shape, kernel: int, stride: int) -> np.ndarray:
     return dx
 
 
-def _forward_batch(net: NetworkSpec, params, images: np.ndarray, want_cache: bool):
-    """Shared forward pass; images (B, H, W) floats, returns logits."""
+def _forward_batch(net: NetworkSpec, params, images: np.ndarray, cache: list | None = None):
+    """Shared forward pass; images (B, H, W) floats, returns logits.
+
+    A ``cache`` list receives one (input, pre-activation) pair per layer;
+    a conv layer's input is its flattened (B*OH*OW, C*k*k) windows.
+    """
     _check_params(net, params)
     if images.ndim != 3 or images.shape[1:] != net.input_shape:
         raise ShapeMismatchError(
             f"images must be (B, {net.input_shape[0]}, {net.input_shape[1]}), got {images.shape}"
         )
     x = images[:, None, :, :].astype(float)
-    cache = []
-    idx = 0
-    for filters, kernel, stride in net.conv:
-        W, b = params[idx]
+    for (W, b), (filters, kernel, stride) in zip(params, net.conv):
         cols = _im2col(x, kernel, stride)
         B, oh, ow = cols.shape[:3]
         flat = cols.reshape(B * oh * ow, -1)
         z = (flat @ W.reshape(filters, -1).T + b).reshape(B, oh, ow, filters)
         z = z.transpose(0, 3, 1, 2)
-        if want_cache:
-            cache.append(("conv", x.shape, cols, z))
+        if cache is not None:
+            cache.append((flat, z))
         x = np.maximum(z, 0.0)
-        idx += 1
-    B = x.shape[0]
-    a = x.reshape(B, -1)
-    for li, _ in enumerate(net.dense):
-        W, b = params[idx]
+    a = x.reshape(x.shape[0], -1)
+    # dense layers, the last of which is the output layer without ReLU
+    for W, b in params[len(net.conv) :]:
         z = a @ W.T + b
-        if want_cache:
-            cache.append(("dense", a, z))
+        if cache is not None:
+            cache.append((a, z))
         a = np.maximum(z, 0.0)
-        idx += 1
-    W, b = params[idx]
-    logits = a @ W.T + b
-    if want_cache:
-        cache.append(("out", a, logits))
-    return logits, cache
+    return z
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -199,8 +188,7 @@ def forward(net: NetworkSpec, params, image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.shape != net.input_shape:
         raise ShapeMismatchError(f"image shape {image.shape} != {net.input_shape}")
-    logits, _ = _forward_batch(net, params, image[None], want_cache=False)
-    return _softmax(logits)[0]
+    return _softmax(_forward_batch(net, params, image[None]))[0]
 
 
 def predict_labels(net: NetworkSpec, params, images: np.ndarray) -> np.ndarray:
@@ -208,8 +196,7 @@ def predict_labels(net: NetworkSpec, params, images: np.ndarray) -> np.ndarray:
     images = np.asarray(images, dtype=float)
     if images.ndim == 2:
         images = images.reshape(-1, *net.input_shape)
-    logits, _ = _forward_batch(net, params, images, want_cache=False)
-    return np.argmax(logits, axis=1)
+    return np.argmax(_forward_batch(net, params, images), axis=1)
 
 
 def loss_and_grad(net: NetworkSpec, params, images: np.ndarray, labels: np.ndarray):
@@ -226,50 +213,34 @@ def loss_and_grad(net: NetworkSpec, params, images: np.ndarray, labels: np.ndarr
         raise ValueError("batch must be non-empty")
     if labels.shape != (images.shape[0],):
         raise ShapeMismatchError("labels do not match the batch size")
-    logits, cache = _forward_batch(net, params, images, want_cache=True)
+    cache = []
+    logits = _forward_batch(net, params, images, cache)
     B = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    loss = float(np.sum(lse - logits[np.arange(B), labels]))
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    loss = float(np.sum(np.log(e.sum(axis=1)) + top[:, 0] - logits[np.arange(B), labels]))
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss evaluated to {loss}")
 
     grads: list = [None] * len(params)
-    probs = _softmax(logits)
-    probs[np.arange(B), labels] -= 1.0
-    delta = probs
-    kind, a_in, _ = cache[-1]
-    W, _ = params[-1]
-    grads[-1] = (delta.T @ a_in, delta.sum(axis=0))
-    da = delta @ W
-
-    idx = len(params) - 2
-    for entry in reversed(cache[:-1]):
-        if entry[0] == "dense":
-            _, a_in, z = entry
-            dz = da * (z > 0.0)
-            W, _ = params[idx]
-            grads[idx] = (dz.T @ a_in, dz.sum(axis=0))
-            da = dz @ W
-            idx -= 1
-        else:
-            _, x_shape, cols, z = entry
-            filters, kernel, stride = net.conv[idx]
-            dz = (da.reshape(z.shape) if da.ndim == 2 else da) * (z > 0.0)
-            B2, _, oh, ow = dz.shape
-            dz_flat = dz.transpose(0, 2, 3, 1).reshape(-1, filters)
-            cols_flat = cols.reshape(B2 * oh * ow, -1)
-            W, _ = params[idx]
-            grads[idx] = (
-                (dz_flat.T @ cols_flat).reshape(W.shape),
-                dz_flat.sum(axis=0),
-            )
-            if idx > 0:  # the first layer's input gradient is the image's
-                dcols = (dz_flat @ W.reshape(filters, -1)).reshape(
-                    B2, oh, ow, *cols.shape[3:]
-                )
-                da = _col2im(dcols, x_shape, kernel, stride)
-            idx -= 1
+    dz = e / e.sum(axis=1, keepdims=True)
+    dz[np.arange(B), labels] -= 1.0
+    feats = net.feature_shapes()
+    for i in reversed(range(len(params))):
+        inp, z = cache[i]
+        W, _ = params[i]
+        if i < len(params) - 1:  # hidden layers end in a ReLU
+            dz = da.reshape(z.shape) * (z > 0.0)
+        if i < len(net.conv):  # against the flattened windows
+            dz = dz.transpose(0, 2, 3, 1).reshape(-1, len(W))
+        grads[i] = ((dz.T @ inp).reshape(W.shape), dz.sum(axis=0))
+        if i == 0:  # the first layer's input gradient is the image's
+            break
+        da = dz @ W.reshape(len(W), -1)
+        if i < len(net.conv):
+            _, kernel, stride = net.conv[i]
+            dcols = da.reshape(B, *z.shape[2:], feats[i][0], kernel, kernel)
+            da = _col2im(dcols, (B, *feats[i]), kernel, stride)
     return loss, grads
 
 

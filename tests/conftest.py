@@ -135,8 +135,9 @@ def relu_margin(net, params, images) -> float:
     """Smallest |pre-activation| over all hidden units of the batch."""
     from qthermal.cnn import _forward_batch
 
-    _, cache = _forward_batch(net, params, images, want_cache=True)
-    margins = [np.min(np.abs(entry[-1])) for entry in cache if entry[0] != "out"]
+    cache = []
+    _forward_batch(net, params, images, cache)
+    margins = [np.min(np.abs(z)) for _, z in cache[:-1]]
     return float(min(margins)) if margins else float("inf")
 
 

@@ -53,6 +53,22 @@ class TestFidelityCommand:
         assert code == 2
         assert "nuB" in err
 
+    def test_convention_warning_reaches_stderr(self, capsys, monkeypatch):
+        import qthermal.channels as channels
+
+        monkeypatch.setattr(channels, "choi_fidelity_thermal", lambda *a: 0.5)
+        code, out, err = run(
+            ["fidelity", "--kind", "thermal", "--tau", "0.9", "--epsB", "18.5",
+             "--epsT", "20.2", "--a", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        expected = channels.fidelity_choi_inf_extrapolated(EnvironmentPair.thermal(0.9, 18.5, 20.2))
+        assert out.strip().split("\n")[-1] == f"inf,{expected!r}"
+        warned = [l for l in err.splitlines() if l.startswith("warning: ")]
+        assert len(warned) == 1
+        assert warned[0].startswith("warning: ConventionUnresolvedWarning: ")
+
 
 class TestBoundsCommand:
     def test_schema_and_summary(self, capsys):
@@ -109,6 +125,52 @@ class TestBoundsCommand:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--space", "uniform", "--m", "5", "--M", "2.7"],
+            ["bounds", "--space", "uniform", "--m", "5", "--M", "1:2:0.5"],
+            ["bounds", "--space", "cpf", "--m", "5", "--k", "3.9", "--M", "2"],
+            ["bounds", "--space", "bcpf", "--m", "5", "--k", "1,2.5", "--M", "2"],
+            ["simulate", "--T", "40", "--eval-size", "10", "--trials", "1", "--M", "10.5"],
+        ],
+        ids=["bounds-M", "bounds-M-range", "cpf-k", "bcpf-k", "simulate-M"],
+    )
+    def test_non_integer_grid_is_usage_error(self, capsys, argv):
+        code, out, err = run(
+            [*argv, "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid must hold integers" in err
+
+    def test_integer_grid_spellings(self, capsys):
+        code, out, _ = run(
+            ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02",
+             "--space", "cpf", "--m", "5", "--k", "2e0", "--M", "1e2"],
+            capsys,
+        )
+        assert code == 0
+        assert out.split("\n")[1].startswith("100,")
+
+    def test_repeated_warning_printed_once(self, capsys, monkeypatch):
+        import qthermal.cli as cli
+
+        # F_q above F_cl: bounds() warns once per probe copy number
+        monkeypatch.setattr(cli, "fidelity_choi_inf", lambda pair: 1.0)
+        code, out, err = run(
+            ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02",
+             "--m", "4", "--M", "1,2,3"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 5
+        f_cl = fidelity_classical(EnvironmentPair.additive(0.02, 0.01))
+        warned = [l for l in err.splitlines() if l.startswith("warning: ")]
+        assert warned == [
+            f"warning: UserWarning: expected 0 <= F_q <= F_cl <= 1, got F_q=1.0, F_cl={f_cl}"
+        ]
 
 
 class TestSimulateCommand:
@@ -201,17 +263,22 @@ class TestSimulateCommand:
         # quantum noise interval sits strictly inside the classical one
         assert float(row[4]) < float(row[1])
 
-    def test_nonconvergence_exit_code(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv", [["fidelity", "--a", "0.5"], ["bounds", "--m", "4", "--M", "1"]],
+        ids=["fidelity", "bounds"],
+    )
+    def test_nonconvergence_exit_code(self, capsys, monkeypatch, argv):
         import qthermal.channels as channels
 
         calls = iter([0.9, 0.7])
         monkeypatch.setattr(channels, "_mp_choi_fidelity", lambda *a, **k: next(calls))
-        code, _, _ = run(
-            ["fidelity", "--kind", "thermal", "--tau", "0.9", "--epsB", "18.5",
-             "--epsT", "20.2", "--a", "0.5"],
+        code, out, err = run(
+            [*argv, "--kind", "thermal", "--tau", "0.9", "--epsB", "18.5", "--epsT", "20.2"],
             capsys,
         )
         assert code == 4
+        assert out.startswith(("a,F\n", "M,q_lower"))
+        assert sum(l.startswith("warning: ExtrapolationWarning: ") for l in err.splitlines()) == 1
 
     def test_extrapolation_warning_exit_code(self, capsys, monkeypatch):
         import qthermal.channels as channels
@@ -277,6 +344,15 @@ class TestTempCommand:
     def test_requires_exactly_one_input(self, capsys):
         code, _, _ = run(["temp", "--eps", "1.5", "--nbar", "1.0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--nbar", "occupation"), ("--eps", "thermal parameter")], ids=["nbar", "eps"]
+    )
+    def test_empty_grid_is_usage_error(self, capsys, flag, name):
+        code, out, err = run(["temp", flag, ""], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: empty {name} grid" in err
 
     def test_range_grid_does_not_drift(self, capsys):
         code, out, _ = run(["temp", "--nbar", "0.1:1:0.1"], capsys)
