@@ -169,6 +169,8 @@ def estimate_error(
         ``ErrorEstimate`` with mean error and standard error
         sample-stddev / sqrt(trials * |evaluation|).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if predictor is None:
         predictor = nn_predictor(training)
     if len(evaluation) == 0:
@@ -322,6 +324,8 @@ def advantage_regions(
     jobs of the whole grid concurrently; the rows are bit-identical for any
     thread count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     f_q = fidelity_choi_inf(pair)
     f_cl = fidelity_classical(pair)
     nn = None if predictor_factory else nn_predictor(training)

@@ -88,6 +88,8 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def spec_digest(net: NetworkSpec) -> bytes:

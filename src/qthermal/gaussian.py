@@ -1,10 +1,11 @@
 """Zero-mean Gaussian states in covariance-matrix form.
 
 Quadrature ordering is (q1, p1, ..., qN, pN) throughout, with shot noise 1/2,
-i.e. the N-mode vacuum has covariance matrix I/2.  All matrix functions are
-computed through symmetric eigendecompositions; the matrices handled here are
-tiny (at most 4x4), so robustness is preferred over speed; sweeps pass
-(..., 2N, 2N) stacks, which numpy's linalg treats matrix by matrix.
+i.e. the N-mode vacuum has covariance matrix I/2.  Inverses and symplectic
+spectra come from symmetric eigendecompositions, the fidelity's auxiliary
+spectrum from a general eigensolve or, in extended precision, from matrix
+invariants; sweeps pass (..., 2N, 2N) stacks, which numpy's linalg treats
+matrix by matrix.
 """
 
 from __future__ import annotations
@@ -144,23 +145,31 @@ def symplectic_eigenvalues(V) -> np.ndarray:
 
 def _fidelity_mp(V1, V2, dps: int = _MP_DPS) -> float:
     """Gaussian fidelity product form evaluated with ``dps`` significant
-    digits; V1 and V2 are numpy arrays or ``mp.matrix`` objects."""
+    digits; V1 and V2 are numpy arrays or ``mp.matrix`` objects.
+
+    X = Omega^T (V1+V2)^-1 (Omega/4 + V2 Omega V1) Omega has eigenvalues +-i v_j.
+    For N <= 2 modes the u_j = 4 v_j^2 - 1, double eigenvalues of Y = -4 X^2 - I,
+    are the roots of u^2 - s u + p, s = tr(Y)/2, p = tr(Y)^2/8 - tr(Y^2)/4, taken
+    without cancellation (Serafini, Illuminati and De Siena, J. Phys. B 37, L21
+    (2004)); N > 2 takes an eigensolve.  Product form: Banchi, Braunstein and
+    Pirandola, PRL 115, 260501 (2015).
+    """
     with MP_LOCK, mp.workdps(dps):
-        A1 = mp.matrix(V1)
-        A2 = mp.matrix(V2)
+        A1, A2 = mp.matrix(V1), mp.matrix(V2)
         O = mp.matrix(symplectic_form(A1.rows // 2).tolist())
         S = A1 + A2
-        Vaux = O.T * (S ** -1) * (O / 4 + A2 * O * A1)
-        eig, _ = mp.eig(Vaux * O)
-        mods = sorted(abs(x) for x in eig)
-        prod = mp.mpf(1)
-        for vt in mods[::2]:
-            d = 4 * vt * vt - 1
-            if d < 0:
-                d = mp.mpf(0)
-            prod *= 2 * vt + mp.sqrt(d)
-        F = mp.sqrt(prod) / mp.det(S) ** mp.mpf(0.25)
-        return float(F)
+        X = O.T * (S ** -1) * (O / 4 + A2 * O * A1) * O
+        if A1.rows <= 4:
+            Y = -4 * X * X - mp.eye(A1.rows)
+            s = mp.fsum(Y[i, i] for i in range(A1.rows)) / 2
+            p = s * s / 2 - mp.fdot(Y, Y.T) / 4
+            t = (s + (mp.sign(s) or 1) * mp.sqrt(max(s * s - 4 * p, 0))) / 2
+            us = (t, p / t) if A1.rows == 4 and t else (s,)
+            prod = mp.fprod(mp.sqrt(1 + u) + mp.sqrt(max(u, 0)) for u in us)
+        else:
+            v = sorted(abs(x) for x in mp.eig(X)[0])[::2]
+            prod = mp.fprod(2 * x + mp.sqrt(max(4 * x * x - 1, 0)) for x in v)
+        return float(mp.sqrt(prod) / mp.det(S) ** mp.mpf(0.25))
 
 
 def gaussian_fidelity(V1, V2):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from qthermal.data import synthetic_digits
 from qthermal.spaces import ImageSpace
@@ -116,12 +117,34 @@ def random_symplectic(modes: int, rng: np.random.Generator) -> np.ndarray:
     return S
 
 
-def random_cm(modes: int, rng: np.random.Generator) -> np.ndarray:
-    """Random bona fide covariance matrix via Williamson synthesis."""
+def random_cm(modes: int, rng: np.random.Generator, nus=None) -> np.ndarray:
+    """Random bona fide covariance matrix via Williamson synthesis, with the
+    symplectic eigenvalues ``nus`` or, by default, uniform ones in [1/2, 4]."""
     S = random_symplectic(modes, rng)
-    nus = rng.uniform(0.5, 4.0, modes)
+    if nus is None:
+        nus = rng.uniform(0.5, 4.0, modes)
     D = np.diag(np.repeat(nus, 2))
     return S @ D @ S.T
+
+
+def eig_fidelity_oracle(V1, V2, dps: int = 50) -> float:
+    """Gaussian fidelity product form in ``dps`` digits, with the auxiliary
+    spectrum from a general eigensolve of X = Omega^T (V1+V2)^-1
+    (Omega/4 + V2 Omega V1) Omega, whose eigenvalues come in +-i v pairs.
+
+    Independent of the library's extended-precision routine, which reads the
+    spectrum of one- and two-mode states from matrix invariants instead.
+    """
+    with mp.workdps(dps):
+        A1, A2 = mp.matrix(V1), mp.matrix(V2)
+        O = mp.matrix(np.kron(np.eye(A1.rows // 2), [[0.0, 1.0], [-1.0, 0.0]]).tolist())
+        S = A1 + A2
+        X = O.T * (S**-1) * (O / 4 + A2 * O * A1) * O
+        mods = sorted(abs(x) for x in mp.eig(X)[0])
+        prod = mp.mpf(1)
+        for v in mods[::2]:
+            prod *= 2 * v + mp.sqrt(max(4 * v * v - 1, 0))
+        return float(mp.sqrt(prod) / mp.det(S) ** mp.mpf(0.25))
 
 
 @pytest.fixture(scope="session")

@@ -206,6 +206,12 @@ class TestEstimateError:
         with pytest.raises(EmptyEvaluationSetError):
             estimate_error(train, empty, NoiseModel(0.1), 1, 0)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_thread_count_below_one(self, digits_small, threads):
+        train, evaluation = digits_small
+        with pytest.raises(ValueError, match="threads"):
+            estimate_error(train, evaluation, NoiseModel(0.1), 1, 0, threads=threads)
+
 
 class TestSnappFit:
     def test_roundtrip_recovery(self):
@@ -256,6 +262,22 @@ class TestSnappFit:
 
 
 class TestAdvantageRegions:
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_thread_count_below_one_before_any_work(
+        self, digits_small, monkeypatch, threads
+    ):
+        import qthermal.classify as classify
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the thread count was checked")
+
+        monkeypatch.setattr(classify, "fidelity_choi_inf", no_work)
+        monkeypatch.setattr(classify, "estimate_error", no_work)
+        train, evaluation = digits_small
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        with pytest.raises(ValueError, match="threads"):
+            advantage_regions(train, evaluation, pair, [10], trials=1, master_seed=0, threads=threads)
+
     def test_identical_channels_no_advantage(self, digits_small):
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.02)

@@ -1,12 +1,37 @@
 """Command-line surface: schemas, determinism and exit codes."""
 
+import importlib.util
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qthermal.channels import EnvironmentPair, fidelity_classical
 from qthermal.cli import main
+
+
+def _load_bench_runner():
+    """``bench/run.py``, which imports its sibling modules by bare name."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+BENCH = _load_bench_runner()
+REFERENCE_JOBS = [
+    (job, argv)
+    for jobs in BENCH.WORKLOADS.values()
+    for job, argv in jobs.items()
+    if (BENCH.checks.REFERENCE_DIR / f"{job}.csv").exists()
+]
 
 
 def run(argv, capsys):
@@ -311,6 +336,22 @@ class TestSimulateCommand:
         assert "error: loss evaluated to nan" in err.splitlines()
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--threads", "0"], "threads"),
+            (["--threads", "-2"], "threads"),
+            (["--classifier", "cnn", "--epochs", "0"], "epochs"),
+            (["--classifier", "cnn", "--epochs", "-1"], "epochs"),
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, capsys, argv, name):
+        code, out, err = run([*self.BASE, *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert any(l.startswith(f"error: {name} must be >= 1") for l in err.splitlines())
+        assert "Traceback" not in err
+
     def test_cnn_classifier_runs(self, capsys):
         code, out, _ = run(
             [
@@ -360,6 +401,14 @@ class TestTempCommand:
         nbars = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
         assert nbars == [repr(0.1 + i * 0.1) for i in range(10)]
         assert nbars[-1] == "1.0"
+
+
+@pytest.mark.parametrize("job, argv", REFERENCE_JOBS, ids=[job for job, _ in REFERENCE_JOBS])
+def test_benchmark_job_matches_reference(job, argv, tmp_path, capsys):
+    out = tmp_path / f"{job}.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    reference = (BENCH.checks.REFERENCE_DIR / f"{job}.csv").read_text(encoding="utf-8")
+    assert BENCH.checks.compare_reference(out.read_text(encoding="utf-8"), reference) == []
 
 
 class TestManifestAndConfig:

@@ -45,6 +45,13 @@ class TestNetworkSpec:
         assert spec_digest(a) != spec_digest(b)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_rejects_epochs_below_one(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=epochs)
+
+
 class TestForward:
     def test_zero_parameters_give_uniform(self):
         rng = np.random.default_rng(0)

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from numpy.testing import assert_allclose
 
+import qthermal.gaussian as gaussian
+from qthermal.channels import (
+    ChannelSpec,
+    EnvironmentPair,
+    choi_cm,
+    choi_fidelity_thermal,
+    fidelity_choi_inf,
+)
 from qthermal.errors import (
     CutoffTooSmallError,
     DimensionMismatchError,
@@ -15,6 +24,7 @@ from qthermal.errors import (
 )
 from qthermal.gaussian import (
     CovarianceMatrix,
+    _fidelity_mp,
     fock_fidelity_oracle,
     gaussian_fidelity,
     symplectic_eigenvalues,
@@ -23,7 +33,7 @@ from qthermal.gaussian import (
     vacuum_cm,
 )
 
-from conftest import random_cm, random_symplectic
+from conftest import eig_fidelity_oracle, random_cm, random_symplectic
 
 
 def thermal_pair_closed(n1, n2):
@@ -154,6 +164,77 @@ class TestGaussianFidelity:
         expected = thermal_pair_closed(1.0, 0.0) * thermal_pair_closed(2.0, 3.0)
         assert gaussian_fidelity(V1, V2) == pytest.approx(expected, abs=1e-10)
         assert fock_fidelity_oracle(V1, V2, 1024) == pytest.approx(expected, abs=1e-9)
+
+
+NEAR_PURE = 0.5 + 1e-9
+
+
+class TestExtendedPrecision:
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 2))
+    def test_invariant_route_matches_eigensolve(self, seed, modes, near_pure):
+        # the first near_pure of the two states have every symplectic eigenvalue 1/2 + 1e-9
+        rng = np.random.default_rng(seed)
+        V1, V2 = (
+            random_cm(modes, rng, np.full(modes, NEAR_PURE) if i < near_pure else None)
+            for i in range(2)
+        )
+        assert _fidelity_mp(V1, V2) == pytest.approx(
+            eig_fidelity_oracle(V1, V2), rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.parametrize("a", [0.6, 0.8350305354743214, 3.0, 1e3])
+    def test_pure_components_match_eigensolve(self, a):
+        # a pure-loss Choi state and a pure pair: rounding leaves the auxiliary
+        # u_j = 4 v_j^2 - 1 at +-1e-17, where sqrt(max(u_j, 0)) moves F by 1e-9
+        pure = choi_cm(ChannelSpec(0.3, 0.35), a).matrix
+        mixed = choi_cm(ChannelSpec(0.3, 0.42), a).matrix
+        for V1, V2 in ((mixed, pure), (tmsv_cm(a).matrix, tmsv_cm(2 * a).matrix)):
+            assert _fidelity_mp(V1, V2) == pytest.approx(
+                eig_fidelity_oracle(V1, V2), rel=1e-15, abs=0.0
+            )
+
+    def test_one_and_two_modes_take_no_eigensolve(self, monkeypatch):
+        pair = EnvironmentPair.thermal(0.99, 18.5, 20.2)
+        squeezed = np.diag([0.5 * np.exp(1.2), 0.5 * np.exp(-1.2)])
+        pure_pairs = [(vacuum_cm(1).matrix, squeezed), (tmsv_cm(1.0).matrix, tmsv_cm(2.0).matrix)]
+        expected = [eig_fidelity_oracle(V1, V2) for V1, V2 in pure_pairs]
+        routed = []
+
+        def spy(V1, V2, *args):
+            routed.append(len(V1))
+            return _fidelity_mp(V1, V2, *args)
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("mp.eig called")
+
+        monkeypatch.setattr(gaussian, "_fidelity_mp", spy)
+        monkeypatch.setattr(mp, "eig", no_eig)
+        assert fidelity_choi_inf(pair) == choi_fidelity_thermal(20.2, 18.5)
+        for (V1, V2), want in zip(pure_pairs, expected):
+            assert gaussian_fidelity(V1, V2) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert routed == [2, 4]
+
+    def test_three_modes_take_the_eigensolve(self, monkeypatch):
+        # mode 1 is vacuum in V1 and within 1e-9 of it in V2, so the auxiliary
+        # spectrum touches 1/2 and the pair is evaluated in extended precision
+        eig = mp.eig
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "eig", counted)
+        V1 = np.diag(np.repeat([0.5, 1.5, 2.5], 2))
+        V2 = np.diag(np.repeat([0.5 + 1e-9, 3.5, 1.0], 2))
+        F = gaussian_fidelity(V1, V2)
+        assert calls
+        assert F == pytest.approx(fock_fidelity_oracle(V1, V2, 1024), abs=1e-9)
+        assert F == pytest.approx(
+            thermal_pair_closed(0.0, 1e-9) * thermal_pair_closed(1.0, 3.0) * thermal_pair_closed(2.0, 0.5),
+            rel=1e-12,
+        )
 
 
 def random_stack(seed: int, size: int, modes: int) -> np.ndarray:
