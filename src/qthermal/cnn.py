@@ -4,6 +4,10 @@ Valid-padding convolutions with ReLU, dense layers, softmax cross-entropy
 and plain SGD by backpropagation, all in numpy.  ``loss_and_grad`` returns
 batch-summed quantities, so duplicated batch entries double both; the
 trainer divides by the batch size when updating.
+
+The compute dtype follows the parameters.  ``init_params`` returns float64,
+which the gradient checks use; ``train`` casts to float32, so training and
+prediction run in float32.  Checkpoints stay float64 on disk.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ class TrainConfig:
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:
@@ -139,7 +143,7 @@ def _col2im(dcols: np.ndarray, x_shape, kernel: int, stride: int) -> np.ndarray:
     # dcols: (B, OH, OW, C, k, k) scattered back onto (B, C, H, W)
     B, C, H, W = x_shape
     oh, ow = dcols.shape[1], dcols.shape[2]
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dcols.dtype)
     for i in range(kernel):
         for j in range(kernel):
             dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
@@ -149,7 +153,7 @@ def _col2im(dcols: np.ndarray, x_shape, kernel: int, stride: int) -> np.ndarray:
 
 
 def _forward_batch(net: NetworkSpec, params, images: np.ndarray, cache: list | None = None):
-    """Shared forward pass; images (B, H, W) floats, returns logits.
+    """Shared forward pass; images (B, H, W), returns logits in the params' dtype.
 
     A ``cache`` list receives one (input, pre-activation) pair per layer;
     a conv layer's input is its flattened (B*OH*OW, C*k*k) windows.
@@ -159,7 +163,7 @@ def _forward_batch(net: NetworkSpec, params, images: np.ndarray, cache: list | N
         raise ShapeMismatchError(
             f"images must be (B, {net.input_shape[0]}, {net.input_shape[1]}), got {images.shape}"
         )
-    x = images[:, None, :, :].astype(float)
+    x = images[:, None, :, :].astype(params[0][0].dtype)
     for (W, b), (filters, kernel, stride) in zip(params, net.conv):
         cols = _im2col(x, kernel, stride)
         B, oh, ow = cols.shape[:3]
@@ -195,7 +199,7 @@ def forward(net: NetworkSpec, params, image: np.ndarray) -> np.ndarray:
 
 def predict_labels(net: NetworkSpec, params, images: np.ndarray) -> np.ndarray:
     """Argmax class labels for a (B, H, W) or flattened (B, H*W) batch."""
-    images = np.asarray(images, dtype=float)
+    images = np.asarray(images)
     if images.ndim == 2:
         images = images.reshape(-1, *net.input_shape)
     return np.argmax(_forward_batch(net, params, images), axis=1)
@@ -205,9 +209,9 @@ def loss_and_grad(net: NetworkSpec, params, images: np.ndarray, labels: np.ndarr
     """Batch-summed softmax cross-entropy and its parameter gradient.
 
     Returns:
-        (loss, grads) where grads mirrors the parameter list layout.
+        (loss, grads) where grads mirrors the parameter list layout and dtype.
     """
-    images = np.asarray(images, dtype=float)
+    images = np.asarray(images)
     labels = np.asarray(labels, dtype=np.int64)
     if images.ndim == 2:
         images = images.reshape(-1, *net.input_shape)
@@ -259,7 +263,7 @@ def train(
     noise: NoiseModel | None,
     config: TrainConfig,
 ) -> TrainResult:
-    """Plain SGD training with a held-out slice for best-epoch selection.
+    """Plain float32 SGD training with a held-out slice for best-epoch selection.
 
     With ``noisy_train`` each image receives a fresh noise sample every
     epoch, drawn from (seed, epoch, batch) streams; everything is
@@ -278,7 +282,8 @@ def train(
         fit_idx, hold_idx = perm, perm
     x_hold, y_hold = images[hold_idx], labels[hold_idx]
 
-    params = init_params(net, config.seed)
+    params = [(W.astype(np.float32), b.astype(np.float32))
+              for W, b in init_params(net, config.seed)]
     best = [(W.copy(), b.copy()) for W, b in params]
     best_acc, best_epoch = -1.0, 0
     trace = []

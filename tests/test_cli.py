@@ -352,6 +352,18 @@ class TestSimulateCommand:
         assert any(l.startswith(f"error: {name} must be >= 1") for l in err.splitlines())
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, capsys, lr):
+        code, out, err = run(
+            [*self.BASE, "--classifier", "cnn", "--epochs", "1", "--lr", lr], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert any(
+            l.startswith("error: learning rate must be finite and >= 0") for l in err.splitlines()
+        )
+        assert "Traceback" not in err
+
     def test_cnn_classifier_runs(self, capsys):
         code, out, _ = run(
             [

@@ -24,6 +24,9 @@ from qthermal.errors import ShapeMismatchError, TruncatedPayloadError
 from conftest import max_fd_error, smooth_configuration
 
 SMALL = NetworkSpec(input_shape=(6, 6), conv=((2, 3, 1),), dense=(8,), classes=3)
+# two conv stages, so the backward pass scatters windows through _col2im
+TWO_CONV = NetworkSpec(input_shape=(6, 6), conv=((2, 2, 1), (2, 2, 2)), dense=(5,), classes=2)
+TOY = NetworkSpec(input_shape=(4, 4), conv=((2, 2, 1),), dense=(4,), classes=2)
 
 
 def zero_params(net):
@@ -50,6 +53,11 @@ class TestTrainConfig:
     def test_rejects_epochs_below_one(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=epochs)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_rejects_non_finite_or_negative_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
+            TrainConfig(learning_rate=lr)
 
 
 class TestForward:
@@ -181,6 +189,35 @@ class TestTrain:
             assert np.array_equal(b1, b2)
 
 
+def as_dtype(params, dtype):
+    return [(W.astype(dtype), b.astype(dtype)) for W, b in params]
+
+
+class TestComputeDtype:
+    def test_train_returns_float32(self):
+        config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=2, seed=1)
+        result = train(TOY, toy_separable_dataset(), NoiseModel(0.05), config)
+        assert all(W.dtype == b.dtype == np.float32 for W, b in result.params)
+
+    @pytest.mark.parametrize("net", [SMALL, TWO_CONV], ids=["one_conv", "two_conv"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_follow_parameter_dtype(self, net, dtype):
+        params, images, labels = smooth_configuration(net, seed=7)
+        _, grads = loss_and_grad(net, as_dtype(params, dtype), images, labels)
+        assert all(gW.dtype == gb.dtype == dtype for gW, gb in grads)
+
+    @pytest.mark.parametrize("net", [SMALL, TWO_CONV], ids=["one_conv", "two_conv"])
+    def test_float32_gradients_match_float64(self, net):
+        # relative to each layer's largest entry, float32 rounding stays
+        # well inside 1e-4
+        params, images, labels = smooth_configuration(net, seed=7)
+        _, g64 = loss_and_grad(net, params, images, labels)
+        _, g32 = loss_and_grad(net, as_dtype(params, np.float32), images, labels)
+        for layer64, layer32 in zip(g64, g32):
+            for a64, a32 in zip(layer64, layer32):
+                assert np.abs(a32 - a64).max() <= 1e-4 * np.abs(a64).max()
+
+
 class TestEvaluate:
     def test_untrained_uniform_network_guesses(self):
         evaluation = synthetic_digits(200, seed=9, split="evaluation")
@@ -222,6 +259,20 @@ class TestCheckpoint:
         save_params(path, SMALL, params)
         loaded = load_params(path, SMALL)
         for (W, b), (W2, b2) in zip(params, loaded):
+            assert np.array_equal(W, W2)
+            assert np.array_equal(b, b2)
+
+    def test_float32_parameters_saved_as_float64(self, tmp_path):
+        config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=2, seed=1)
+        params = train(TOY, toy_separable_dataset(), None, config).params
+        assert all(W.dtype == b.dtype == np.float32 for W, b in params)
+        path = tmp_path / "params.bin"
+        save_params(str(path), TOY, params)
+        count = sum(W.size + b.size for W, b in params)
+        assert path.stat().st_size == 48 + 8 * count
+        loaded = load_params(str(path), TOY)
+        for (W, b), (W2, b2) in zip(params, loaded):
+            assert W2.dtype == b2.dtype == np.float64
             assert np.array_equal(W, W2)
             assert np.array_equal(b, b2)
 
