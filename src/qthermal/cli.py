@@ -90,6 +90,8 @@ def _parse_grid(text: str) -> list[float]:
     """Comma list `a,b,c` or range `start:stop:step` (inclusive stop)."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
         # index the points instead of accumulating step, which drifts

@@ -1,9 +1,11 @@
 """Minimal from-scratch convolutional classifier.
 
-Valid-padding convolutions with ReLU, dense layers, softmax cross-entropy
-and plain SGD by backpropagation, all in numpy.  ``loss_and_grad`` returns
-batch-summed quantities, so duplicated batch entries double both; the
-trainer divides by the batch size when updating.
+Valid-padding convolutions with ReLU on channels-last activations, dense
+layers that read the last conv output in (C, H, W) order (the order of the
+checkpointed weights), softmax cross-entropy and plain SGD by
+backpropagation, all in numpy.  ``loss_and_grad`` returns batch-summed
+quantities, so duplicated batch entries double both; the trainer divides
+by the batch size when updating.
 
 The compute dtype follows the parameters.  ``init_params`` returns float64,
 which the gradient checks use; ``train`` casts to float32, so training and
@@ -84,7 +86,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 5
     seed: int = 0
-    noisy_train: bool = True
     holdout_fraction: float = 0.1
 
     def __post_init__(self):
@@ -133,48 +134,43 @@ def _check_params(net: NetworkSpec, params) -> None:
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    # x: (B, C, H, W) -> (B, OH, OW, C, k, k)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    # x: (B, H, W, C) -> strided view (B, OH, OW, C, k, k)
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
+    return windows[:, ::stride, ::stride]
 
 
 def _col2im(dcols: np.ndarray, x_shape, kernel: int, stride: int) -> np.ndarray:
-    # dcols: (B, OH, OW, C, k, k) scattered back onto (B, C, H, W)
-    B, C, H, W = x_shape
+    # dcols: (B, OH, OW, C, k, k) scattered back onto (B, H, W, C)
     oh, ow = dcols.shape[1], dcols.shape[2]
     dx = np.zeros(x_shape, dcols.dtype)
     for i in range(kernel):
         for j in range(kernel):
-            dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
+            dx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[..., i, j]
     return dx
 
 
 def _forward_batch(net: NetworkSpec, params, images: np.ndarray, cache: list | None = None):
     """Shared forward pass; images (B, H, W), returns logits in the params' dtype.
 
-    A ``cache`` list receives one (input, pre-activation) pair per layer;
-    a conv layer's input is its flattened (B*OH*OW, C*k*k) windows.
+    A ``cache`` list receives one (input, pre-activation) pair per layer; a
+    conv layer's are its flattened (B*OH*OW, C*k*k) windows and (B, OH, OW, F).
     """
     _check_params(net, params)
     if images.ndim != 3 or images.shape[1:] != net.input_shape:
         raise ShapeMismatchError(
             f"images must be (B, {net.input_shape[0]}, {net.input_shape[1]}), got {images.shape}"
         )
-    x = images[:, None, :, :].astype(params[0][0].dtype)
+    x = images[..., None].astype(params[0][0].dtype)
     for (W, b), (filters, kernel, stride) in zip(params, net.conv):
         cols = _im2col(x, kernel, stride)
         B, oh, ow = cols.shape[:3]
         flat = cols.reshape(B * oh * ow, -1)
         z = (flat @ W.reshape(filters, -1).T + b).reshape(B, oh, ow, filters)
-        z = z.transpose(0, 3, 1, 2)
         if cache is not None:
             cache.append((flat, z))
         x = np.maximum(z, 0.0)
-    a = x.reshape(x.shape[0], -1)
-    # dense layers, the last of which is the output layer without ReLU
+    # dense layers read (C, H, W) features; the last is the output layer without ReLU
+    a = x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
     for W, b in params[len(net.conv) :]:
         z = a @ W.T + b
         if cache is not None:
@@ -231,22 +227,23 @@ def loss_and_grad(net: NetworkSpec, params, images: np.ndarray, labels: np.ndarr
     grads: list = [None] * len(params)
     dz = e / e.sum(axis=1, keepdims=True)
     dz[np.arange(B), labels] -= 1.0
-    feats = net.feature_shapes()
     for i in reversed(range(len(params))):
         inp, z = cache[i]
         W, _ = params[i]
+        if i == len(net.conv) - 1:  # back from (C, H, W) to channels-last
+            da = da.reshape(B, *net.feature_shapes()[-1]).transpose(0, 2, 3, 1)
         if i < len(params) - 1:  # hidden layers end in a ReLU
             dz = da.reshape(z.shape) * (z > 0.0)
         if i < len(net.conv):  # against the flattened windows
-            dz = dz.transpose(0, 2, 3, 1).reshape(-1, len(W))
+            dz = dz.reshape(-1, len(W))
         grads[i] = ((dz.T @ inp).reshape(W.shape), dz.sum(axis=0))
         if i == 0:  # the first layer's input gradient is the image's
             break
         da = dz @ W.reshape(len(W), -1)
         if i < len(net.conv):
             _, kernel, stride = net.conv[i]
-            dcols = da.reshape(B, *z.shape[2:], feats[i][0], kernel, kernel)
-            da = _col2im(dcols, (B, *feats[i]), kernel, stride)
+            dcols = da.reshape(*z.shape[:3], -1, kernel, kernel)
+            da = _col2im(dcols, cache[i - 1][1].shape, kernel, stride)
     return loss, grads
 
 
@@ -265,7 +262,7 @@ def train(
 ) -> TrainResult:
     """Plain float32 SGD training with a held-out slice for best-epoch selection.
 
-    With ``noisy_train`` each image receives a fresh noise sample every
+    With a noise model each image receives a fresh noise sample every
     epoch, drawn from (seed, epoch, batch) streams; everything is
     deterministic for a fixed config.
     """
@@ -284,10 +281,9 @@ def train(
 
     params = [(W.astype(np.float32), b.astype(np.float32))
               for W, b in init_params(net, config.seed)]
-    best = [(W.copy(), b.copy()) for W, b in params]
     best_acc, best_epoch = -1.0, 0
     trace = []
-    apply_noise = noise is not None and config.noisy_train and noise.flip_probability > 0
+    apply_noise = noise is not None and noise.flip_probability > 0
 
     for epoch in range(config.epochs):
         order = trial_stream(config.seed, 0x5E, epoch).permutation(len(fit_idx))
@@ -311,14 +307,14 @@ def train(
         trace.append(
             {
                 "epoch": epoch,
-                "mean_loss": total_loss / max(len(fit_idx), 1),
+                "mean_loss": total_loss / len(fit_idx),
                 "holdout_accuracy": acc,
             }
         )
         if acc >= best_acc:
             best_acc, best_epoch = acc, epoch
             best = [(W.copy(), b.copy()) for W, b in params]
-    return TrainResult(params=best if best_acc >= 0 else params, trace=trace, best_epoch=best_epoch)
+    return TrainResult(params=best, trace=trace, best_epoch=best_epoch)
 
 
 def make_predictor(net: NetworkSpec, params):

@@ -154,6 +154,32 @@ def digits_small():
     return train, evaluation
 
 
+def direct_conv_logits(net, params, images) -> np.ndarray:
+    """CNN logits by direct convolution, independent of the library's im2col.
+
+    Activations are (B, C, H, W); each output position is an explicit loop
+    iteration over its k x k window.  Conv stages end in a ReLU, and the
+    dense layers read the last conv output flattened in (C, H, W) order,
+    the order checkpointed dense weights are written in.
+    """
+    x = np.asarray(images, dtype=float)[:, None]
+    for (W, b), (filters, kernel, stride) in zip(params, net.conv):
+        B, _, h, w = x.shape
+        oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+        z = np.empty((B, filters, oh, ow))
+        for r in range(oh):
+            for c in range(ow):
+                window = x[:, :, r * stride : r * stride + kernel, c * stride : c * stride + kernel]
+                z[:, :, r, c] = np.einsum("bcij,fcij->bf", window, W) + b
+        x = np.maximum(z, 0.0)
+    a = x.reshape(len(x), -1)
+    dense = params[len(net.conv) :]
+    for W, b in dense[:-1]:
+        a = np.maximum(a @ W.T + b, 0.0)
+    W, b = dense[-1]
+    return a @ W.T + b
+
+
 def relu_margin(net, params, images) -> float:
     """Smallest |pre-activation| over all hidden units of the batch."""
     from qthermal.cnn import _forward_batch

@@ -415,12 +415,62 @@ class TestTempCommand:
         assert nbars[-1] == "1.0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:inf:1"],
+        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "inf:10:1"],
+        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:nan:1"],
+        ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
+         "--M", "1:inf:1"],
+        ["temp", "--nbar", "1:inf:1"],
+        ["temp", "--nbar", "1:2:inf"],
+    ],
+    ids=["fidelity-inf-stop", "fidelity-inf-start", "fidelity-nan-stop", "bounds-inf-stop",
+         "temp-inf-stop", "temp-inf-step"],
+)
+def test_non_finite_range_is_usage_error(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: grid range must be finite, got {argv[-1]!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("job, argv", REFERENCE_JOBS, ids=[job for job, _ in REFERENCE_JOBS])
 def test_benchmark_job_matches_reference(job, argv, tmp_path, capsys):
     out = tmp_path / f"{job}.csv"
     assert main([*argv, "--out", str(out)]) == 0
     reference = (BENCH.checks.REFERENCE_DIR / f"{job}.csv").read_text(encoding="utf-8")
     assert BENCH.checks.compare_reference(out.read_text(encoding="utf-8"), reference) == []
+
+
+def test_benchmark_tracer_hooks_every_entry_point(capsys):
+    """``bench/spans.py`` wraps entry points by module attribute, so a renamed
+    target, or a target module that ``qthermal.cli`` no longer imports, breaks
+    the traced benchmark; install it as ``bench/job.py`` does and run a tiny
+    CNN job."""
+    from qthermal import cli
+
+    originals = {(m, a): getattr(sys.modules[m], a) for m, a, _, _ in BENCH.spans.TARGETS}
+    tracer = BENCH.spans.Tracer()
+    tracer.install()
+    try:
+        unpatched = [(m, a) for (m, a), fn in originals.items() if getattr(sys.modules[m], a) is fn]
+        code = cli.main(
+            [
+                "simulate", "--classifier", "cnn", "--kind", "additive", "--nuT", "0.01",
+                "--nuB", "0.02", "--T", "40", "--eval-size", "10", "--trials", "1",
+                "--M", "10", "--epochs", "1",
+            ]
+        )
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert unpatched == []
+    assert code == 0
+    names = {span[2] for span in tracer.spans}
+    assert {"cnn.train", "cnn.loss_and_grad", "cnn.predict_labels", "classify.estimate_error"} <= names
 
 
 class TestManifestAndConfig:

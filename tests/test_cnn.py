@@ -8,6 +8,7 @@ from qthermal.classify import NoiseModel
 from qthermal.cnn import (
     NetworkSpec,
     TrainConfig,
+    _forward_batch,
     evaluate,
     forward,
     init_params,
@@ -21,7 +22,7 @@ from qthermal.cnn import (
 from qthermal.data import BinaryImageDataset, synthetic_digits
 from qthermal.errors import ShapeMismatchError, TruncatedPayloadError
 
-from conftest import max_fd_error, smooth_configuration
+from conftest import direct_conv_logits, max_fd_error, smooth_configuration
 
 SMALL = NetworkSpec(input_shape=(6, 6), conv=((2, 3, 1),), dense=(8,), classes=3)
 # two conv stages, so the backward pass scatters windows through _col2im
@@ -95,6 +96,24 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             forward(SMALL, init_params(SMALL, 0), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            NetworkSpec(input_shape=(28, 28)),
+            NetworkSpec(input_shape=(9, 11), conv=((4, 3, 2), (5, 2, 1), (3, 2, 1)), dense=(6,)),
+            NetworkSpec(input_shape=(9, 11), conv=((4, 3, 1), (3, 2, 2)), dense=(), classes=4),
+            NetworkSpec(input_shape=(9, 11), conv=(), dense=(7,), classes=3),
+        ],
+        ids=["default", "three-conv-stride-2", "conv-only", "dense-only"],
+    )
+    def test_matches_direct_convolution(self, net):
+        rng = np.random.default_rng(4)
+        params = [(W, rng.normal(0.0, 0.1, b.shape)) for W, b in init_params(net, 4)]
+        images = rng.random((5, *net.input_shape))
+        assert_allclose(
+            _forward_batch(net, params, images), direct_conv_logits(net, params, images), rtol=1e-12
+        )
 
 
 class TestLossAndGrad:
