@@ -40,7 +40,6 @@ from .classify import (
     advantage_regions,
     endpoint_noise_models,
     estimate_error,
-    nn_classify,
     nn_predictor,
     sample_noisy,
     snapp_fit,
@@ -107,7 +106,6 @@ __all__ = [
     "load_idx_split",
     "min_rel_probe_additive",
     "min_rel_probe_uniform",
-    "nn_classify",
     "nn_predictor",
     "parse_idx",
     "pixel_error_bounds",

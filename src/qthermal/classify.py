@@ -129,12 +129,6 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
     return predict
 
 
-def nn_classify(query: np.ndarray, training: BinaryImageDataset) -> int:
-    """Label of the Hamming-nearest training image; ties resolve to the
-    lowest training index."""
-    return int(nn_predictor(training)(np.asarray(query, dtype=np.uint8)[None, :])[0])
-
-
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Monte Carlo misclassification estimate."""

@@ -97,7 +97,10 @@ def _parse_grid(text: str) -> list[float]:
         # index the points instead of accumulating step, which drifts
         count = math.floor((stop - start) / step + 1e-9) + 1
         return [start + i * step for i in range(max(count, 0))]
-    return [float(p) for p in text.split(",") if p]
+    values = [float(p) for p in text.split(",") if p]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    return values
 
 
 def _grid(text: str, name: str) -> list[float]:

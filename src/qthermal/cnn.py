@@ -10,12 +10,23 @@ by the batch size when updating.
 The compute dtype follows the parameters.  ``init_params`` returns float64,
 which the gradient checks use; ``train`` casts to float32, so training and
 prediction run in float32.  Checkpoints stay float64 on disk.
+
+A conv layer copies its input windows into a K-major (C, k, k, B, OH, OW)
+buffer, one strided slice per kernel tap, whose transpose is the
+(B*OH*OW, C*k*k) GEMM operand in the weights' K order.  The large arrays of
+a pass live in a workspace, a dict of buffers keyed by layer and role that
+smaller batches reuse.  A ``train`` call owns one for its SGD steps and
+holdout predictions; any other ``predict_labels`` call makes its own and
+runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
+between threads: ``make_predictor`` holds none, because ``evaluate`` calls
+one predictor from several threads at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -30,6 +41,8 @@ CHECKPOINT_VERSION = 1
 
 DEFAULT_CONV = ((8, 3, 1), (16, 3, 2))
 DEFAULT_DENSE = (64,)
+
+_PREDICT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -133,49 +146,96 @@ def _check_params(net: NetworkSpec, params) -> None:
             raise ShapeMismatchError(f"parameter shape {W.shape}/{b.shape} != {ws}/{bs}")
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    # x: (B, H, W, C) -> strided view (B, OH, OW, C, k, k)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
-    return windows[:, ::stride, ::stride]
+def _buffer(workspace: dict | None, key, shape, dtype) -> np.ndarray:
+    """Uninitialised array of ``shape``: a fresh one without a workspace, else
+    a view of the workspace's storage for ``key``, which grows on demand, so a
+    smaller batch reuses the storage of a larger one."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    store = workspace.get(key)
+    if store is None or store.size < size:
+        store = workspace[key] = np.empty(size, dtype)
+    return store[:size].reshape(shape)
 
 
-def _col2im(dcols: np.ndarray, x_shape, kernel: int, stride: int) -> np.ndarray:
-    # dcols: (B, OH, OW, C, k, k) scattered back onto (B, H, W, C)
+def _windows(x: np.ndarray, kernel: int, stride: int, out: np.ndarray) -> np.ndarray:
+    # x: (B, H, W, C) -> out (C, k, k, B, OH, OW), one strided copy per tap
+    oh, ow = out.shape[-2:]
+    planes = x.transpose(3, 0, 1, 2)
+    for i in range(kernel):
+        for j in range(kernel):
+            out[:, i, j] = planes[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return out
+
+
+def _col2im(dcols: np.ndarray, dx: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    # dcols: (B, OH, OW, C, k, k) scattered back onto dx (B, H, W, C)
     oh, ow = dcols.shape[1], dcols.shape[2]
-    dx = np.zeros(x_shape, dcols.dtype)
+    dx.fill(0)
     for i in range(kernel):
         for j in range(kernel):
             dx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[..., i, j]
     return dx
 
 
-def _forward_batch(net: NetworkSpec, params, images: np.ndarray, cache: list | None = None):
-    """Shared forward pass; images (B, H, W), returns logits in the params' dtype.
-
-    A ``cache`` list receives one (input, pre-activation) pair per layer; a
-    conv layer's are its flattened (B*OH*OW, C*k*k) windows and (B, OH, OW, F).
-    """
-    _check_params(net, params)
+def _as_batch(net: NetworkSpec, images) -> np.ndarray:
+    """(B, H, W) view of a (B, H, W) or flattened (B, H*W) batch."""
+    images = np.asarray(images)
+    if images.ndim == 2:
+        images = images.reshape(-1, *net.input_shape)
     if images.ndim != 3 or images.shape[1:] != net.input_shape:
         raise ShapeMismatchError(
             f"images must be (B, {net.input_shape[0]}, {net.input_shape[1]}), got {images.shape}"
         )
-    x = images[..., None].astype(params[0][0].dtype)
-    for (W, b), (filters, kernel, stride) in zip(params, net.conv):
-        cols = _im2col(x, kernel, stride)
-        B, oh, ow = cols.shape[:3]
-        flat = cols.reshape(B * oh * ow, -1)
-        z = (flat @ W.reshape(filters, -1).T + b).reshape(B, oh, ow, filters)
+    return images
+
+
+def _forward_batch(
+    net: NetworkSpec,
+    params,
+    images: np.ndarray,
+    cache: list | None = None,
+    workspace: dict | None = None,
+):
+    """Shared forward pass; images (B, H, W), returns logits in the params' dtype.
+
+    A ``cache`` list receives one (input, pre-activation) pair per layer; a
+    conv layer's are its (B*OH*OW, C*k*k) window matrix, a transposed view of
+    the K-major window buffer, and its (B*OH*OW, F) pre-activation.  With a
+    ``workspace`` every array, the logits included, is a view of its storage
+    and is overwritten by the next call.
+    """
+    _check_params(net, params)
+    dtype = params[0][0].dtype
+    B = len(images)
+    shapes = net.feature_shapes()
+    x = images[..., None]  # cast to the compute dtype by the first copy
+    for i, ((W, b), (filters, kernel, stride)) in enumerate(zip(params, net.conv)):
+        c = shapes[i][0]
+        _, oh, ow = shapes[i + 1]
+        cols = _buffer(workspace, ("cols", i), (c, kernel, kernel, B, oh, ow), dtype)
+        flat = _windows(x, kernel, stride, cols).reshape(c * kernel * kernel, -1).T
+        z = _buffer(workspace, ("z", i), (len(flat), filters), dtype)
+        np.matmul(flat, W.reshape(filters, -1).T, out=z)
+        z += b
         if cache is not None:
             cache.append((flat, z))
-        x = np.maximum(z, 0.0)
+        x = np.maximum(z, 0.0, out=_buffer(workspace, ("a", i), z.shape, dtype))
+        x = x.reshape(B, oh, ow, filters)
     # dense layers read (C, H, W) features; the last is the output layer without ReLU
-    a = x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
-    for W, b in params[len(net.conv) :]:
-        z = a @ W.T + b
+    c, h, w = shapes[-1]
+    a = _buffer(workspace, "features", (B, c * h * w), dtype)
+    a.reshape(B, c, h, w)[...] = x.transpose(0, 3, 1, 2)
+    for i in range(len(net.conv), len(params)):
+        W, b = params[i]
+        z = _buffer(workspace, ("z", i), (B, len(W)), dtype)
+        np.matmul(a, W.T, out=z)
+        z += b
         if cache is not None:
             cache.append((a, z))
-        a = np.maximum(z, 0.0)
+        if i < len(params) - 1:
+            a = np.maximum(z, 0.0, out=_buffer(workspace, ("a", i), z.shape, dtype))
     return z
 
 
@@ -193,30 +253,44 @@ def forward(net: NetworkSpec, params, image: np.ndarray) -> np.ndarray:
     return _softmax(_forward_batch(net, params, image[None]))[0]
 
 
-def predict_labels(net: NetworkSpec, params, images: np.ndarray) -> np.ndarray:
-    """Argmax class labels for a (B, H, W) or flattened (B, H*W) batch."""
-    images = np.asarray(images)
-    if images.ndim == 2:
-        images = images.reshape(-1, *net.input_shape)
-    return np.argmax(_forward_batch(net, params, images), axis=1)
+def predict_labels(
+    net: NetworkSpec, params, images: np.ndarray, _workspace: dict | None = None
+) -> np.ndarray:
+    """Argmax class labels for a (B, H, W) or flattened (B, H*W) batch, run in
+    chunks of ``_PREDICT_CHUNK`` images through one workspace, the caller's or
+    a new one per call."""
+    images = _as_batch(net, images)
+    workspace = {} if _workspace is None else _workspace
+    labels = np.empty(len(images), np.intp)
+    for start in range(0, len(images), _PREDICT_CHUNK):
+        chunk = slice(start, start + _PREDICT_CHUNK)
+        logits = _forward_batch(net, params, images[chunk], workspace=workspace)
+        labels[chunk] = np.argmax(logits, axis=1)
+    return labels
 
 
-def loss_and_grad(net: NetworkSpec, params, images: np.ndarray, labels: np.ndarray):
+def loss_and_grad(
+    net: NetworkSpec,
+    params,
+    images: np.ndarray,
+    labels: np.ndarray,
+    _workspace: dict | None = None,
+):
     """Batch-summed softmax cross-entropy and its parameter gradient.
 
     Returns:
         (loss, grads) where grads mirrors the parameter list layout and dtype.
+        The gradients are fresh arrays even when a workspace holds the
+        activations.
     """
-    images = np.asarray(images)
+    images = _as_batch(net, images)
     labels = np.asarray(labels, dtype=np.int64)
-    if images.ndim == 2:
-        images = images.reshape(-1, *net.input_shape)
     if len(images) == 0:
         raise ValueError("batch must be non-empty")
     if labels.shape != (images.shape[0],):
         raise ShapeMismatchError("labels do not match the batch size")
     cache = []
-    logits = _forward_batch(net, params, images, cache)
+    logits = _forward_batch(net, params, images, cache, _workspace)
     B = logits.shape[0]
     top = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - top)
@@ -224,26 +298,33 @@ def loss_and_grad(net: NetworkSpec, params, images: np.ndarray, labels: np.ndarr
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss evaluated to {loss}")
 
+    dtype = logits.dtype
+    shapes = net.feature_shapes()
+    n_conv = len(net.conv)
     grads: list = [None] * len(params)
     dz = e / e.sum(axis=1, keepdims=True)
     dz[np.arange(B), labels] -= 1.0
     for i in reversed(range(len(params))):
         inp, z = cache[i]
         W, _ = params[i]
-        if i == len(net.conv) - 1:  # back from (C, H, W) to channels-last
-            da = da.reshape(B, *net.feature_shapes()[-1]).transpose(0, 2, 3, 1)
         if i < len(params) - 1:  # hidden layers end in a ReLU
-            dz = da.reshape(z.shape) * (z > 0.0)
-        if i < len(net.conv):  # against the flattened windows
-            dz = dz.reshape(-1, len(W))
+            mask = np.greater(z, 0.0, out=_buffer(_workspace, ("mask", i), z.shape, bool))
+            dz = _buffer(_workspace, ("dz", i), z.shape, dtype)
+            np.multiply(da, mask.reshape(da.shape), out=dz.reshape(da.shape))
         grads[i] = ((dz.T @ inp).reshape(W.shape), dz.sum(axis=0))
         if i == 0:  # the first layer's input gradient is the image's
             break
-        da = dz @ W.reshape(len(W), -1)
-        if i < len(net.conv):
+        da = _buffer(_workspace, ("da", i), inp.shape, dtype)
+        np.matmul(dz, W.reshape(len(W), -1), out=da)
+        if i == n_conv:  # back from (C, H, W) to channels-last
+            c, h, w = shapes[-1]
+            da = da.reshape(B, c, h, w).transpose(0, 2, 3, 1)
+        elif i < n_conv:
             _, kernel, stride = net.conv[i]
-            dcols = da.reshape(*z.shape[:3], -1, kernel, kernel)
-            da = _col2im(dcols, cache[i - 1][1].shape, kernel, stride)
+            c, h, w = shapes[i]
+            dcols = da.reshape(B, *shapes[i + 1][1:], c, kernel, kernel)
+            dx = _buffer(_workspace, ("dx", i), (B, h, w, c), dtype)
+            da = _col2im(dcols, dx, kernel, stride)
     return loss, grads
 
 
@@ -283,6 +364,7 @@ def train(
               for W, b in init_params(net, config.seed)]
     best_acc, best_epoch = -1.0, 0
     trace = []
+    workspace: dict = {}
     apply_noise = noise is not None and noise.flip_probability > 0
 
     for epoch in range(config.epochs):
@@ -293,17 +375,20 @@ def train(
             xb = images[sel]
             if apply_noise:
                 xb = sample_noisy(xb, noise, trial_stream(config.seed, 0x7A, epoch, bi))
-            loss, grads = loss_and_grad(net, params, xb, labels[sel])
+            loss, grads = loss_and_grad(net, params, xb, labels[sel], _workspace=workspace)
             total_loss += loss
             lr = config.learning_rate / len(sel)
-            params = [
-                (W - lr * gW, b - lr * gb)
-                for (W, b), (gW, gb) in zip(params, grads)
-            ]
+            for layer, step in zip(params, grads):
+                for p, g in zip(layer, step):
+                    g *= lr
+                    p -= g
         x_eval = x_hold
         if apply_noise:
             x_eval = sample_noisy(x_hold, noise, trial_stream(config.seed, 0x40, epoch))
-        acc = float(np.mean(predict_labels(net, params, x_eval) == y_hold)) if len(y_hold) else 0.0
+        if len(y_hold):
+            acc = float(np.mean(predict_labels(net, params, x_eval, workspace) == y_hold))
+        else:
+            acc = 0.0
         trace.append(
             {
                 "epoch": epoch,

@@ -13,7 +13,6 @@ from qthermal.classify import (
     advantage_regions,
     endpoint_noise_models,
     estimate_error,
-    nn_classify,
     nn_predictor,
     sample_noisy,
     snapp_fit,
@@ -125,20 +124,20 @@ class TestSampleNoisy:
 class TestNNClassify:
     def test_exact_match_returns_own_label(self):
         train = make_dataset([[0, 0, 0], [1, 1, 1]], [7, 2])
-        assert nn_classify([1, 1, 1], train) == 2
+        assert nn_predictor(train)(np.array([[1, 1, 1]], np.uint8)).tolist() == [2]
 
     def test_distance_ordering(self):
         train = make_dataset([[0, 0, 0], [1, 1, 1]], [0, 1])
-        assert nn_classify([0, 0, 1], train) == 0
+        assert nn_predictor(train)(np.array([[0, 0, 1]], np.uint8)).tolist() == [0]
 
     def test_tie_breaks_to_lowest_index(self):
         train = make_dataset([[0, 0], [1, 1]], [0, 1])
-        assert nn_classify([0, 1], train) == 0
+        assert nn_predictor(train)(np.array([[0, 1]], np.uint8)).tolist() == [0]
 
     def test_empty_training(self):
         train = make_dataset(np.zeros((0, 3), np.uint8), [])
         with pytest.raises(EmptyTrainingSetError):
-            nn_classify([0, 0, 0], train)
+            nn_predictor(train)
 
 
 class TestNNPredictor:

@@ -437,6 +437,25 @@ def test_non_finite_range_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["temp", "--nbar", "inf,1"],
+        ["temp", "--eps", "nan"],
+        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5,inf"],
+        ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
+         "--M", "1,inf"],
+    ],
+    ids=["temp-nbar-inf", "temp-eps-nan", "fidelity-a-inf", "bounds-M-inf"],
+)
+def test_non_finite_list_entry_is_usage_error(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: grid values must be finite, got {argv[-1]!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("job, argv", REFERENCE_JOBS, ids=[job for job, _ in REFERENCE_JOBS])
 def test_benchmark_job_matches_reference(job, argv, tmp_path, capsys):
     out = tmp_path / f"{job}.csv"

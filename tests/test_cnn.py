@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qthermal.classify import NoiseModel
 from qthermal.cnn import (
+    _PREDICT_CHUNK,
     NetworkSpec,
     TrainConfig,
     _forward_batch,
@@ -237,6 +240,74 @@ class TestComputeDtype:
                 assert np.abs(a32 - a64).max() <= 1e-4 * np.abs(a64).max()
 
 
+@st.composite
+def small_nets(draw):
+    """Nets of 1-3 conv stages (kernels 1-3, strides 1-2) on inputs large
+    enough for every stage, with 0-2 hidden dense layers."""
+    conv = tuple(
+        (draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    dense = tuple(draw(st.lists(st.integers(1, 8), max_size=2)))
+    return NetworkSpec(input_shape=(draw(st.integers(16, 18)), draw(st.integers(16, 18))),
+                       conv=conv, dense=dense, classes=draw(st.integers(2, 10)))
+
+
+def random_params(net, seed, dtype):
+    rng = np.random.default_rng(seed)
+    return [(W.astype(dtype), rng.normal(0.0, 0.1, b.shape).astype(dtype))
+            for W, b in init_params(net, seed)]
+
+
+class TestWorkspace:
+    @given(
+        net=small_nets(),
+        batch=st.integers(1, 150),
+        seed=st.integers(0, 2**16),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_chunked_prediction_matches_one_shot(self, net, batch, seed, dtype):
+        params = random_params(net, seed, dtype)
+        images = np.random.default_rng(seed).integers(0, 2, (batch, *net.input_shape), np.uint8)
+        chunks = [images[i : i + _PREDICT_CHUNK] for i in range(0, batch, _PREDICT_CHUNK)]
+        workspace = {}
+        reused = np.concatenate(
+            [_forward_batch(net, params, chunk, workspace=workspace).copy() for chunk in chunks]
+        )
+        fresh = np.concatenate([_forward_batch(net, params, chunk) for chunk in chunks])
+        # reusing the workspace, for a partial last chunk too, changes no bit
+        assert reused.tobytes() == fresh.tobytes()
+        labels = predict_labels(net, params, images)
+        assert np.array_equal(labels, np.argmax(reused, axis=1))
+        # against one GEMM over the whole batch only rounding may differ:
+        # BLAS can pick another kernel for another row count
+        one_shot = _forward_batch(net, params, images)
+        atol = (1e-5 if dtype == np.float32 else 1e-13) * np.abs(one_shot).max()
+        assert np.abs(reused - one_shot).max() <= atol
+        top2 = np.sort(one_shot, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 2 * atol
+        assert np.array_equal(labels[clear], np.argmax(one_shot, axis=1)[clear])
+
+    @pytest.mark.parametrize("net", [SMALL, TWO_CONV, NetworkSpec(input_shape=(28, 28))],
+                             ids=["one_conv", "two_conv", "default"])
+    @pytest.mark.parametrize("sizes", [(7, 3), (3, 7)], ids=["shrink", "grow"])
+    def test_shared_workspace_matches_fresh_calls(self, net, sizes):
+        # a second batch through the same workspace must not see the first
+        # batch's windows, ReLU masks or scattered input gradients
+        params = random_params(net, 3, np.float32)
+        rng = np.random.default_rng(5)
+        workspace = {}
+        for size in sizes:
+            images = rng.integers(0, 2, (size, *net.input_shape), np.uint8)
+            labels = rng.integers(0, net.classes, size)
+            loss_ws, grads_ws = loss_and_grad(net, params, images, labels, _workspace=workspace)
+            loss, grads = loss_and_grad(net, params, images, labels)
+            assert loss_ws == loss
+            for (gW_ws, gb_ws), (gW, gb) in zip(grads_ws, grads):
+                assert gW_ws.tobytes() == gW.tobytes()
+                assert gb_ws.tobytes() == gb.tobytes()
+
+
 class TestEvaluate:
     def test_untrained_uniform_network_guesses(self):
         evaluation = synthetic_digits(200, seed=9, split="evaluation")
@@ -253,6 +324,18 @@ class TestEvaluate:
         result = train(net, ds, None, config)
         est = evaluate(net, result.params, ds, NoiseModel(0.0), trials=2, master_seed=0)
         assert est.mean == 0.0
+
+    def test_thread_count_does_not_change_estimate(self):
+        ds = synthetic_digits(100, seed=21, height=12, width=12)
+        evaluation = synthetic_digits(70, seed=22, split="evaluation", height=12, width=12)
+        net = NetworkSpec(input_shape=(12, 12), conv=((4, 3, 1), (4, 3, 2)), dense=(8,), classes=10)
+        params = train(net, ds, NoiseModel(0.05), TrainConfig(batch_size=16, epochs=1, seed=2)).params
+        estimates = [
+            evaluate(net, params, evaluation, NoiseModel(0.1), trials=6, master_seed=4, threads=t)
+            for t in (1, 4)
+        ]
+        assert estimates[0] == estimates[1]
+        assert 0.0 < estimates[0].mean < 1.0
 
     def test_both_classifiers_beat_uniform_guessing(self):
         # no claim about which classifier wins, only that both trained

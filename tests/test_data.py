@@ -169,12 +169,9 @@ class TestSyntheticDigits:
         assert np.all(counts == 10)
 
     def test_classes_distinct_under_nn(self):
-        from qthermal.classify import nn_classify
+        from qthermal.classify import nn_predictor
 
         train = synthetic_digits(1000, seed=5)
         probe = synthetic_digits(40, seed=6, split="evaluation")
-        correct = sum(
-            nn_classify(probe.images[i], train) == probe.labels[i]
-            for i in range(len(probe))
-        )
+        correct = np.count_nonzero(nn_predictor(train)(probe.images) == probe.labels)
         assert correct >= 38  # near-perfect on clean images
