@@ -5,9 +5,12 @@ Sensor imperfection is modelled as independent symmetric pixel flips whose
 probability comes from the single-pixel error bounds.  Each trial flips the
 whole evaluation set with one block of uniforms from a counter-based stream
 keyed on (master seed, M index, trial), shared by the four noise endpoints of
-one M.  ``advantage_regions`` runs its (M, endpoint) estimates concurrently on
-``threads`` workers, classifier training included; every job depends only on
-its own streams, so any thread count reproduces the same numbers bit for bit.
+one M.  The nearest-neighbour rule scores a batch with one float64 GEMM
+against the training set packed several images per column, in integers below
+2**53, so its labels are exact.  ``advantage_regions`` runs its (M, endpoint)
+estimates concurrently on ``threads`` workers, classifier training included;
+every job depends only on its own streams, so any thread count reproduces the
+same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -109,22 +112,61 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
     """Batch nearest-neighbour label predictor over ``training``.
 
     hamming(q, t) = |q| + |t| - 2 q.t for binary vectors; |q| is the same for
-    every training image, so the label comes from argmin(|t| - 2 q.t).  The
-    training set is cast to float32 and its row norms taken once, on build; every
-    float32 product and sum is an exact integer below 2**24, and argmin
-    resolves ties to the lowest training index.
+    every training image, so the label comes from argmin(|t| - 2 q.t).
+
+    For a binary query q.t <= |t| < 2**bits, with bits the bit length of the
+    largest training norm, so ``digits = 53 // bits`` dot products fit side by
+    side in one float64 mantissa.  On build the training set is packed once
+    into ``cols = ceil(n / digits)`` float64 columns, column c holding
+    sum_k 2**(bits k) t[k cols + c]; one GEMM of the batch against them gives
+    every q.t.  Each product and partial sum is a non-negative integer below
+    2**53, hence exact in any summation order, BLAS kernel or thread count.
+    Digit k of the product, read with a shift and a mask, is q.t for block k,
+    the training images k cols ... (k + 1) cols - 1.  Each block's argmin
+    takes its lowest index on ties and the first block wins ties between
+    blocks, so the label is that of the lowest-index nearest training image.
+    Padding slots of the last block score above every real image.  A pixel
+    other than 0 or 1 could carry into the next digit, so such a batch raises
+    ``ValueError``.
     """
     if training is None or len(training) == 0:
         raise EmptyTrainingSetError("training set is empty")
-    t_images = training.images.astype(np.float32)
-    t_norms = t_images.sum(axis=1)
+    images = training.images
+    n = len(images)
+    t_norms = images.sum(axis=1, dtype=np.int64)
+    bits = max(int(t_norms.max()).bit_length(), 1)
+    digits = 53 // bits
+    cols = -(-n // digits)
+    blocks = -(-n // cols)
+    packed = np.zeros((cols, images.shape[1]))
+    for k in reversed(range(blocks)):
+        # Horner: packed = packed * 2**bits + block k
+        packed *= float(1 << bits)
+        block = images[k * cols : (k + 1) * cols]
+        packed[: len(block)] += block
+    block_norms = np.full(blocks * cols, t_norms.max() + 1)
+    block_norms[:n] = t_norms
+    block_norms = block_norms.reshape(blocks, cols)
+    twice_mask = 2 * ((1 << bits) - 1)
     t_labels = training.labels
 
     def predict(batch: np.ndarray) -> np.ndarray:
-        scores = np.asarray(batch, dtype=np.float32) @ t_images.T
-        scores *= -2.0
-        scores += t_norms
-        return t_labels[np.argmin(scores, axis=1)]
+        batch = np.asarray(batch, dtype=np.float64)
+        if np.any((batch != 0.0) & (batch != 1.0)):
+            raise ValueError("nearest-neighbour queries must be binary (pixels 0 or 1)")
+        dots = (batch @ packed.T).astype(np.int64)
+        rows = np.arange(len(batch))
+        best = np.empty((blocks, len(batch)), dtype=np.int64)
+        low = np.empty((blocks, len(batch)), dtype=np.int64)
+        for k in range(blocks):
+            # 2 q.t for block k: digit k shifted one bit less, masked
+            scores = dots << 1 if k == 0 else dots >> (bits * k - 1)
+            scores &= twice_mask
+            np.subtract(block_norms[k], scores, out=scores)
+            best[k] = np.argmin(scores, axis=1)
+            low[k] = scores[rows, best[k]]
+        k = np.argmin(low, axis=0)
+        return t_labels[k * cols + best[k, rows]]
 
     return predict
 
@@ -209,9 +251,9 @@ def snapp_fit(samples: Sequence[tuple[float, float]], m: int, jmax: int = 5) -> 
         m: pixel count entering the T^(-j/m) basis.
         jmax: truncation order of the expansion.
 
-    The normal equations carry a 1e-12 ridge on unit-scaled columns and a few
-    refinement sweeps; the asymptotic error estimate is clipped at zero
-    (flagged via ``clipped``) since error probabilities cannot be negative.
+    The fit is ``np.linalg.lstsq`` on unit-scaled columns; the asymptotic
+    error estimate is clipped at zero (flagged via ``clipped``) since error
+    probabilities cannot be negative.
     """
     if m < 1:
         raise ValueError(f"pixel count must be >= 1, got {m}")
@@ -226,12 +268,12 @@ def snapp_fit(samples: Sequence[tuple[float, float]], m: int, jmax: int = 5) -> 
             f"need at least {jmax} distinct training sizes, got {len(np.unique(T))}"
         )
     A = _snapp_design(T, m, jmax)
-    coeff = _ridge_least_squares(A, E)
+    coeff = _least_squares(A, E)
     clipped = coeff[0] < 0.0
     if clipped:
         # refit with the asymptote pinned at zero so the returned model
         # (e_inf, coefficients) still describes one consistent fit
-        tail = _ridge_least_squares(A[:, 1:], E)
+        tail = _least_squares(A[:, 1:], E)
         coeff = np.concatenate([[0.0], tail])
     resid = E - A @ coeff
     return SnappFit(
@@ -242,20 +284,15 @@ def snapp_fit(samples: Sequence[tuple[float, float]], m: int, jmax: int = 5) -> 
     )
 
 
-def _ridge_least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Normal equations on unit-scaled columns with a 1e-12 ridge and a few
-    refinement sweeps; the basis is near-collinear for large m."""
+def _least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq`` on unit-scaled columns; the basis is near-collinear
+    for large m."""
     scale = np.linalg.norm(A, axis=0)
     if np.any(scale == 0.0):
         raise SingularDesignError("design matrix has a zero column")
-    As = A / scale
-    G = As.T @ As + 1e-12 * np.eye(As.shape[1])
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e15:
-        raise SingularDesignError(f"normal equations are singular (cond {cond:.3g})")
-    x = np.linalg.solve(G, As.T @ y)
-    for _ in range(3):
-        x = x + np.linalg.solve(G, As.T @ (y - As @ x))
+    x, _, rank, _ = np.linalg.lstsq(A / scale, y, rcond=None)
+    if rank < A.shape[1]:
+        raise SingularDesignError(f"design matrix has rank {rank} < {A.shape[1]} columns")
     return x / scale
 
 

@@ -30,6 +30,9 @@ DATASET_DIR_ENV = "QTHERMAL_DATASET_DIR"
 
 _MAX_ELEMENTS = 2**31
 
+# images per block of speckle uniforms in ``synthetic_digits``
+_SPECKLE_ROWS = 1024
+
 _SPLIT_FILES = {
     "training": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "evaluation": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
@@ -238,8 +241,11 @@ def synthetic_digits(
     rows = r[:, None, None] + np.arange(gh)[:, None]
     cols = c[:, None, None] + np.arange(gw)
     images[np.arange(n)[:, None, None], rows, cols] = np.stack(glyphs)[labels]
-    flips = rng.random((n, height, width)) < speckle
-    images ^= flips.view(np.uint8)
+    # one stream drawn in row blocks yields the same uniforms as one draw,
+    # without an (n, height, width) float64 temporary
+    for start in range(0, n, _SPECKLE_ROWS):
+        block = images[start : start + _SPECKLE_ROWS]
+        block ^= (rng.random(block.shape) < speckle).view(np.uint8)
     return BinaryImageDataset(
         images=images.reshape(n, height * width),
         labels=labels,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qthermal.bounds import pixel_error_bounds
@@ -140,22 +140,63 @@ class TestNNClassify:
             nn_predictor(train)
 
 
+@st.composite
+def nn_cases(draw):
+    """(training, queries) binary arrays for the packed nearest-neighbour GEMM.
+
+    Pixel counts reach 4096, so the largest norm needs up to 13 bits and a
+    packed column holds as few as 4 images; an all-zero training set gives
+    the 1-bit floor.  Training sizes are arbitrary, so the last block is
+    usually padded; optional all-ones and duplicated rows put the largest
+    norm on a bit boundary and force ties.
+    """
+    m = draw(st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 1023, 1024, 4095, 4096])))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = (rng.random((n, m)) < draw(st.sampled_from([0.0, 0.05, 0.5, 0.95]))).astype(np.uint8)
+    if draw(st.booleans()):
+        train[draw(st.integers(0, n - 1))] = 1
+    if draw(st.booleans()):
+        train[draw(st.integers(0, n - 1))] = train[draw(st.integers(0, n - 1))]
+    queries = (rng.random((draw(st.integers(1, 6)), m)) < draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
+    queries = queries.astype(np.uint8)
+    if draw(st.booleans()):
+        queries[0] = train[draw(st.integers(0, n - 1))]
+    return train, queries
+
+
+def all_ones_case(m):
+    """Nine random images, one all ones and two equal, so the last block is
+    padded; queries hit the all-ones image and the duplicate exactly."""
+    rng = np.random.default_rng(m)
+    train = (rng.random((9, m)) < 0.5).astype(np.uint8)
+    train[4] = 1
+    train[7] = train[2]
+    queries = np.vstack([np.ones(m, np.uint8), train[7], rng.random((3, m)) < 0.5])
+    return train, queries.astype(np.uint8)
+
+
 class TestNNPredictor:
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda m: st.tuples(*(
-                st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=n)
-                for n in (8, 5)
-            ))
-        )
-    )
-    def test_matches_hamming_argmin(self, rows):
-        train_rows, queries = rows
-        train = make_dataset(train_rows, np.arange(len(train_rows)))
-        queries = np.array(queries, np.uint8)
-        # labels are training indices, so this checks the lowest-index tie rule
-        distances = np.count_nonzero(queries[:, None, :] != train.images[None, :, :], axis=2)
-        assert np.array_equal(nn_predictor(train)(queries), np.argmin(distances, axis=1))
+    @given(nn_cases())
+    # every norm 0: the 1-bit floor, 53 images per column
+    @example((np.zeros((60, 5), np.uint8), np.array([[0, 0, 0, 0, 0], [1, 1, 0, 1, 0]], np.uint8)))
+    # all-ones norms 4095 (largest 12-bit digit) and 4096 (13 bits), 4 per column
+    @example(all_ones_case(4095))
+    @example(all_ones_case(4096))
+    def test_matches_hamming_argmin(self, case):
+        train, queries = case
+        # labels are training indices, so duplicates carry different labels
+        # and only the lowest-index tie rule passes
+        predict = nn_predictor(make_dataset(train, np.arange(len(train))))
+        distances = np.count_nonzero(queries[:, None, :] != train[None, :, :], axis=2)
+        assert np.array_equal(predict(queries), np.argmin(distances, axis=1))
+
+    @pytest.mark.parametrize("pixel", [2, -1, 0.5, np.nan])
+    def test_non_binary_batch_rejected(self, pixel):
+        predict = nn_predictor(make_dataset([[0, 1, 1], [1, 0, 0]], [0, 1]))
+        batch = np.array([[0.0, 1.0, 1.0], [1.0, pixel, 0.0]])
+        with pytest.raises(ValueError, match="binary"):
+            predict(batch)
 
 
 class TestEstimateError:
@@ -246,14 +287,18 @@ class TestSnappFit:
         assert np.sqrt(np.mean((E - pred) ** 2)) == pytest.approx(fit.residual_rms, rel=1e-9)
 
     def test_singular_design_gate(self):
-        from qthermal.classify import _ridge_least_squares
+        from qthermal.classify import _least_squares
         from qthermal.errors import SingularDesignError
 
         # with T >= 1 the basis columns are always positive, so the gate is
-        # defensive; a zero column trips it directly
+        # defensive; a zero column trips it directly, and two proportional
+        # columns trip the rank check
         A = np.column_stack([np.ones(6), np.zeros(6)])
-        with pytest.raises(SingularDesignError):
-            _ridge_least_squares(A, np.ones(6))
+        with pytest.raises(SingularDesignError, match="zero column"):
+            _least_squares(A, np.ones(6))
+        A = np.column_stack([np.ones(6), np.arange(6.0), 3.0 * np.ones(6)])
+        with pytest.raises(SingularDesignError, match="rank 2 < 3"):
+            _least_squares(A, np.ones(6))
 
     def test_invalid_pixel_count(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism and exit codes."""
 
+import hashlib
 import importlib.util
 import struct
 import sys
@@ -287,6 +288,27 @@ class TestSimulateCommand:
         assert int(row[0]) == 2500
         # quantum noise interval sits strictly inside the classical one
         assert float(row[4]) < float(row[1])
+
+    def test_nn_output_pinned(self, capsys, tmp_path):
+        # digest of the CSV written by the float32 nearest-neighbour GEMM
+        # before the packed float64 one replaced it; E_cl_L, E_cl_U and E_q_U
+        # are non-zero here, so a changed label anywhere shows
+        out = tmp_path / "nn.csv"
+        code = main(
+            [
+                "simulate", "--classifier", "nn", "--kind", "thermal", "--tau", "0.99",
+                "--epsB", "18.5", "--epsT", "20.2", "--M", "200,400,1000", "--T", "3000",
+                "--eval-size", "300", "--trials", "3", "--seed", "11", "--threads", "2",
+                "--out", str(out),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert all(float(row[col]) > 0 for row in rows[:2] for col in (5, 6, 8))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d7474834660b551e9e74d806be098078defc436944d289e0d3eef70ea80cc343"
+        )
 
     @pytest.mark.parametrize(
         "argv", [["fidelity", "--a", "0.5"], ["bounds", "--m", "4", "--M", "1"]],

@@ -163,6 +163,18 @@ class TestSyntheticDigits:
             "9480ba47a7076d94b5c81ad6f7726cbb47e760de59a85670b36e95a079213fb2"
         )
 
+    def test_output_pinned_across_speckle_blocks(self):
+        # digests from before the speckle uniforms were drawn in row blocks;
+        # n = 2500 spans three blocks, so a block boundary that skipped or
+        # repeated part of the stream shows here
+        ds = synthetic_digits(2500, seed=11, split="evaluation")
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
+            "24900c72d1a0c915e40e7f11990f775b9d95d8891c2beeb494042fe6e0dfe266"
+        )
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+            "0b04921139958a92387e0b904a75d068333817d816adb53f799b7b203749f80c"
+        )
+
     def test_balanced_classes(self):
         ds = synthetic_digits(100, seed=1)
         counts = np.bincount(ds.labels, minlength=10)
