@@ -55,7 +55,6 @@ from .data import (
 )
 from .gaussian import (
     CovarianceMatrix,
-    fock_fidelity_oracle,
     gaussian_fidelity,
     symplectic_eigenvalues,
     symplectic_form,
@@ -99,7 +98,6 @@ __all__ = [
     "fidelity_choi_inf_extrapolated",
     "fidelity_classical",
     "fidelity_finite",
-    "fock_fidelity_oracle",
     "gaussian_fidelity",
     "hamming_functional_uniform",
     "load_idx",

@@ -298,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=128, help="binarisation threshold")
     p.add_argument("--data-dir", dest="data_dir", help="IDX dataset directory (or set QTHERMAL_DATASET_DIR)")
     p.add_argument("--p-override", dest="p_override", type=float, help="force one flip probability")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="concurrent (M, endpoint) jobs; with N > 1 set OPENBLAS_NUM_THREADS=1, "
+                   "or each job's BLAS calls start their own threads and oversubscribe the cores")
     p.add_argument("--epochs", type=int, default=3, help="cnn training epochs")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
     p.add_argument("--lr", type=float, default=0.05, help="cnn learning rate")

@@ -17,14 +17,6 @@ class DimensionMismatchError(GaussianStateError):
     """Mode counts of the two states differ."""
 
 
-class UnsupportedStateError(GaussianStateError):
-    """State is outside the Fock oracle's diagonal-thermal scope."""
-
-
-class CutoffTooSmallError(GaussianStateError):
-    """Fock truncation discards too much trace weight."""
-
-
 class NonPhysicalChannelError(ValueError):
     """Channel parameters violate complete positivity."""
 

@@ -4,8 +4,8 @@ Quadrature ordering is (q1, p1, ..., qN, pN) throughout, with shot noise 1/2,
 i.e. the N-mode vacuum has covariance matrix I/2.  Inverses and symplectic
 spectra come from symmetric eigendecompositions, the fidelity's auxiliary
 spectrum from a general eigensolve or, in extended precision, from matrix
-invariants; sweeps pass (..., 2N, 2N) stacks, which numpy's linalg treats
-matrix by matrix.
+invariants; (..., 2N, 2N) stacks are accepted, and numpy's linalg treats
+them matrix by matrix.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ import threading
 import numpy as np
 from mpmath import mp
 
-from .errors import (
-    CutoffTooSmallError,
-    DimensionMismatchError,
-    NonPhysicalError,
-    NonSymmetricError,
-    UnsupportedStateError,
-)
+from .errors import DimensionMismatchError, NonPhysicalError, NonSymmetricError
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-8
@@ -32,7 +26,7 @@ PHYSICALITY_TOL = 1e-8
 _NEAR_PURE_MARGIN = 1e-5
 # Above this condition number of V1 + V2 (strong squeezing) the double-precision
 # inverse loses more than ~1e-12 of the fidelity, so it is redone in extended
-# precision too; the CLI's sweeps up to a = 100 stay below 2.3e4.
+# precision too (a Choi pair at tau = 0.99 passes it near a = 2.4e3).
 _MAX_CONDITION = 5e4
 _MP_DPS = 50
 
@@ -217,62 +211,3 @@ def gaussian_fidelity(V1, V2):
         F[i] = _fidelity_mp(A1[i], A2[i])
     F = np.minimum(F, 1.0).reshape(batch)
     return F if batch else float(F)
-
-
-def _thermal_occupations(arr: np.ndarray) -> np.ndarray:
-    """Per-mode occupations of a diagonal product-of-thermals CM."""
-    n = arr.shape[0] // 2
-    off = arr - np.diag(np.diag(arr))
-    scale = max(1.0, np.max(np.abs(arr)))
-    if np.max(np.abs(off)) > 1e-10 * scale:
-        raise UnsupportedStateError("oracle requires a diagonal covariance matrix")
-    d = np.diag(arr)
-    q, p = d[0::2], d[1::2]
-    if np.max(np.abs(q - p)) > 1e-10 * scale:
-        raise UnsupportedStateError("oracle requires equal q and p variances per mode")
-    return q - 0.5
-
-
-def fock_fidelity_oracle(V1, V2, cutoff: int) -> float:
-    """Uhlmann fidelity of truncated Fock representations.
-
-    Deliberately narrow verification oracle: only single-mode thermal states
-    and tensor products thereof are accepted (diagonal Fock representation),
-    where the fidelity is the Bhattacharyya sum of Bose-Einstein weights,
-    evaluated per mode up to ``cutoff``.  Converges monotonically upward in
-    the cutoff.
-
-    Raises:
-        UnsupportedStateError: non-diagonal Fock representation requested.
-        CutoffTooSmallError: truncated trace below 1 - 1e-6 for either state.
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be a positive integer")
-    A1 = _as_matrix(V1)
-    A2 = _as_matrix(V2)
-    if A1.shape != A2.shape:
-        raise DimensionMismatchError(f"mode mismatch: {A1.shape} vs {A2.shape}")
-    occ1 = _thermal_occupations(A1)
-    occ2 = _thermal_occupations(A2)
-    ns = np.arange(cutoff + 1, dtype=float)
-    F = 1.0
-    for n1, n2 in zip(occ1, occ2):
-        logp = _log_bose_einstein(n1, ns)
-        logq = _log_bose_einstein(n2, ns)
-        for lg, nb in ((logp, n1), (logq, n2)):
-            trace = np.sum(np.exp(lg))
-            if trace < 1.0 - 1e-6:
-                raise CutoffTooSmallError(
-                    f"truncated trace {trace:.9f} at cutoff {cutoff} (nbar={nb:.4g})"
-                )
-        F *= float(np.sum(np.exp(0.5 * (logp + logq))))
-    return F
-
-
-def _log_bose_einstein(nbar: float, ns: np.ndarray) -> np.ndarray:
-    nbar = max(float(nbar), 0.0)
-    if nbar == 0.0:
-        out = np.full(ns.shape, -np.inf)
-        out[0] = 0.0
-        return out
-    return ns * (np.log(nbar) - np.log1p(nbar)) - np.log1p(nbar)

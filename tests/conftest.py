@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from qthermal.data import synthetic_digits
+from qthermal.errors import DimensionMismatchError, GaussianStateError
+from qthermal.gaussian import CovarianceMatrix
 from qthermal.spaces import ImageSpace
 
 # Fixed examples and no per-example deadline: the suite gives the same
@@ -145,6 +147,90 @@ def eig_fidelity_oracle(V1, V2, dps: int = 50) -> float:
         for v in mods[::2]:
             prod *= 2 * v + mp.sqrt(max(4 * v * v - 1, 0))
         return float(mp.sqrt(prod) / mp.det(S) ** mp.mpf(0.25))
+
+
+def choi_reference_fidelity(pair, a, dps: int = 100) -> float:
+    """Finite-energy Choi fidelity of an ``EnvironmentPair`` in ``dps`` digits.
+
+    The Choi covariance matrices are built here from (tau, nu, a) in ``dps``
+    digits, with idler variance a, output variance tau a + nu and q/p
+    correlations +-sqrt(tau (a^2 - 1/4)), and fed to
+    :func:`eig_fidelity_oracle`; no library fidelity or Choi constructor runs.
+    """
+    with mp.workdps(dps):
+        am, tau = mp.mpf(a), mp.mpf(pair.tau)
+        c = mp.sqrt(tau * (am * am - mp.mpf(1) / 4))
+        mats = []
+        for nu in (pair.target.nu, pair.background.nu):
+            out = am * tau + mp.mpf(nu)
+            mats.append(mp.matrix([[am, 0, c, 0], [0, am, 0, -c], [c, 0, out, 0], [0, -c, 0, out]]))
+    return eig_fidelity_oracle(*mats, dps=dps)
+
+
+class UnsupportedStateError(GaussianStateError):
+    """State is outside the Fock oracle's diagonal-thermal scope."""
+
+
+class CutoffTooSmallError(GaussianStateError):
+    """Fock truncation discards too much trace weight."""
+
+
+def _thermal_occupations(arr: np.ndarray) -> np.ndarray:
+    """Per-mode occupations of a diagonal product-of-thermals CM."""
+    off = arr - np.diag(np.diag(arr))
+    scale = max(1.0, np.max(np.abs(arr)))
+    if np.max(np.abs(off)) > 1e-10 * scale:
+        raise UnsupportedStateError("oracle requires a diagonal covariance matrix")
+    d = np.diag(arr)
+    q, p = d[0::2], d[1::2]
+    if np.max(np.abs(q - p)) > 1e-10 * scale:
+        raise UnsupportedStateError("oracle requires equal q and p variances per mode")
+    return q - 0.5
+
+
+def _log_bose_einstein(nbar: float, ns: np.ndarray) -> np.ndarray:
+    nbar = max(float(nbar), 0.0)
+    if nbar == 0.0:
+        out = np.full(ns.shape, -np.inf)
+        out[0] = 0.0
+        return out
+    return ns * (np.log(nbar) - np.log1p(nbar)) - np.log1p(nbar)
+
+
+def fock_fidelity_oracle(V1, V2, cutoff: int) -> float:
+    """Uhlmann fidelity of truncated Fock representations.
+
+    Deliberately narrow verification oracle: only single-mode thermal states
+    and tensor products thereof are accepted (diagonal Fock representation),
+    where the fidelity is the Bhattacharyya sum of Bose-Einstein weights,
+    evaluated per mode up to ``cutoff``.  Converges monotonically upward in
+    the cutoff.
+
+    Raises:
+        UnsupportedStateError: non-diagonal Fock representation requested.
+        CutoffTooSmallError: truncated trace below 1 - 1e-6 for either state.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be a positive integer")
+    A1, A2 = (V if isinstance(V, CovarianceMatrix) else CovarianceMatrix(V) for V in (V1, V2))
+    A1, A2 = A1.matrix, A2.matrix
+    if A1.shape != A2.shape:
+        raise DimensionMismatchError(f"mode mismatch: {A1.shape} vs {A2.shape}")
+    occ1 = _thermal_occupations(A1)
+    occ2 = _thermal_occupations(A2)
+    ns = np.arange(cutoff + 1, dtype=float)
+    F = 1.0
+    for n1, n2 in zip(occ1, occ2):
+        logp = _log_bose_einstein(n1, ns)
+        logq = _log_bose_einstein(n2, ns)
+        for lg, nb in ((logp, n1), (logq, n2)):
+            trace = np.sum(np.exp(lg))
+            if trace < 1.0 - 1e-6:
+                raise CutoffTooSmallError(
+                    f"truncated trace {trace:.9f} at cutoff {cutoff} (nbar={nb:.4g})"
+                )
+        F *= float(np.sum(np.exp(0.5 * (logp + logq))))
+    return F
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from qthermal.classify import (
 )
 from qthermal.cnn import NetworkSpec
 from qthermal.data import synthetic_digits
-from qthermal.gaussian import fock_fidelity_oracle, gaussian_fidelity, thermal_cm
+from qthermal.gaussian import gaussian_fidelity, thermal_cm
 from qthermal.spaces import (
     ImageSpace,
     bcpf_functional,
@@ -46,6 +46,7 @@ from conftest import (
     brute_cpf,
     brute_cross,
     brute_uniform,
+    fock_fidelity_oracle,
     max_fd_error,
     smooth_configuration,
 )

@@ -23,6 +23,8 @@ from qthermal.channels import _mp_choi_fidelity
 from qthermal.errors import NonPhysicalChannelError
 from qthermal.gaussian import gaussian_fidelity, thermal_cm, tmsv_cm
 
+from conftest import choi_reference_fidelity
+
 
 class TestChannelSpec:
     def test_kinds(self):
@@ -70,6 +72,43 @@ class TestChoiCm:
     def test_rejects_subvacuum_squeezing(self):
         with pytest.raises(ValueError):
             choi_cm(ChannelSpec(1.0, 0.1), a=0.4)
+
+
+# (pair, fidelity_choi_inf, _mp_choi_fidelity at a = 0.5, 0.8, 1e4, 1e13): the
+# values of the separate numpy and mpmath Choi constructors that _choi_entries
+# replaced, which the shared one must reproduce bit for bit
+PINNED_CHOI = [
+    (
+        EnvironmentPair.additive(0.02, 0.01),
+        0.9428090415820635,
+        (0.999155165318526, 0.9986604642377078, 0.9430047670143233, 0.9428090415822598),
+    ),
+    (
+        EnvironmentPair.thermal(0.3, 0.5, 0.6),
+        0.9534625892455924,
+        (0.9667364890456636, 0.9643819959875238, 0.9534644464714083, 0.9534625892455942),
+    ),
+    (
+        EnvironmentPair.thermal(2.87, 4.2, 0.5),
+        0.46126560401444255,
+        (0.8023399349631265, 0.7061436783216123, 0.46129346821130773, 0.46126560401447037),
+    ),
+]
+
+
+class TestSharedChoiConstructor:
+    @pytest.mark.parametrize("pair, f_inf, f_mp", PINNED_CHOI, ids=["additive", "loss", "amplifier"])
+    def test_extended_precision_route_pinned(self, pair, f_inf, f_mp):
+        assert fidelity_choi_inf(pair) == f_inf
+        assert tuple(_mp_choi_fidelity(pair, a) for a in (0.5, 0.8, 1e4, 1e13)) == f_mp
+
+    @pytest.mark.parametrize("pair", [p for p, _, _ in PINNED_CHOI], ids=["additive", "loss", "amplifier"])
+    def test_double_precision_matrix_entries(self, pair):
+        ch, grid = pair.background, (0.5, 0.8, 7.3)
+        stack = choi_cm(ch, np.array(grid)).matrix
+        for a, V in zip(grid, stack):
+            c, out = np.sqrt(ch.tau * (a * a - 0.25)), a * ch.tau + ch.nu
+            assert np.array_equal(V, [[a, 0, c, 0], [0, a, 0, -c], [c, 0, out, 0], [0, -c, 0, out]])
 
 
 class TestClassicalOutput:
@@ -217,9 +256,9 @@ def environment_pairs(draw) -> EnvironmentPair:
 squeezing = st.floats(0.5, 1e3)
 
 
-# Accuracy of fidelity_finite: ill-conditioned V1 + V2 (strong squeezing,
-# near-pure Choi pairs) is redone in 50 digits, so double precision keeps
-# about nine digits everywhere.
+# Tolerance of the structural properties below (symmetry, monotonicity).
+# The closed form's accuracy is checked separately, against 100-digit Choi
+# matrices, by TestFiniteEnergyAccuracy.
 RESOLUTION = 1e-9
 
 
@@ -258,8 +297,72 @@ class TestFiniteEnergyProperties:
         assert np.all(np.diff(F) <= 0.0)
 
     def test_rejects_squeezing_below_half_anywhere_in_grid(self):
-        with pytest.raises(ValueError, match="squeezing parameter"):
-            fidelity_finite(EnvironmentPair.additive(0.02, 0.01), np.array([1.0, 0.4]))
+        # non-finite squeezing is rejected the same way, grid or scalar
+        for bad in (0.4, np.nan, np.inf):
+            with pytest.raises(ValueError, match="squeezing parameter"):
+                fidelity_finite(EnvironmentPair.additive(0.02, 0.01), np.array([1.0, bad]))
+            with pytest.raises(ValueError, match="squeezing parameter"):
+                fidelity_finite(EnvironmentPair.thermal(0.3, 0.5, 0.6), bad)
+
+
+def _powers_of_ten(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+@st.composite
+def pure_and_mixed_pairs(draw) -> EnvironmentPair:
+    """Additive, loss or amplifier pair whose environments are pure, near-pure
+    or mixed (eps = 1/2 + 10^[-14, 2], nu = 10^[-8, 1]), target and
+    background possibly equal to within 10^-12 relative."""
+    kind = draw(st.sampled_from(["additive", "loss", "amplifier"]))
+    if kind == "additive":
+        noise = st.one_of(st.just(0.0), _powers_of_ten(-8, 1))
+    else:
+        noise = st.one_of(st.just(0.5), _powers_of_ten(-14, 2).map(lambda x: 0.5 + x))
+    first = draw(noise)
+    second = draw(st.one_of(noise, _powers_of_ten(-12, -3).map(lambda r: first * (1 + r))))
+    if kind == "additive":
+        return EnvironmentPair.additive(first, second)
+    tau = draw(st.floats(0.01, 0.999) if kind == "loss" else st.floats(1.001, 5.0))
+    return EnvironmentPair.thermal(tau, first, second)
+
+
+# Accuracy of the closed form against the 100-digit covariance-matrix route.
+ACCURACY = 1e-13
+
+
+class TestFiniteEnergyAccuracy:
+    @given(pure_and_mixed_pairs(), _powers_of_ten(-10, 6).map(lambda x: 0.5 + x))
+    def test_matches_100_digit_reference(self, pair, a):
+        assert fidelity_finite(pair, a) == pytest.approx(
+            choi_reference_fidelity(pair, a), rel=ACCURACY, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "pair, a",
+        [
+            # gaussian_fidelity of double-precision choi_cm matrices is 1.5e-9,
+            # 2.2e-8, 8.3e-8 and 8.7e-9 off on these (pure or near-pure noise)
+            (EnvironmentPair.thermal(0.3, 0.5, 0.6), 0.6),
+            (EnvironmentPair.thermal(0.3, 0.5, 0.6), 100.0),
+            (EnvironmentPair.additive(0.73, 2.7e-6), 4.3e4),
+            (EnvironmentPair.thermal(2.87, 4.2, 0.5), 1.5),
+            # nu - g taken as a plain difference instead of one rounded sum
+            # loses 1.9e-11 here, where 1 - tau is inexact
+            (EnvironmentPair.thermal(0.3, 0.5 + 1e-12, 20.0), 10.0),
+            # the double-precision choi_cm matrix of the noiseless channel is
+            # rejected as non-physical here (symplectic eigenvalue 0.499999)
+            (EnvironmentPair.additive(3e-5, 0.0), 1e5),
+        ],
+    )
+    def test_pinned_cases(self, pair, a):
+        assert fidelity_finite(pair, a) == pytest.approx(
+            choi_reference_fidelity(pair, a), rel=ACCURACY, abs=0.0
+        )
+
+    @pytest.mark.parametrize("pair", [p for p, _, _ in PINNED_CHOI], ids=["additive", "loss", "amplifier"])
+    def test_infinite_squeezing_limit(self, pair):
+        assert fidelity_finite(pair, 1e300) == pytest.approx(fidelity_choi_inf(pair), abs=1e-12)
 
 
 class TestTemperature:

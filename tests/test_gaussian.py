@@ -15,17 +15,10 @@ from qthermal.channels import (
     choi_fidelity_thermal,
     fidelity_choi_inf,
 )
-from qthermal.errors import (
-    CutoffTooSmallError,
-    DimensionMismatchError,
-    NonPhysicalError,
-    NonSymmetricError,
-    UnsupportedStateError,
-)
+from qthermal.errors import DimensionMismatchError, NonPhysicalError, NonSymmetricError
 from qthermal.gaussian import (
     CovarianceMatrix,
     _fidelity_mp,
-    fock_fidelity_oracle,
     gaussian_fidelity,
     symplectic_eigenvalues,
     thermal_cm,
@@ -33,7 +26,14 @@ from qthermal.gaussian import (
     vacuum_cm,
 )
 
-from conftest import eig_fidelity_oracle, random_cm, random_symplectic
+from conftest import (
+    CutoffTooSmallError,
+    UnsupportedStateError,
+    eig_fidelity_oracle,
+    fock_fidelity_oracle,
+    random_cm,
+    random_symplectic,
+)
 
 
 def thermal_pair_closed(n1, n2):
