@@ -22,10 +22,6 @@ from .channels import (
     ChannelSpec,
     EnvironmentPair,
     choi_cm,
-    choi_fidelity_additive,
-    choi_fidelity_thermal,
-    classical_fidelity_additive,
-    classical_output_cm,
     fidelity_choi_inf,
     fidelity_choi_inf_extrapolated,
     fidelity_classical,
@@ -86,10 +82,6 @@ __all__ = [
     "binarize",
     "bounds",
     "choi_cm",
-    "choi_fidelity_additive",
-    "choi_fidelity_thermal",
-    "classical_fidelity_additive",
-    "classical_output_cm",
     "cpf_functional",
     "cross_functional",
     "endpoint_noise_models",

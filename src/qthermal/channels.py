@@ -3,16 +3,15 @@
 A channel is parameterised by transmissivity/gain tau and induced noise nu
 (shot-noise units).  Background/target pairs share the same tau and differ
 only in noise, so every fidelity here reduces to a function of the pair's
-noise parameters, evaluated either from closed forms or from covariance
-matrices via :func:`qthermal.gaussian.gaussian_fidelity`.
+noise parameters.
 
-The covariance-matrix route is the reference.  Printed closed forms for the
-thermal (loss/amplifier) family at infinite squeezing are validated against
-its extended-precision extrapolation on every call and are abandoned, with a
-warning, if they disagree.  The finite-energy fidelity is an exact closed
-form (:func:`fidelity_finite`); :func:`choi_cm` and the covariance-matrix
-fidelity stay public, and the test suite checks the closed form against them
-built in 100 digits.
+All three fidelities come from one exact closed form in (tau, nu_t, nu_b, a),
+the finite-energy Choi fidelity :func:`fidelity_finite`: the vacuum-probe
+:func:`fidelity_classical` is its a = 1/2 value and the infinitely squeezed
+:func:`fidelity_choi_inf` its a -> infinity limit.  None of them builds a
+covariance matrix.  :func:`choi_cm`, :func:`fidelity_choi_inf_extrapolated`
+and the covariance-matrix fidelity of :mod:`qthermal.gaussian` stay public as
+independent references, against which the test suite checks the closed form.
 """
 
 from __future__ import annotations
@@ -24,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .errors import (
-    ConventionUnresolvedWarning,
-    ExtrapolationWarning,
-    NonPhysicalChannelError,
-)
-from .gaussian import MP_LOCK, CovarianceMatrix, _fidelity_mp, gaussian_fidelity
+from .errors import ExtrapolationWarning, NonPhysicalChannelError
+from .gaussian import MP_LOCK, CovarianceMatrix, _fidelity_mp
 
 _h_planck = 6.62607015e-34  # J s, exact in the SI
 _c_light = 299792458.0  # m / s, exact in the SI
@@ -41,7 +36,6 @@ _CP_TOL = 1e-12
 # spread doubles as the convergence estimate
 _ASYMPTOTIC_A = (1e13, 1e14)
 _ASYMPTOTIC_SPREAD_TOL = 1e-9
-_CLOSED_FORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -151,9 +145,17 @@ def choi_cm(channel: ChannelSpec, a) -> CovarianceMatrix:
     return CovarianceMatrix(V)
 
 
-def classical_output_cm(channel: ChannelSpec) -> CovarianceMatrix:
-    """Vacuum-probe output: a thermal state with variance tau/2 + nu."""
-    return CovarianceMatrix((channel.tau / 2.0 + channel.nu) * np.eye(2))
+def _root_products(pair: EnvironmentPair) -> tuple[float, float]:
+    """(hi, lo) of :func:`fidelity_finite`: R+- = sqrt((nu_t +- g)(nu_b +- g))
+    with g = |1 - tau|/2, ordered (R+, R-) for tau <= 1 and (R-, R+) above."""
+    tau, nus = pair.tau, (pair.target.nu, pair.background.nu)
+    halves = (0.5, -tau / 2) if tau <= 1.0 else (-0.5, tau / 2)  # sum to g
+    # each nu +- g is one correctly rounded sum, 0 for a pure environment
+    plus, minus = (
+        math.sqrt(math.prod(max(math.fsum([nu, s * halves[0], s * halves[1]]), 0.0) for nu in nus))
+        for s in (1.0, -1.0)
+    )
+    return (plus, minus) if tau <= 1.0 else (minus, plus)
 
 
 def fidelity_finite(pair: EnvironmentPair, a):
@@ -176,8 +178,7 @@ def fidelity_finite(pair: EnvironmentPair, a):
     nu -+ g is one correctly rounded sum, so nothing cancels, pure
     environments included.  F is non-increasing in a; at a = 1/2 it is
     :func:`fidelity_classical`, and as a -> infinity it tends to
-    (R+ + R-)/(nu_t + nu_b), that is :func:`choi_fidelity_additive` and
-    :func:`choi_fidelity_thermal`.
+    (hi + lo)/(nu_t + nu_b), :func:`fidelity_choi_inf`.
 
     An array of a gives an array of its shape, each entry bit for bit the
     scalar call; a below 1/2 or not finite raises ``ValueError``.
@@ -185,30 +186,40 @@ def fidelity_finite(pair: EnvironmentPair, a):
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a) & (a >= 0.5)):
         raise ValueError(f"squeezing parameter a must be finite and >= 1/2, got {a.min()}")
-    tau, nus = pair.tau, (pair.target.nu, pair.background.nu)
-    halves = (0.5, -tau / 2) if tau <= 1.0 else (-0.5, tau / 2)  # sum to g
-    # R+ and R-: each nu +- g is one correctly rounded sum, 0 for a pure environment
-    plus, minus = (
-        math.sqrt(math.prod(max(math.fsum([nu, s * halves[0], s * halves[1]]), 0.0) for nu in nus))
-        for s in (1.0, -1.0)
-    )
-    hi, lo = (plus, minus) if tau <= 1.0 else (minus, plus)
+    hi, lo = _root_products(pair)
     p = (a - 0.5) / a * hi + (a + 0.5) / a * lo
-    e = 2.0 * sum(nus) + tau / a
+    e = 2.0 * (pair.target.nu + pair.background.nu) + pair.tau / a
     F = np.minimum((p + np.sqrt(p * p + e / a)) / e, 1.0)
     return F if F.ndim else float(F)
 
 
 def fidelity_classical(pair: EnvironmentPair) -> float:
-    """Output fidelity of the optimal classical (vacuum-probe) strategy."""
-    return gaussian_fidelity(
-        classical_output_cm(pair.target), classical_output_cm(pair.background)
-    )
+    """Output fidelity of the optimal classical (vacuum-probe) strategy.
+
+    A vacuum probe is the a = 1/2 Choi state: the idler is vacuum and
+    uncorrelated, so this is :func:`fidelity_finite` at a = 1/2, the
+    fidelity of the two thermal outputs of variance tau/2 + nu.
+    """
+    return fidelity_finite(pair, 0.5)
 
 
-def classical_fidelity_additive(nu_t: float, nu_b: float) -> float:
-    """Closed form 1/(sqrt((nu_t+1)(nu_b+1)) - sqrt(nu_t*nu_b))."""
-    return 1.0 / (np.sqrt((nu_t + 1.0) * (nu_b + 1.0)) - np.sqrt(nu_t * nu_b))
+def fidelity_choi_inf(pair: EnvironmentPair) -> float:
+    """Fidelity between the pair's asymptotic (infinitely squeezed) Choi states.
+
+    The a -> infinity limit of :func:`fidelity_finite`,
+    (hi + lo)/(nu_t + nu_b).  For additive pairs this is
+    2 sqrt(nu_t nu_b)/(nu_t + nu_b), and for loss/amplifier pairs the
+    tau-independent sqrt((4 e_t e_b + 1 + sqrt((4 e_t^2 - 1)(4 e_b^2 - 1))) / 2)
+    / (e_t + e_b) in the thermal parameters eps = nbar + 1/2.  A noiseless
+    additive pair gives 1.0 (nu_t + nu_b <= 0: the complete-positivity
+    tolerance admits nu down to -1e-12), a noiseless channel against a noisy
+    one 0.0.
+    """
+    total = pair.target.nu + pair.background.nu
+    if total <= 0.0:
+        return 1.0
+    hi, lo = _root_products(pair)
+    return min(1.0, (hi + lo) / total)
 
 
 def _mp_choi_fidelity(pair: EnvironmentPair, a: float, dps: int = 60) -> float:
@@ -227,7 +238,8 @@ def fidelity_choi_inf_extrapolated(pair: EnvironmentPair) -> float:
 
     Evaluated at two squeezing values far into the asymptotic regime; the
     spread between them estimates the residual.  Warns with
-    ``ExtrapolationWarning`` if the spread exceeds 1e-9.
+    ``ExtrapolationWarning`` if the spread exceeds 1e-9.  No CLI path calls
+    it: it is the independent reference for :func:`fidelity_choi_inf`.
     """
     lo = _mp_choi_fidelity(pair, _ASYMPTOTIC_A[0])
     hi = _mp_choi_fidelity(pair, _ASYMPTOTIC_A[1])
@@ -240,54 +252,11 @@ def fidelity_choi_inf_extrapolated(pair: EnvironmentPair) -> float:
     return min(hi, 1.0)
 
 
-def choi_fidelity_thermal(eps_t: float, eps_b: float) -> float:
-    """Infinite-squeezing Choi fidelity of a loss/amplifier pair.
-
-    Depends only on the environmental thermal parameters eps = nbar + 1/2,
-    not on the common transmissivity:
-
-        F = sqrt((4 e_t e_b + 1 + sqrt((4 e_t^2 - 1)(4 e_b^2 - 1))) / 2) / (e_t + e_b)
-    """
-    cross = np.sqrt((4.0 * eps_t**2 - 1.0) * (4.0 * eps_b**2 - 1.0))
-    return np.sqrt(2.0 * eps_t * eps_b + 0.5 + 0.5 * cross) / (eps_t + eps_b)
-
-
-def choi_fidelity_additive(nu_t: float, nu_b: float) -> float:
-    """Infinite-squeezing Choi fidelity 2 sqrt(nu_t nu_b)/(nu_t + nu_b)."""
-    if nu_t == nu_b:
-        return 1.0
-    return 2.0 * np.sqrt(nu_t * nu_b) / (nu_t + nu_b)
-
-
-def fidelity_choi_inf(pair: EnvironmentPair) -> float:
-    """Fidelity between the pair's asymptotic (infinitely squeezed) Choi states.
-
-    Additive pairs use the exact closed form.  Loss/amplifier pairs use the
-    thermal closed form only after validating it against the
-    covariance-matrix extrapolation on this very pair; on disagreement beyond
-    1e-6 the closed form is dropped, a ``ConventionUnresolvedWarning`` is
-    emitted and the extrapolated value is returned.
-    """
-    if pair.kind == "additive":
-        return choi_fidelity_additive(pair.target.nu, pair.background.nu)
-    closed = choi_fidelity_thermal(pair.target.epsilon, pair.background.epsilon)
-    oracle = fidelity_choi_inf_extrapolated(pair)
-    if abs(closed - oracle) > _CLOSED_FORM_TOL:
-        warnings.warn(
-            f"thermal Choi closed form {closed:.9g} disagrees with the "
-            f"covariance-matrix value {oracle:.9g}; using the latter",
-            ConventionUnresolvedWarning,
-            stacklevel=2,
-        )
-        return oracle
-    return closed
-
-
 def temperature_of(nbar: float, wavelength: float) -> float:
     """Blackbody temperature (Kelvin) of a mode with occupation ``nbar`` at
     the given wavelength (meters), T = hc / (k lambda ln(1/nbar + 1))."""
     if nbar <= 0:
         raise ValueError(f"occupation must be positive, got {nbar}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if not 0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
     return _h_planck * _c_light / (_k_boltzmann * wavelength * np.log1p(1.0 / nbar))

@@ -61,9 +61,5 @@ class NonFiniteLossError(FloatingPointError):
     """Loss evaluated to NaN or infinity."""
 
 
-class ConventionUnresolvedWarning(RuntimeWarning):
-    """A printed closed form disagrees with the covariance-matrix oracle."""
-
-
 class ExtrapolationWarning(RuntimeWarning):
     """Infinite-squeezing extrapolation did not converge to tolerance."""

@@ -167,6 +167,30 @@ def choi_reference_fidelity(pair, a, dps: int = 100) -> float:
     return eig_fidelity_oracle(*mats, dps=dps)
 
 
+# The paper's printed single-pixel closed forms, kept here as references
+# independent of the library's one closed form in (tau, nu_t, nu_b, a).
+
+
+def printed_choi_additive(nu_t: float, nu_b: float) -> float:
+    """Infinite-squeezing Choi fidelity of an additive pair,
+    2 sqrt(nu_t nu_b)/(nu_t + nu_b)."""
+    return 2.0 * np.sqrt(nu_t * nu_b) / (nu_t + nu_b)
+
+
+def printed_choi_thermal(eps_t: float, eps_b: float) -> float:
+    """Infinite-squeezing Choi fidelity of a loss/amplifier pair in the
+    thermal parameters eps = nbar + 1/2, independent of the transmissivity:
+    sqrt((4 e_t e_b + 1 + sqrt((4 e_t^2 - 1)(4 e_b^2 - 1))) / 2) / (e_t + e_b)."""
+    cross = np.sqrt((4.0 * eps_t**2 - 1.0) * (4.0 * eps_b**2 - 1.0))
+    return np.sqrt(2.0 * eps_t * eps_b + 0.5 + 0.5 * cross) / (eps_t + eps_b)
+
+
+def printed_classical_additive(nu_t: float, nu_b: float) -> float:
+    """Vacuum-probe fidelity of an additive pair,
+    1/(sqrt((nu_t + 1)(nu_b + 1)) - sqrt(nu_t nu_b))."""
+    return 1.0 / (np.sqrt((nu_t + 1.0) * (nu_b + 1.0)) - np.sqrt(nu_t * nu_b))
+
+
 class UnsupportedStateError(GaussianStateError):
     """State is outside the Fock oracle's diagonal-thermal scope."""
 

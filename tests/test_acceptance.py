@@ -16,12 +16,9 @@ from qthermal.bounds import (
 )
 from qthermal.channels import (
     EnvironmentPair,
-    choi_fidelity_additive,
-    classical_fidelity_additive,
     fidelity_choi_inf,
     fidelity_choi_inf_extrapolated,
     fidelity_classical,
-    fidelity_finite,
 )
 from qthermal.classify import (
     NoiseModel,
@@ -48,6 +45,8 @@ from conftest import (
     brute_uniform,
     fock_fidelity_oracle,
     max_fd_error,
+    printed_choi_additive,
+    printed_classical_additive,
     smooth_configuration,
 )
 
@@ -100,8 +99,11 @@ def test_criterion_2_fidelity_oracles():
         else:
             tau = rng.uniform(0.02, 0.999)
             pair = EnvironmentPair.thermal(tau, *rng.uniform(0.5, 25.0, 2))
+        # the vacuum-probe outputs are thermal, variance tau/2 + nu = nbar + 1/2
+        nbars = [pair.tau / 2 + ch.nu - 0.5 for ch in (pair.target, pair.background)]
         worst_half = max(
-            worst_half, abs(fidelity_finite(pair, 0.5) - fidelity_classical(pair))
+            worst_half,
+            abs(fidelity_classical(pair) - gaussian_fidelity(*map(thermal_cm, nbars))),
         )
     ok = worst_fock <= 1e-8 and worst_half <= 1e-10
     report(
@@ -118,13 +120,15 @@ def test_criterion_3_additive_closed_forms_and_tau_independence():
     for nu_t in grid:
         for nu_b in grid:
             pair = EnvironmentPair.additive(nu_b, nu_t)
+            printed = printed_choi_additive(nu_t, nu_b)
             worst_inf = max(
                 worst_inf,
-                abs(choi_fidelity_additive(nu_t, nu_b) - fidelity_choi_inf_extrapolated(pair)),
+                abs(printed - fidelity_choi_inf_extrapolated(pair)),
+                abs(printed - fidelity_choi_inf(pair)),
             )
             worst_cl = max(
                 worst_cl,
-                abs(classical_fidelity_additive(nu_t, nu_b) - fidelity_classical(pair)),
+                abs(printed_classical_additive(nu_t, nu_b) - fidelity_classical(pair)),
             )
     taus = (0.1, 0.5, 0.9, 0.99)
     spread = 0.0
@@ -149,13 +153,13 @@ def test_criterion_4_min_rel_probe_dual_path():
     for _ in range(100):
         nu_t, nu_b = 10 ** rng.uniform(-3, 0, 2)
         generic = min_rel_probe_uniform(
-            choi_fidelity_additive(nu_t, nu_b), classical_fidelity_additive(nu_t, nu_b)
+            printed_choi_additive(nu_t, nu_b), printed_classical_additive(nu_t, nu_b)
         )
         closed = min_rel_probe_additive(nu_t, nu_b)
         worst = max(worst, abs(generic - closed) / max(1.0, abs(closed)))
 
-    F_q = choi_fidelity_additive(0.01, 0.02)
-    F_cl = classical_fidelity_additive(0.01, 0.02)
+    F_q = printed_choi_additive(0.01, 0.02)
+    F_cl = printed_classical_additive(0.01, 0.02)
     mbar = min_rel_probe_uniform(F_q, F_cl)
     flips_ok = True
     for m in (4, 9, 50):
@@ -172,8 +176,8 @@ def test_criterion_4_min_rel_probe_dual_path():
 
 def test_criterion_5_figure_setups():
     # uniform m=9 additive pattern: some finite M guarantees advantage
-    F_q = choi_fidelity_additive(0.01, 0.02)
-    F_cl = classical_fidelity_additive(0.01, 0.02)
+    F_q = printed_choi_additive(0.01, 0.02)
+    F_cl = printed_classical_additive(0.01, 0.02)
     space = ImageSpace.uniform(9)
     reports = [bounds(space, M, F_q, F_cl) for M in range(1, 301)]
     crossing = next((i + 1 for i, r in enumerate(reports) if r.mga > 0), None)

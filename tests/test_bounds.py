@@ -16,17 +16,15 @@ from qthermal.bounds import (
 )
 from qthermal.channels import (
     EnvironmentPair,
-    choi_fidelity_additive,
-    classical_fidelity_additive,
     fidelity_choi_inf,
     fidelity_classical,
 )
 from qthermal.spaces import ImageSpace
 
-from conftest import image_spaces
+from conftest import image_spaces, printed_choi_additive, printed_classical_additive
 
-F_Q_ADD = choi_fidelity_additive(0.01, 0.02)
-F_CL_ADD = classical_fidelity_additive(0.01, 0.02)
+F_Q_ADD = printed_choi_additive(0.01, 0.02)
+F_CL_ADD = printed_classical_additive(0.01, 0.02)
 
 
 class TestPixelErrorBounds:
@@ -198,7 +196,7 @@ class TestMinRelProbe:
         for _ in range(100):
             nu_t, nu_b = 10 ** rng.uniform(-3, 0, 2)
             generic = min_rel_probe_uniform(
-                choi_fidelity_additive(nu_t, nu_b), classical_fidelity_additive(nu_t, nu_b)
+                printed_choi_additive(nu_t, nu_b), printed_classical_additive(nu_t, nu_b)
             )
             closed = min_rel_probe_additive(nu_t, nu_b)
             assert generic == pytest.approx(closed, rel=1e-10)

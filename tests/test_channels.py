@@ -10,9 +10,6 @@ from qthermal.channels import (
     ChannelSpec,
     EnvironmentPair,
     choi_cm,
-    choi_fidelity_thermal,
-    classical_fidelity_additive,
-    classical_output_cm,
     fidelity_choi_inf,
     fidelity_choi_inf_extrapolated,
     fidelity_classical,
@@ -21,9 +18,13 @@ from qthermal.channels import (
 )
 from qthermal.channels import _mp_choi_fidelity
 from qthermal.errors import NonPhysicalChannelError
-from qthermal.gaussian import gaussian_fidelity, thermal_cm, tmsv_cm
+from qthermal.gaussian import CovarianceMatrix, gaussian_fidelity, thermal_cm, tmsv_cm
 
-from conftest import choi_reference_fidelity
+from conftest import (
+    choi_reference_fidelity,
+    printed_choi_thermal,
+    printed_classical_additive,
+)
 
 
 class TestChannelSpec:
@@ -74,9 +75,12 @@ class TestChoiCm:
             choi_cm(ChannelSpec(1.0, 0.1), a=0.4)
 
 
-# (pair, fidelity_choi_inf, _mp_choi_fidelity at a = 0.5, 0.8, 1e4, 1e13): the
-# values of the separate numpy and mpmath Choi constructors that _choi_entries
-# replaced, which the shared one must reproduce bit for bit
+# (pair, fidelity_choi_inf, _mp_choi_fidelity at a = 0.5, 0.8, 1e4, 1e13).
+# The mpmath tuples are the values of the separate numpy and mpmath Choi
+# constructors that _choi_entries replaced, which the shared one must
+# reproduce bit for bit.  The fidelity_choi_inf column is the closed-form
+# limit (hi + lo)/(nu_t + nu_b); on the loss pair it is one ulp (1.2e-16
+# relative) below the printed thermal form and the 150-digit value.
 PINNED_CHOI = [
     (
         EnvironmentPair.additive(0.02, 0.01),
@@ -85,7 +89,7 @@ PINNED_CHOI = [
     ),
     (
         EnvironmentPair.thermal(0.3, 0.5, 0.6),
-        0.9534625892455924,
+        0.9534625892455922,
         (0.9667364890456636, 0.9643819959875238, 0.9534644464714083, 0.9534625892455942),
     ),
     (
@@ -111,16 +115,34 @@ class TestSharedChoiConstructor:
             assert np.array_equal(V, [[a, 0, c, 0], [0, a, 0, -c], [c, 0, out, 0], [0, -c, 0, out]])
 
 
+def vacuum_probe_reference(variance_t: float, variance_b: float) -> float:
+    """Fidelity of two single-mode thermal outputs with the given quadrature
+    variances, from the 2x2 covariance-matrix route."""
+    return gaussian_fidelity(
+        CovarianceMatrix(variance_t * np.eye(2)), CovarianceMatrix(variance_b * np.eye(2))
+    )
+
+
 class TestClassicalOutput:
+    # a vacuum probe leaves a thermal output of variance tau/2 + nu
+
     def test_identity(self):
-        assert_allclose(classical_output_cm(ChannelSpec(1.0, 0.0)).matrix, 0.5 * np.eye(2))
+        pair = EnvironmentPair(ChannelSpec.additive(0.01), ChannelSpec(1.0, 0.0))
+        assert fidelity_classical(pair) == pytest.approx(
+            vacuum_probe_reference(0.5, 0.51), rel=1e-13
+        )
 
     def test_additive(self):
-        assert_allclose(classical_output_cm(ChannelSpec.additive(0.01)).matrix, 0.51 * np.eye(2))
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        assert fidelity_classical(pair) == pytest.approx(
+            vacuum_probe_reference(0.51, 0.52), rel=1e-13
+        )
 
     def test_loss(self):
-        ch = ChannelSpec(0.99, 18.5 * 0.01)
-        assert_allclose(classical_output_cm(ch).matrix, 0.68 * np.eye(2), atol=1e-12)
+        pair = EnvironmentPair(ChannelSpec(0.99, 18.5 * 0.01), ChannelSpec(0.99, 20.2 * 0.01))
+        assert fidelity_classical(pair) == pytest.approx(
+            vacuum_probe_reference(0.68, 0.697), rel=1e-13
+        )
 
 
 class TestChoiInfinity:
@@ -142,9 +164,9 @@ class TestChoiInfinity:
             eps_b, eps_t = rng.uniform(0.6, 30.0, 2)
             tau = rng.uniform(0.05, 0.995)
             pair = EnvironmentPair.thermal(tau, eps_b, eps_t)
-            closed = choi_fidelity_thermal(eps_t, eps_b)
             oracle = fidelity_choi_inf_extrapolated(pair)
-            assert closed == pytest.approx(oracle, abs=1e-9)
+            assert printed_choi_thermal(eps_t, eps_b) == pytest.approx(oracle, abs=1e-9)
+            assert fidelity_choi_inf(pair) == pytest.approx(oracle, abs=1e-9)
 
     def test_thermal_tau_independent(self):
         vals = [
@@ -161,7 +183,7 @@ class TestChoiInfinity:
             np.sqrt(2) * 2 * eps
         )
         assert abs(broken - 1.0) > 0.1
-        assert choi_fidelity_thermal(eps, eps) == pytest.approx(1.0, abs=1e-12)
+        assert printed_choi_thermal(eps, eps) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestClassicalFidelity:
@@ -174,7 +196,9 @@ class TestClassicalFidelity:
         pair = EnvironmentPair.additive(0.02, 0.01)
         expected = 1.0 / (np.sqrt(1.01 * 1.02) - np.sqrt(2e-4))
         assert fidelity_classical(pair) == pytest.approx(expected, abs=1e-10)
-        assert classical_fidelity_additive(0.01, 0.02) == pytest.approx(expected, abs=1e-15)
+        assert fidelity_classical(pair) == pytest.approx(
+            printed_classical_additive(0.01, 0.02), rel=1e-15
+        )
 
     def test_thermal_single_mode_route(self):
         tau = 0.99
@@ -199,12 +223,14 @@ class TestClassicalFidelity:
 
 class TestFiniteEnergy:
     def test_half_equals_classical(self):
+        # at a = 1/2 the idler is vacuum: the outputs' single-mode fidelity
         rng = np.random.default_rng(7)
         for _ in range(10):
             tau = rng.uniform(0.05, 0.999)
             pair = EnvironmentPair.thermal(tau, *rng.uniform(0.5, 25.0, 2))
+            variances = [tau / 2 + ch.nu for ch in (pair.target, pair.background)]
             assert fidelity_finite(pair, 0.5) == pytest.approx(
-                fidelity_classical(pair), abs=1e-10
+                vacuum_probe_reference(*variances), abs=1e-10
             )
 
     def test_identical_channels_any_energy(self):
@@ -278,7 +304,7 @@ class TestFiniteEnergyProperties:
 
     @given(environment_pairs(), st.lists(squeezing, max_size=6), st.integers(0, 6))
     def test_grid_equals_scalar_calls(self, pair, grid, at):
-        # the vacuum-probe row a = 1/2 is the near-pure, 50-digit case
+        # the vacuum-probe row a = 1/2 is fidelity_classical
         grid.insert(min(at, len(grid)), 0.5)
         F = fidelity_finite(pair, np.array(grid))
         assert F.shape == (len(grid),)
@@ -365,6 +391,38 @@ class TestFiniteEnergyAccuracy:
         assert fidelity_finite(pair, 1e300) == pytest.approx(fidelity_choi_inf(pair), abs=1e-12)
 
 
+class TestEndpointAccuracy:
+    """The vacuum-probe and infinitely squeezed fidelities are the a = 1/2
+    value and the a -> infinity limit of the closed form, held to Choi
+    matrices built in 100 digits at a = 1/2 and in 150 digits at a = 1e30."""
+
+    @given(pure_and_mixed_pairs())
+    def test_classical_matches_half_reference(self, pair):
+        F = fidelity_classical(pair)
+        assert F == fidelity_finite(pair, 0.5)
+        assert F == pytest.approx(choi_reference_fidelity(pair, 0.5), rel=ACCURACY, abs=0.0)
+
+    @given(pure_and_mixed_pairs())
+    def test_choi_inf_matches_large_squeezing_reference(self, pair):
+        F = fidelity_choi_inf(pair)
+        assert isinstance(F, float)
+        nus = (pair.target.nu, pair.background.nu)
+        if pair.kind == "additive" and min(nus) == 0.0 < max(nus):
+            # a noiseless channel against a noisy one: the limit is 0
+            assert F == 0.0
+        else:
+            assert F == pytest.approx(
+                choi_reference_fidelity(pair, 1e30, dps=150), rel=ACCURACY, abs=0.0
+            )
+
+    def test_noiseless_additive_pair(self):
+        # nu down to -1e-12 passes the complete-positivity check
+        for nus in ((0.0, 0.0), (-1e-13, 0.0)):
+            pair = EnvironmentPair.additive(*nus)
+            assert fidelity_classical(pair) == 1.0
+            assert fidelity_choi_inf(pair) == 1.0
+
+
 class TestTemperature:
     def test_reference_value(self):
         # hc/k = 1.4387768775e-2 m K over ln(19/18) at 1 mm
@@ -381,3 +439,6 @@ class TestTemperature:
             temperature_of(0.0, 1e-3)
         with pytest.raises(ValueError):
             temperature_of(1.0, 0.0)
+        for wavelength in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="wavelength"):
+                temperature_of(1.0, wavelength)

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,21 +80,25 @@ class TestFidelityCommand:
         assert code == 2
         assert "nuB" in err
 
-    def test_convention_warning_reaches_stderr(self, capsys, monkeypatch):
-        import qthermal.channels as channels
+    def test_each_distinct_warning_reaches_stderr_once(self, capsys, monkeypatch):
+        import qthermal.cli as cli
 
-        monkeypatch.setattr(channels, "choi_fidelity_thermal", lambda *a: 0.5)
+        def warn_twice(pair):
+            for _ in range(2):
+                warnings.warn("first", RuntimeWarning)
+                warnings.warn("second", UserWarning)
+            return 0.5
+
+        monkeypatch.setattr(cli, "fidelity_choi_inf", warn_twice)
         code, out, err = run(
             ["fidelity", "--kind", "thermal", "--tau", "0.9", "--epsB", "18.5",
              "--epsT", "20.2", "--a", "0.5"],
             capsys,
         )
         assert code == 0
-        expected = channels.fidelity_choi_inf_extrapolated(EnvironmentPair.thermal(0.9, 18.5, 20.2))
-        assert out.strip().split("\n")[-1] == f"inf,{expected!r}"
+        assert out.strip().split("\n")[-1] == "inf,0.5"
         warned = [l for l in err.splitlines() if l.startswith("warning: ")]
-        assert len(warned) == 1
-        assert warned[0].startswith("warning: ConventionUnresolvedWarning: ")
+        assert warned == ["warning: RuntimeWarning: first", "warning: UserWarning: second"]
 
 
 class TestBoundsCommand:
@@ -179,6 +184,23 @@ class TestBoundsCommand:
         )
         assert code == 0
         assert out.split("\n")[1].startswith("100,")
+
+    def test_finite_energy_at_half_is_the_classical_bound(self, capsys, tmp_path):
+        # F_q = F(a = 1/2) and F_cl are one value; from two routes, F_q came
+        # out one ulp above F_cl here and a spurious F_q <= F_cl warning printed
+        out = tmp_path / "half.csv"
+        code, _, err = run(
+            ["bounds", "--kind", "thermal", "--tau", "0.8354897615355993",
+             "--epsB", "12.571374522890258", "--epsT", "16.713013786355255",
+             "--m", "784", "--M", "100,1000", "--energy", "finite", "--a", "0.5",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert "warning:" not in err
+        manifest = (tmp_path / "half.csv.manifest").read_text(encoding="utf-8").splitlines()
+        fields = dict(line.split(": ", 1) for line in manifest)
+        assert fields["F_q"] == fields["F_cl"]
 
     def test_repeated_warning_printed_once(self, capsys, monkeypatch):
         import qthermal.cli as cli
@@ -310,37 +332,6 @@ class TestSimulateCommand:
             "d7474834660b551e9e74d806be098078defc436944d289e0d3eef70ea80cc343"
         )
 
-    @pytest.mark.parametrize(
-        "argv", [["fidelity", "--a", "0.5"], ["bounds", "--m", "4", "--M", "1"]],
-        ids=["fidelity", "bounds"],
-    )
-    def test_nonconvergence_exit_code(self, capsys, monkeypatch, argv):
-        import qthermal.channels as channels
-
-        calls = iter([0.9, 0.7])
-        monkeypatch.setattr(channels, "_mp_choi_fidelity", lambda *a, **k: next(calls))
-        code, out, err = run(
-            [*argv, "--kind", "thermal", "--tau", "0.9", "--epsB", "18.5", "--epsT", "20.2"],
-            capsys,
-        )
-        assert code == 4
-        assert out.startswith(("a,F\n", "M,q_lower"))
-        assert sum(l.startswith("warning: ExtrapolationWarning: ") for l in err.splitlines()) == 1
-
-    def test_extrapolation_warning_exit_code(self, capsys, monkeypatch):
-        import qthermal.channels as channels
-
-        calls = iter([0.9, 0.7])
-        monkeypatch.setattr(channels, "_mp_choi_fidelity", lambda *a, **k: next(calls))
-        code, out, _ = run(
-            ["simulate", "--kind", "thermal", "--tau", "0.9", "--epsB", "18.5",
-             "--epsT", "20.2", "--T", "40", "--eval-size", "10", "--trials", "1",
-             "--M", "10"],
-            capsys,
-        )
-        assert code == 4
-        assert len(out.strip().split("\n")) == 2
-
     def test_non_finite_loss_exit_code(self, capsys, monkeypatch):
         import qthermal.cnn as cnn
         from qthermal.errors import NonFiniteLossError
@@ -460,22 +451,55 @@ def test_non_finite_range_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["temp", "--nbar", "inf,1"],
-        ["temp", "--eps", "nan"],
-        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5,inf"],
-        ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
-         "--M", "1,inf"],
+        (["temp", "--nbar", "inf,1"], "grid values must be finite, got 'inf,1'"),
+        (["temp", "--eps", "nan"], "grid values must be finite, got 'nan'"),
+        (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5,inf"],
+         "grid values must be finite, got '0.5,inf'"),
+        (["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
+          "--M", "1,inf"], "grid values must be finite, got '1,inf'"),
+        (["temp", "--eps", "18.5", "--wavelength", "nan"],
+         "wavelength must be positive and finite, got nan"),
+        (["temp", "--eps", "18.5", "--wavelength", "inf"],
+         "wavelength must be positive and finite, got inf"),
     ],
-    ids=["temp-nbar-inf", "temp-eps-nan", "fidelity-a-inf", "bounds-M-inf"],
+    ids=["temp-nbar-inf", "temp-eps-nan", "fidelity-a-inf", "bounds-M-inf",
+         "temp-wavelength-nan", "temp-wavelength-inf"],
 )
-def test_non_finite_list_entry_is_usage_error(capsys, argv):
+def test_non_finite_list_entry_is_usage_error(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert f"error: grid values must be finite, got {argv[-1]!r}" in err
+    assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_commands_take_no_covariance_matrix_or_extended_precision_route(capsys, monkeypatch):
+    """Every fidelity a command prints comes from the closed forms."""
+    import qthermal.channels as channels
+    import qthermal.gaussian as gaussian
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("covariance-matrix or extended-precision fidelity called")
+
+    for module, name in (
+        (gaussian, "gaussian_fidelity"), (gaussian, "_fidelity_mp"), (channels, "_mp_choi_fidelity")
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    thermal = ["--kind", "thermal", "--tau", "0.99", "--epsB", "18.5", "--epsT", "20.2"]
+    additive = ["--kind", "additive", "--nuT", "0.01", "--nuB", "0.02"]
+    commands = [
+        ["fidelity", *thermal, "--a", "0.5,2.5,100"],
+        ["fidelity", *additive, "--a", "0.5,2.5,100"],
+        *(["bounds", *thermal, "--m", "784", "--M", "100,1000", "--energy", energy]
+          for energy in ("asymptotic", "classical", "finite")),
+        ["simulate", "--classifier", "nn", *thermal, "--T", "40", "--eval-size", "10",
+         "--trials", "1", "--M", "10"],
+    ]
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 @pytest.mark.parametrize("job, argv", REFERENCE_JOBS, ids=[job for job, _ in REFERENCE_JOBS])

@@ -12,8 +12,7 @@ from qthermal.channels import (
     ChannelSpec,
     EnvironmentPair,
     choi_cm,
-    choi_fidelity_thermal,
-    fidelity_choi_inf,
+    fidelity_choi_inf_extrapolated,
 )
 from qthermal.errors import DimensionMismatchError, NonPhysicalError, NonSymmetricError
 from qthermal.gaussian import (
@@ -31,6 +30,7 @@ from conftest import (
     UnsupportedStateError,
     eig_fidelity_oracle,
     fock_fidelity_oracle,
+    printed_choi_thermal,
     random_cm,
     random_symplectic,
 )
@@ -210,7 +210,9 @@ class TestExtendedPrecision:
 
         monkeypatch.setattr(gaussian, "_fidelity_mp", spy)
         monkeypatch.setattr(mp, "eig", no_eig)
-        assert fidelity_choi_inf(pair) == choi_fidelity_thermal(20.2, 18.5)
+        assert fidelity_choi_inf_extrapolated(pair) == pytest.approx(
+            printed_choi_thermal(20.2, 18.5), rel=1e-12, abs=0.0
+        )
         for (V1, V2), want in zip(pure_pairs, expected):
             assert gaussian_fidelity(V1, V2) == pytest.approx(want, rel=1e-14, abs=0.0)
         assert routed == [2, 4]
