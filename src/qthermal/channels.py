@@ -9,8 +9,9 @@ All three fidelities come from one exact closed form in (tau, nu_t, nu_b, a),
 the finite-energy Choi fidelity :func:`fidelity_finite`: the vacuum-probe
 :func:`fidelity_classical` is its a = 1/2 value and the infinitely squeezed
 :func:`fidelity_choi_inf` its a -> infinity limit.  None of them builds a
-covariance matrix.  :func:`choi_cm`, :func:`fidelity_choi_inf_extrapolated`
-and the covariance-matrix fidelity of :mod:`qthermal.gaussian` stay public as
+covariance matrix or imports mpmath.  :func:`choi_cm`,
+:func:`fidelity_choi_inf_extrapolated` (60 digits) and the 50-digit
+covariance-matrix fidelity of :mod:`qthermal.gaussian` stay public as
 independent references, against which the test suite checks the closed form.
 """
 
@@ -21,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .errors import ExtrapolationWarning, NonPhysicalChannelError
 from .gaussian import MP_LOCK, CovarianceMatrix, _fidelity_mp
@@ -121,27 +121,25 @@ class EnvironmentPair:
 
 def _choi_entries(a, tau, nu, sqrt) -> dict:
     """Upper-triangle entries {(i, j): value} of :func:`choi_cm`'s matrix, from
-    numpy arrays (``sqrt=np.sqrt``) or mpmath numbers (``sqrt=mp.sqrt``)."""
+    floats (``sqrt=math.sqrt``) or mpmath numbers (``sqrt=mp.sqrt``)."""
     c = sqrt(tau * (a * a - 0.25))
     out = a * tau + nu
     return {(0, 0): a, (1, 1): a, (2, 2): out, (3, 3): out, (0, 2): c, (1, 3): -c}
 
 
-def choi_cm(channel: ChannelSpec, a) -> CovarianceMatrix:
+def choi_cm(channel: ChannelSpec, a: float) -> CovarianceMatrix:
     """Covariance matrix of the finite-energy Choi state at squeezing a.
 
     One half of a two-mode squeezed vacuum with diagonal parameter
     a = n_s + 1/2 is sent through the channel.  Mode 1 is the retained
     idler (variance a), mode 2 the channel output (variance a*tau + nu),
-    with q/p correlations +-sqrt(tau*(a^2 - 1/4)).  An array of a gives
-    the stack of shape a.shape + (4, 4).
+    with q/p correlations +-sqrt(tau*(a^2 - 1/4)).
     """
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0.5):
-        raise ValueError(f"squeezing parameter a must be >= 1/2, got {a.min()}")
-    V = np.zeros(a.shape + (4, 4))
-    for (i, j), v in _choi_entries(a, channel.tau, channel.nu, np.sqrt).items():
-        V[..., i, j] = V[..., j, i] = v
+    if a < 0.5:
+        raise ValueError(f"squeezing parameter a must be >= 1/2, got {a}")
+    V = np.zeros((4, 4))
+    for (i, j), v in _choi_entries(a, channel.tau, channel.nu, math.sqrt).items():
+        V[i, j] = V[j, i] = v
     return CovarianceMatrix(V)
 
 
@@ -165,7 +163,7 @@ def fidelity_finite(pair: EnvironmentPair, a):
     R+- = sqrt((nu_t +- g)(nu_b +- g)) and (hi, lo) = (R+, R-) for tau <= 1,
     (R-, R+) for tau > 1:
 
-        p = (a - 1/2)/a hi + (a + 1/2)/a lo,   e = 2(nu_t + nu_b) + tau/a,
+        p = (a - 1/2)/a hi + (a + 1/2)/a lo,   e = 2 max(nu_t + nu_b, 0) + tau/a,
         F = (p + sqrt(p^2 + e/a)) / e.
 
     Derivation: the Choi matrices V_k = [[a I, c Z], [c Z, (tau a + nu_k) I]],
@@ -176,9 +174,11 @@ def fidelity_finite(pair: EnvironmentPair, a):
     F = (a p + sqrt((a p)^2 + a e)) / (a e), used here divided through by a
     so that no finite a overflows.  Every term is non-negative and each
     nu -+ g is one correctly rounded sum, so nothing cancels, pure
-    environments included.  F is non-increasing in a; at a = 1/2 it is
-    :func:`fidelity_classical`, and as a -> infinity it tends to
-    (hi + lo)/(nu_t + nu_b), :func:`fidelity_choi_inf`.
+    environments included.  The max clamps the sum the complete-positivity
+    tolerance can leave at -1e-12, as R+- clamp each nu -+ g at 0, so a
+    noiseless additive pair gives 1.0 at every a.  F is non-increasing in
+    a; at a = 1/2 it is :func:`fidelity_classical`, and as a -> infinity
+    it tends to (hi + lo)/(nu_t + nu_b), :func:`fidelity_choi_inf`.
 
     An array of a gives an array of its shape, each entry bit for bit the
     scalar call; a below 1/2 or not finite raises ``ValueError``.
@@ -188,7 +188,7 @@ def fidelity_finite(pair: EnvironmentPair, a):
         raise ValueError(f"squeezing parameter a must be finite and >= 1/2, got {a.min()}")
     hi, lo = _root_products(pair)
     p = (a - 0.5) / a * hi + (a + 0.5) / a * lo
-    e = 2.0 * (pair.target.nu + pair.background.nu) + pair.tau / a
+    e = 2.0 * max(pair.target.nu + pair.background.nu, 0.0) + pair.tau / a
     F = np.minimum((p + np.sqrt(p * p + e / a)) / e, 1.0)
     return F if F.ndim else float(F)
 
@@ -225,6 +225,8 @@ def fidelity_choi_inf(pair: EnvironmentPair) -> float:
 def _mp_choi_fidelity(pair: EnvironmentPair, a: float, dps: int = 60) -> float:
     """Choi-state fidelity with covariance matrices built and diagonalised in
     extended precision, usable at squeezing values far beyond double range."""
+    from mpmath import mp
+
     with MP_LOCK, mp.workdps(dps):
         A1, A2 = mp.zeros(4), mp.zeros(4)
         for M, ch in ((A1, pair.target), (A2, pair.background)):

@@ -1,5 +1,7 @@
 """Channel parameterisation, Choi/vacuum-probe states and fidelities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -108,9 +110,9 @@ class TestSharedChoiConstructor:
 
     @pytest.mark.parametrize("pair", [p for p, _, _ in PINNED_CHOI], ids=["additive", "loss", "amplifier"])
     def test_double_precision_matrix_entries(self, pair):
-        ch, grid = pair.background, (0.5, 0.8, 7.3)
-        stack = choi_cm(ch, np.array(grid)).matrix
-        for a, V in zip(grid, stack):
+        ch = pair.background
+        for a in (0.5, 0.8, 7.3):
+            V = choi_cm(ch, a).matrix
             c, out = np.sqrt(ch.tau * (a * a - 0.25)), a * ch.tau + ch.nu
             assert np.array_equal(V, [[a, 0, c, 0], [0, a, 0, -c], [c, 0, out, 0], [0, -c, 0, out]])
 
@@ -416,11 +418,16 @@ class TestEndpointAccuracy:
             )
 
     def test_noiseless_additive_pair(self):
-        # nu down to -1e-12 passes the complete-positivity check
+        # nu down to -1e-12 passes the complete-positivity check, so nu_t + nu_b
+        # can be negative; fidelity_finite must stay finite once 1/a < 2|nu_t + nu_b|
         for nus in ((0.0, 0.0), (-1e-13, 0.0)):
             pair = EnvironmentPair.additive(*nus)
-            assert fidelity_classical(pair) == 1.0
-            assert fidelity_choi_inf(pair) == 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert fidelity_classical(pair) == 1.0
+                assert fidelity_choi_inf(pair) == 1.0
+                assert fidelity_finite(pair, 1e13) == 1.0
+                assert np.array_equal(fidelity_finite(pair, np.array([0.5, 1e13])), [1.0, 1.0])
 
 
 class TestTemperature:

@@ -148,6 +148,15 @@ class TestBoundsCommand:
         # a finitely squeezed probe distinguishes less well, so its error
         # lower bound sits above the asymptotic one
         assert q_fin > q_asy
+        # a noiseless pair with nu_t + nu_b just below 0, within the
+        # complete-positivity tolerance, has F_q = 1 at any squeezing
+        code, out, err = run(
+            ["bounds", "--kind", "additive", "--nuT=-1e-13", "--nuB", "0", "--m", "784",
+             "--M", "100,1000", "--energy", "finite", "--a", "1e13"],
+            capsys,
+        )
+        assert code == 0, err
+        assert "warning:" not in err
 
     def test_cpf_requires_k(self, capsys):
         code, _, err = run(

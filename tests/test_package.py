@@ -8,10 +8,20 @@ from pathlib import Path
 import qthermal
 
 
-def test_import_does_not_load_scipy():
-    # a fresh interpreter: this process may already hold scipy
+def loaded_by_import(package: str) -> str:
+    """Modules of ``package`` that ``import qthermal`` loads, in a fresh
+    interpreter: this process may already hold them."""
     src = str(Path(qthermal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, qthermal; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, qthermal; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert loaded_by_import("scipy") == "[]"
+
+
+def test_import_does_not_load_mpmath():
+    # only the extended-precision references, which no command calls, import it
+    assert loaded_by_import("mpmath") == "[]"
