@@ -59,10 +59,10 @@ def finite_sample_interpolation() -> None:
     samples = []
     for T in (30, 60, 120, 250, 500, 1000, 2000, 4000):
         train = synthetic_digits(T, seed=100, split="training", height=8, width=8)
-        est = estimate_error(train, evaluation, noise, trials=8, master_seed=5, threads=4)
+        est = estimate_error(train, evaluation, noise, trials=8, master_seed=5)
         samples.append((T, est.mean))
     fit = snapp_fit(samples, m=64)
-    design = _snapp_design(np.array([t for t, _ in samples], float), 64, 5)
+    design = _snapp_design(np.array([t for t, _ in samples], float), 64)
     predicted = design @ np.concatenate([[fit.e_inf], fit.coefficients])
     print("      T    measured   interpolated")
     for (T, E), p in zip(samples, predicted):

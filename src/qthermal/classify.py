@@ -7,10 +7,11 @@ whole evaluation set with one block of uniforms from a counter-based stream
 keyed on (master seed, M index, trial), shared by the four noise endpoints of
 one M.  The nearest-neighbour rule scores a batch with one float64 GEMM
 against the training set packed several images per column, in integers below
-2**53, so its labels are exact.  ``advantage_regions`` runs its (M, endpoint)
-estimates concurrently on ``threads`` workers, classifier training included;
-every job depends only on its own streams, so any thread count reproduces the
-same numbers bit for bit.
+2**53, so its labels are exact.  ``estimate_error`` runs its trials in order;
+``advantage_regions`` is the one place that runs work concurrently, its
+(M, endpoint) jobs, classifier training included, on ``threads`` workers.
+Every job depends only on its own streams, so any thread count reproduces
+the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ NOISE_DERIVATIONS = (
     "quantum-lower",
     "quantum-upper",
 )
+
+# truncation order of the finite-sample error expansion fitted by ``snapp_fit``
+_SNAPP_JMAX = 5
 
 
 @dataclass(frozen=True)
@@ -98,14 +102,6 @@ def sample_noisy(images: np.ndarray, noise: NoiseModel, rng: np.random.Generator
     images = np.asarray(images, dtype=np.uint8)
     flips = rng.random(images.shape) < noise.flip_probability
     return images ^ flips.view(np.uint8)
-
-
-def _map(fn: Callable, items: Sequence, threads: int) -> list:
-    """``fn`` over ``items`` in order, on ``threads`` pool workers when > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], np.ndarray]:
@@ -191,22 +187,19 @@ def estimate_error(
     noise: NoiseModel,
     trials: int,
     master_seed: int,
-    threads: int = 1,
     predictor: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ErrorEstimate:
     """Expected misclassification probability over noisy evaluation samples.
 
     Trial t flips the whole evaluation set with one block of uniforms from
     the (``master_seed``, t) stream and classifies it with ``predictor``, or
-    by nearest neighbour against ``training`` when none is given.  The result
-    is independent of ``threads`` for a fixed master seed.
+    by nearest neighbour against ``training`` when none is given.  Trials run
+    in order on the calling thread.
 
     Returns:
         ``ErrorEstimate`` with mean error and standard error
         sample-stddev / sqrt(trials * |evaluation|).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if predictor is None:
         predictor = nn_predictor(training)
     if len(evaluation) == 0:
@@ -214,13 +207,14 @@ def estimate_error(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
+    # one function call per trial, so that no trial's noisy images are
+    # still held while the next trial draws its own
     def run_trial(trial: int) -> int:
         noisy = sample_noisy(evaluation.images, noise, trial_stream(master_seed, trial))
         return int(np.count_nonzero(predictor(noisy) != evaluation.labels))
 
-    counts = _map(run_trial, range(trials), threads)
+    wrong = sum(map(run_trial, range(trials)))
     n = trials * len(evaluation)
-    wrong = sum(counts)
     mean = wrong / n
     # sample standard deviation of 0/1 indicators
     var = (wrong * (1.0 - mean) ** 2 + (n - wrong) * mean**2) / (n - 1) if n > 1 else 0.0
@@ -230,7 +224,7 @@ def estimate_error(
 @dataclass(frozen=True)
 class SnappFit:
     """Finite-sample interpolation of classifier error against training size,
-    E(T) ~ e_inf + sum_{j=2..jmax} x_j T^(-j/m)."""
+    E(T) ~ e_inf + sum_{j=2.._SNAPP_JMAX} x_j T^(-j/m)."""
 
     e_inf: float
     coefficients: np.ndarray
@@ -238,18 +232,17 @@ class SnappFit:
     clipped: bool
 
 
-def _snapp_design(T: np.ndarray, m: int, jmax: int) -> np.ndarray:
-    cols = [np.ones_like(T)] + [T ** (-j / m) for j in range(2, jmax + 1)]
+def _snapp_design(T: np.ndarray, m: int) -> np.ndarray:
+    cols = [np.ones_like(T)] + [T ** (-j / m) for j in range(2, _SNAPP_JMAX + 1)]
     return np.column_stack(cols)
 
 
-def snapp_fit(samples: Sequence[tuple[float, float]], m: int, jmax: int = 5) -> SnappFit:
+def snapp_fit(samples: Sequence[tuple[float, float]], m: int) -> SnappFit:
     """Least-squares fit of the truncated finite-sample error expansion.
 
     Args:
-        samples: (T, E) pairs; at least ``jmax`` distinct training sizes.
+        samples: (T, E) pairs; at least ``_SNAPP_JMAX`` distinct training sizes.
         m: pixel count entering the T^(-j/m) basis.
-        jmax: truncation order of the expansion.
 
     The fit is ``np.linalg.lstsq`` on unit-scaled columns; the asymptotic
     error estimate is clipped at zero (flagged via ``clipped``) since error
@@ -263,11 +256,11 @@ def snapp_fit(samples: Sequence[tuple[float, float]], m: int, jmax: int = 5) -> 
     T, E = pts[:, 0], pts[:, 1]
     if np.any(T < 1):
         raise ValueError("training sizes must be >= 1")
-    if len(np.unique(T)) < jmax:
+    if len(np.unique(T)) < _SNAPP_JMAX:
         raise InsufficientSamplesError(
-            f"need at least {jmax} distinct training sizes, got {len(np.unique(T))}"
+            f"need at least {_SNAPP_JMAX} distinct training sizes, got {len(np.unique(T))}"
         )
-    A = _snapp_design(T, m, jmax)
+    A = _snapp_design(T, m)
     coeff = _least_squares(A, E)
     clipped = coeff[0] < 0.0
     if clipped:
@@ -374,21 +367,22 @@ def advantage_regions(
         return estimate_error(training, evaluation, model, trials, seed, predictor=predictor)
 
     jobs = [(M, model, seed) for M, models, seed in grid for model in models.values()]
-    estimates = iter(_map(run_job, jobs, threads))
-    rows = []
-    for M, models, _ in grid:
-        e = {tag: next(estimates) for tag in models}
-        rows.append(
-            AdvantageRow(
-                M=M,
-                p_cl_low=models["classical-lower"].flip_probability,
-                p_cl_up=models["classical-upper"].flip_probability,
-                p_q_low=models["quantum-lower"].flip_probability,
-                p_q_up=models["quantum-upper"].flip_probability,
-                e_cl_low=e["classical-lower"],
-                e_cl_up=e["classical-upper"],
-                e_q_low=e["quantum-lower"],
-                e_q_up=e["quantum-upper"],
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        estimates = pool.map(run_job, jobs)
+        rows = []
+        for M, models, _ in grid:
+            e = {tag: next(estimates) for tag in models}
+            rows.append(
+                AdvantageRow(
+                    M=M,
+                    p_cl_low=models["classical-lower"].flip_probability,
+                    p_cl_up=models["classical-upper"].flip_probability,
+                    p_q_low=models["quantum-lower"].flip_probability,
+                    p_q_up=models["quantum-upper"].flip_probability,
+                    e_cl_low=e["classical-lower"],
+                    e_cl_up=e["classical-upper"],
+                    e_q_low=e["quantum-lower"],
+                    e_q_up=e["quantum-upper"],
+                )
             )
-        )
     return rows

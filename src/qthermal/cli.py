@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .bounds import ImageSpace, bounds, min_rel_probe_uniform
+from .bounds import ImageSpace, bounds
 from .channels import (
     EnvironmentPair,
     fidelity_choi_inf,
@@ -37,7 +37,7 @@ from .channels import (
 from .classify import advantage_regions
 from .cnn import NetworkSpec, TrainConfig, make_predictor, train
 from .data import dataset_dir, load_idx_split, synthetic_digits
-from .errors import IdxFormatError, NonFiniteLossError, NonPhysicalChannelError
+from .errors import IdxFormatError, NonFiniteLossError
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -169,7 +169,8 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
     for M in M_grid:
         rep = bounds(space, M, f_q, f_cl)
         rows.append(_row(M, rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa))
-    rows.append(f"# mbar_adv = {_fmt(min_rel_probe_uniform(f_q, f_cl))}")
+    # the grid is not empty, and every report carries the same mbar_adv
+    rows.append(f"# mbar_adv = {_fmt(rep.mbar_adv)}")
     return rows, {"F_q": f_q, "F_cl": f_cl}
 
 
@@ -243,24 +244,30 @@ def cmd_temp(args) -> tuple[list[str], dict]:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend key=value lines from --config as defaults; explicit flags win."""
-    if "--config" not in argv:
+    """Insert the key=value lines of the subcommand's ``--config`` file right
+    after the subcommand as defaults; explicit flags, parsed later, win.
+
+    The path is found by an argparse parser of its own, so ``--config PATH``,
+    ``--config=PATH`` and their abbreviations all name it as the command's
+    parser will; the flag stays in argv, so the manifest records the path.
+    A flag without a path is left for the command's parser to report.
+    """
+    config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    config.add_argument("--config")
+    try:
+        path = config.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
         return argv
-    idx = argv.index("--config")
-    if idx == 0 or idx + 1 >= len(argv):
+    if path is None:
         return argv
-    path = argv[idx + 1]
     pre = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            pre.extend([f"--{key.strip()}", val.strip()])
-    head, tail = argv[:1], argv[1:]
-    del tail[idx - 1 : idx + 1]
-    return head + pre + tail
+            if line and not line.startswith("#"):
+                key, _, val = line.partition("=")
+                pre.append(f"--{key.strip()}={val.strip()}")
+    return argv[:1] + pre + argv[1:]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         try:
             rows, extras = args.func(args)
-        except (ValueError, NonPhysicalChannelError) as exc:
+        except ValueError as exc:
             if isinstance(exc, IdxFormatError):
                 sys.stderr.write(f"data error: {exc}\n")
                 return EXIT_DATA

@@ -18,8 +18,9 @@ a pass live in a workspace, a dict of buffers keyed by layer and role that
 smaller batches reuse.  A ``train`` call owns one for its SGD steps and
 holdout predictions; any other ``predict_labels`` call makes its own and
 runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
-between threads: ``make_predictor`` holds none, because ``evaluate`` calls
-one predictor from several threads at once.
+between threads: ``make_predictor`` holds none, because a predictor may be
+shared across the job threads of ``advantage_regions``, as its one
+nearest-neighbour predictor is.
 """
 
 from __future__ import annotations
@@ -418,19 +419,11 @@ def evaluate(
     noise: NoiseModel,
     trials: int,
     master_seed: int,
-    threads: int = 1,
 ) -> ErrorEstimate:
     """Monte Carlo misclassification of the network on noisy samples; mirrors
     the nearest-neighbour estimator's contract."""
-    return estimate_error(
-        None,
-        evaluation,
-        noise,
-        trials,
-        master_seed,
-        threads=threads,
-        predictor=make_predictor(net, params),
-    )
+    predictor = make_predictor(net, params)
+    return estimate_error(None, evaluation, noise, trials, master_seed, predictor=predictor)
 
 
 def _flatten(params) -> np.ndarray:

@@ -30,7 +30,11 @@ DATASET_DIR_ENV = "QTHERMAL_DATASET_DIR"
 
 _MAX_ELEMENTS = 2**31
 
-# images per block of speckle uniforms in ``synthetic_digits``
+# ``synthetic_digits``: largest glyph offset in pixels along each axis, the
+# probability of a speckle flip per pixel, and the images per block of
+# speckle uniforms
+_MAX_SHIFT = 2
+_SPECKLE = 0.01
 _SPECKLE_ROWS = 1024
 
 _SPLIT_FILES = {
@@ -215,8 +219,6 @@ def synthetic_digits(
     split: str = "training",
     height: int = 28,
     width: int = 28,
-    max_shift: int = 2,
-    speckle: float = 0.01,
 ) -> BinaryImageDataset:
     """Procedural ten-class binary digit dataset.
 
@@ -235,7 +237,7 @@ def synthetic_digits(
     gh, gw = glyphs[0].shape
     base_r = (height - gh) // 2
     base_c = (width - gw) // 2
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+    shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
     # every image's glyph window is written by one fancy-indexed assignment
     r, c = np.clip(shifts + [base_r, base_c], 0, [height - gh, width - gw]).T
     rows = r[:, None, None] + np.arange(gh)[:, None]
@@ -245,12 +247,12 @@ def synthetic_digits(
     # without an (n, height, width) float64 temporary
     for start in range(0, n, _SPECKLE_ROWS):
         block = images[start : start + _SPECKLE_ROWS]
-        block ^= (rng.random(block.shape) < speckle).view(np.uint8)
+        block ^= (rng.random(block.shape) < _SPECKLE).view(np.uint8)
     return BinaryImageDataset(
         images=images.reshape(n, height * width),
         labels=labels,
         height=height,
         width=width,
         split=split,
-        provenance={"kind": "synthetic", "seed": seed, "speckle": speckle},
+        provenance={"kind": "synthetic", "seed": seed, "speckle": _SPECKLE},
     )

@@ -211,14 +211,16 @@ def test_criterion_6_simulator_ground_truths():
     est_half = estimate_error(train, evaluation, NoiseModel(0.5), trials=20, master_seed=2)
     sigma = math.sqrt(0.9 * 0.1 / est_half.total_samples)
 
-    kwargs = dict(noise=NoiseModel(0.2), trials=8, master_seed=3)
-    single = estimate_error(train, evaluation, threads=1, **kwargs)
-    eight = estimate_error(train, evaluation, threads=8, **kwargs)
+    pair = EnvironmentPair.additive(0.02, 0.01)
+    kwargs = dict(M_grid=[10, 40], trials=8, master_seed=3)
+    single = advantage_regions(train, evaluation, pair, threads=1, **kwargs)
+    eight = advantage_regions(train, evaluation, pair, threads=8, **kwargs)
 
     ok = (
         exact_zero.mean == 0.0
         and abs(est_half.mean - 0.9) <= 3 * sigma
         and single == eight
+        and any(row.e_cl_up.mean > 0.0 for row in single)
     )
     report(
         6,
@@ -284,11 +286,11 @@ def test_criterion_8_simulation_directions():
 
 
 def test_criterion_9_snapp_roundtrip():
-    m, jmax = 4, 5
+    m = 4
     Ts = np.array([10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000], float)
     truth = np.array([0.05, 0.3, -0.2, 0.15, -0.04])
-    E = _snapp_design(Ts, m, jmax) @ truth
-    fit = snapp_fit(list(zip(Ts, E)), m, jmax)
+    E = _snapp_design(Ts, m) @ truth
+    fit = snapp_fit(list(zip(Ts, E)), m)
     recovered = np.concatenate([[fit.e_inf], fit.coefficients])
     worst = float(np.max(np.abs((recovered - truth) / truth)))
     report(9, "finite-sample ansatz round trip", worst <= 1e-6, f"worst rel err {worst:.2e}")

@@ -4,11 +4,14 @@ import hashlib
 import importlib.util
 import struct
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qthermal.channels import EnvironmentPair, fidelity_classical
 from qthermal.cli import main
@@ -563,12 +566,66 @@ class TestManifestAndConfig:
     def test_config_file_with_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kind=additive\nnuT=0.01\nnuB=0.05\n")
+        expected = fidelity_classical(EnvironmentPair.additive(0.02, 0.01))
+        # every spelling of the flag reads the file and records its path
+        for config in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+            out_path = tmp_path / "fidelity.csv"
+            code, _, _ = run(
+                ["fidelity", *config, "--nuB", "0.02", "--a", "0.5", "--out", str(out_path)],
+                capsys,
+            )
+            assert code == 0
+            rows = out_path.read_text().split("\n")
+            assert rows[0] == "a,F"
+            assert float(rows[1].split(",")[1]) == pytest.approx(expected, abs=1e-12)
+            manifest = Path(f"{out_path}.manifest").read_text().split("\n")
+            assert f"param config: {cfg}" in manifest
+            assert "param nuB: 0.02" in manifest
+
+    def test_config_value_may_start_with_a_minus(self, capsys, tmp_path):
+        # read as --nuT=-1e-13; argparse would take a separate "-1e-13" for a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nuT=-1e-13\n")
         code, out, _ = run(
-            ["fidelity", "--config", str(cfg), "--nuB", "0.02", "--a", "0.5"], capsys
+            ["fidelity", "--kind", "additive", "--nuB", "0", "--a", "0.5", "--config", str(cfg)],
+            capsys,
         )
         assert code == 0
-        expected = fidelity_classical(EnvironmentPair.additive(0.02, 0.01))
-        assert float(out.strip().split("\n")[1].split(",")[1]) == pytest.approx(expected, abs=1e-12)
+        assert out.split("\n")[1] == "0.5,1.0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--config", "run.cfg", "temp", "--eps", "18.5"], ["temp", "--eps", "18.5", "--config"]],
+        ids=["before-subcommand", "no-path"],
+    )
+    def test_misplaced_config_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    BOUNDS_FLAGS = {
+        "kind": "thermal", "tau": "0.99", "epsB": "18.5", "epsT": "20.2", "m": "784",
+        "space": "cpf", "k": "150", "M": "100:2000:100", "energy": "finite", "a": "2.5",
+    }
+
+    @given(
+        moved=st.sets(st.sampled_from(sorted(BOUNDS_FLAGS))),
+        joined=st.booleans(),
+        position=st.integers(0, len(BOUNDS_FLAGS)),
+    )
+    def test_config_file_equals_command_line(self, moved, joined, position):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            lines = [f"{k}={self.BOUNDS_FLAGS[k]}\n" for k in sorted(moved)]
+            (tmp / "run.cfg").write_text("".join(lines))
+            flags = [f for k, v in self.BOUNDS_FLAGS.items() for f in (f"--{k}", v)]
+            kept = [f for k, v in self.BOUNDS_FLAGS.items() if k not in moved for f in (f"--{k}", v)]
+            config = [f"--config={tmp / 'run.cfg'}"] if joined else ["--config", str(tmp / "run.cfg")]
+            at = 2 * min(position, len(kept) // 2)
+            assert main(["bounds", *flags, "--out", str(tmp / "flags.csv")]) == 0
+            assert main(["bounds", *kept[:at], *config, *kept[at:], "--out", str(tmp / "cfg.csv")]) == 0
+            assert (tmp / "cfg.csv").read_bytes() == (tmp / "flags.csv").read_bytes()
 
     @pytest.mark.parametrize("content", [None, b"M=\xff\xfe5\n"], ids=["missing", "non-utf8"])
     def test_unreadable_config_is_usage_error(self, capsys, tmp_path, content):

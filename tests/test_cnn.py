@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qthermal.classify import NoiseModel
+from qthermal.channels import EnvironmentPair
+from qthermal.classify import NoiseModel, advantage_regions
 from qthermal.cnn import (
     _PREDICT_CHUNK,
     NetworkSpec,
@@ -17,6 +18,7 @@ from qthermal.cnn import (
     init_params,
     load_params,
     loss_and_grad,
+    make_predictor,
     predict_labels,
     save_params,
     spec_digest,
@@ -330,12 +332,19 @@ class TestEvaluate:
         evaluation = synthetic_digits(70, seed=22, split="evaluation", height=12, width=12)
         net = NetworkSpec(input_shape=(12, 12), conv=((4, 3, 1), (4, 3, 2)), dense=(8,), classes=10)
         params = train(net, ds, NoiseModel(0.05), TrainConfig(batch_size=16, epochs=1, seed=2)).params
-        estimates = [
-            evaluate(net, params, evaluation, NoiseModel(0.1), trials=6, master_seed=4, threads=t)
+        est = evaluate(net, params, evaluation, NoiseModel(0.1), trials=6, master_seed=4)
+        assert 0.0 < est.mean < 1.0
+        # one predictor shared by every job thread of advantage_regions
+        predictor = make_predictor(net, params)
+        rows = [
+            advantage_regions(
+                ds, evaluation, EnvironmentPair.additive(0.02, 0.01), [10], trials=6,
+                master_seed=4, threads=t, predictor_factory=lambda noise, M: predictor,
+            )
             for t in (1, 4)
         ]
-        assert estimates[0] == estimates[1]
-        assert 0.0 < estimates[0].mean < 1.0
+        assert rows[0] == rows[1]
+        assert 0.0 < rows[0][0].e_cl_up.mean < 1.0
 
     def test_both_classifiers_beat_uniform_guessing(self):
         # no claim about which classifier wins, only that both trained
