@@ -48,13 +48,13 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
         F_cl: single-pixel output fidelity of the vacuum-probe strategy.
 
     Returns:
-        ``BoundReport`` with all probabilities in [0, 1].  A pair
-        with F_q > F_cl or values outside [0, 1] triggers a warning, not an
-        error.
+        ``BoundReport`` with all probabilities in [0, 1].  M < 1 or a
+        fidelity outside [0, 1] raises ``ValueError``; F_q > F_cl only warns.
     """
     if M < 1:
         raise ValueError(f"probe copy number must be >= 1, got {M}")
-    if not (0.0 <= F_q <= F_cl <= 1.0):
+    mbar_adv = min_rel_probe_uniform(F_q, F_cl)  # validates both fidelities
+    if F_q > F_cl:
         warnings.warn(
             f"expected 0 <= F_q <= F_cl <= 1, got F_q={F_q}, F_cl={F_cl}",
             stacklevel=2,
@@ -81,7 +81,7 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
         cl_lower=cl_lower,
         mga=cl_lower - q_upper,
         mpa=cl_lower - q_lower,
-        mbar_adv=min_rel_probe_uniform(F_q, F_cl),
+        mbar_adv=mbar_adv,
     )
 
 
@@ -90,15 +90,15 @@ def min_rel_probe_uniform(F_q: float, F_cl: float) -> float:
     uniform spaces: log 2 / (2 log F_cl - log F_q).
 
     The advantage condition F_cl^(2M) > 2^m F_q^M has a solution only when
-    the denominator is positive; otherwise (including F_q = F_cl = 1) the
-    crossing does not exist and infinity is returned.
+    the denominator is positive; otherwise (F_q = F_cl = 1, or F_cl = 0)
+    there is no crossing and infinity is returned; F_q = 0 < F_cl gives 0.
+    A fidelity outside [0, 1] raises ``ValueError``.
     """
-    if not (0.0 < F_q <= 1.0 and 0.0 < F_cl <= 1.0):
-        if F_q == 0.0:
-            return 0.0
-        raise ValueError(f"fidelities must lie in (0, 1], got {F_q}, {F_cl}")
-    denom = 2.0 * math.log(F_cl) - math.log(F_q)
-    if denom <= 0.0:
+    if not (0.0 <= F_q <= 1.0 and 0.0 <= F_cl <= 1.0):
+        raise ValueError(f"fidelities must lie in [0, 1], got F_q={F_q}, F_cl={F_cl}")
+    # -inf at F_cl = 0, NaN at F_cl = F_q = 0 and +inf at F_q = 0 < F_cl
+    denom = 2.0 * log_pow(F_cl) - log_pow(F_q)
+    if not denom > 0.0:
         return math.inf
     return LN2 / denom
 

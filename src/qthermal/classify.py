@@ -45,49 +45,25 @@ _SNAPP_JMAX = 5
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Symmetric pixel-flip channel with provenance.
-
-    ``derivation`` records which endpoint of the single-pixel error interval
-    the flip probability came from (or ``"override"``); when the generating
-    (fidelity, M) pair is recorded, the probability must lie inside the
-    interval they produce.
-    """
+    """Symmetric pixel-flip channel with provenance: ``derivation`` records
+    which endpoint of the single-pixel error interval the flip probability
+    came from (one of ``NOISE_DERIVATIONS``), or ``"override"``."""
 
     flip_probability: float
     derivation: str = "override"
-    fidelity: float | None = None
-    copies: int | None = None
 
     def __post_init__(self):
         p = self.flip_probability
         if not 0.0 <= p <= 0.5:
             raise ValueError(f"flip probability must lie in [0, 1/2], got {p}")
-        if self.fidelity is not None and self.copies is not None:
-            lo, hi = pixel_error_bounds(self.fidelity, self.copies)
-            if not lo - 1e-12 <= p <= hi + 1e-12:
-                raise ValueError(
-                    f"flip probability {p} outside pixel error interval [{lo}, {hi}]"
-                )
-
-    @classmethod
-    def from_bounds(cls, fidelity: float, copies: int, derivation: str) -> "NoiseModel":
-        if derivation not in NOISE_DERIVATIONS:
-            raise ValueError(f"derivation must be one of {NOISE_DERIVATIONS}")
-        lo, hi = pixel_error_bounds(fidelity, copies)
-        p = lo if derivation.endswith("lower") else hi
-        return cls(flip_probability=p, derivation=derivation, fidelity=fidelity, copies=copies)
-
-
-def _endpoint_models(f_q: float, f_cl: float, copies: int) -> dict[str, NoiseModel]:
-    return {
-        tag: NoiseModel.from_bounds(f_cl if tag.startswith("classical") else f_q, copies, tag)
-        for tag in NOISE_DERIVATIONS
-    }
 
 
 def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, NoiseModel]:
-    """The four noise models spanned by the quantum/classical error bounds."""
-    return _endpoint_models(fidelity_choi_inf(pair), fidelity_classical(pair), copies)
+    """The four noise models spanned by the quantum/classical error bounds,
+    keyed and ordered as ``NOISE_DERIVATIONS``."""
+    cl = pixel_error_bounds(fidelity_classical(pair), copies)
+    q = pixel_error_bounds(fidelity_choi_inf(pair), copies)
+    return {tag: NoiseModel(p, tag) for tag, p in zip(NOISE_DERIVATIONS, (*cl, *q))}
 
 
 def trial_stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -350,13 +326,11 @@ def advantage_regions(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    f_q = fidelity_choi_inf(pair)
-    f_cl = fidelity_classical(pair)
     nn = None if predictor_factory else nn_predictor(training)
     grid = []
     for mi, M in enumerate(M_grid):
         if p_override is None:
-            models = _endpoint_models(f_q, f_cl, M)
+            models = endpoint_noise_models(pair, M)
         else:
             models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override, "override"))
         grid.append((int(M), models, trial_stream(master_seed, mi).integers(2**63)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 import warnings
@@ -150,12 +151,9 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
         if args.k is None:
             raise ValueError(f"{args.space.upper()} spaces require --k")
         ks = _int_grid(args.k, "target count")
-        if args.space == "bcpf":
-            space = ImageSpace.bcpf(args.m, ks)
-        elif len(ks) == 1:
-            space = ImageSpace.cpf(args.m, ks[0])
-        else:
+        if args.space == "cpf" and len(ks) != 1:
             raise ValueError("CPF spaces take a single --k")
+        space = ImageSpace.bcpf(args.m, ks)
 
     M_grid = _int_grid(args.M, "probe copy")
     f_cl = fidelity_classical(pair)
@@ -243,15 +241,25 @@ def cmd_temp(args) -> tuple[list[str], dict]:
     return rows, {}
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Insert the key=value lines of the subcommand's ``--config`` file right
-    after the subcommand as defaults; explicit flags, parsed later, win.
+def _preparse(argv: list[str]) -> list[str]:
+    """Join each token that starts with a minus and a digit (``-1e-13``,
+    which argparse takes for a flag) to the flag before it, then insert the
+    key=value lines of the subcommand's ``--config`` file, as single
+    ``--key=value`` tokens, right after the subcommand as defaults; explicit
+    flags, parsed later, win.
 
     The path is found by an argparse parser of its own, so ``--config PATH``,
     ``--config=PATH`` and their abbreviations all name it as the command's
     parser will; the flag stays in argv, so the manifest records the path.
     A flag without a path is left for the command's parser to report.
     """
+    joined: list[str] = []
+    for token in argv:
+        if joined and re.match(r"-\.?\d", token) and re.fullmatch(r"--[^-=][^=]*", joined[-1]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    argv = joined
     config = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     config.add_argument("--config")
     try:
@@ -327,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
+        argv = _preparse(argv)
     except (OSError, UnicodeDecodeError) as exc:
         parser.exit(EXIT_USAGE, f"error: cannot read config file: {exc}\n")
     args = parser.parse_args(argv)

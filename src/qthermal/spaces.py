@@ -1,17 +1,17 @@
 """Binary image spaces and their Hamming-distance spectra.
 
-An m-pixel binary image space is either the full set of 2^m patterns
-(uniform), the patterns with exactly k target pixels (k-CPF), or a union of
-such sets over a bounded set of target counts (k-BCPF).  The discrimination
-bounds all reduce to sums S(f) of f^hamming over ordered unequal pattern
-pairs, so a space is described once by its distance spectrum: log N_d, the
-log count of such pairs at Hamming distance d = 1..m.  Every sum is then one
+An m-pixel binary image space holds the patterns whose target count lies in
+a set ks: one count is a k-CPF space, every count 0..m the uniform space of
+all 2^m patterns, any other set a k-BCPF space.  The discrimination bounds
+all reduce to sums S(f) of f^hamming over ordered unequal pattern pairs, so
+a space is described once by its distance spectrum: log N_d, the log count
+of such pairs at Hamming distance d = 1..m.  Every sum is then one
 log-sum-exp of log N_d + d log f over m terms.
 
 The spectrum is built by splitting each pair's distance d = a + b into the a
 ones of x that flip and the b zeros of x that flip, which makes each
 contribution a multinomial coefficient.  A uniform space has the closed form
-N_d = 2^m C(m, d) at O(m) cost; a BCPF space with target counts ks costs
+N_d = 2^m C(m, d) at O(m) cost; any other space with target counts ks costs
 O(|ks|^2 * max(ks)) array work, about 10 ms at m = 784 and 50 counts.  The
 spectrum is cached per (frozen, hashable) space, so repeated bounds on one
 space pay it once.  All arithmetic is in the log domain, so pixel counts up
@@ -21,7 +21,7 @@ to ~10^4 do not overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,53 +64,47 @@ def log_pow(f: float, exponent: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class ImageSpace:
-    """Uniform, k-CPF, or k-BCPF space over m-pixel binary patterns.
+    """The m-pixel binary patterns whose target count lies in ``ks``.
 
-    A BCPF set covering every count 0..m is normalised to the uniform
-    variant, since the two describe the same pattern ensemble.
+    ``ks`` is a strictly increasing tuple inside [0, m]: one count is a
+    k-CPF space, every count 0..m the uniform space, and any other set a
+    k-BCPF space, so ``cpf(m, k) == bcpf(m, [k])``.
     """
 
     m: int
-    kind: str
-    k: int | None = None
-    ks: tuple[int, ...] = field(default=())
+    ks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"pixel count must be >= 1, got {self.m}")
-        if self.kind not in ("uniform", "cpf", "bcpf"):
-            raise ValueError(f"unknown image-space kind {self.kind!r}")
-        if self.kind == "cpf":
-            if self.k is None or not 0 <= self.k <= self.m:
-                raise ValueError(f"CPF target count must lie in [0, {self.m}]")
-        if self.kind == "bcpf":
-            if not self.ks:
-                raise ValueError("BCPF target-count set must be non-empty")
-            if len(set(self.ks)) != len(self.ks):
-                raise ValueError("BCPF target counts must be distinct")
-            if any(not 0 <= k <= self.m for k in self.ks):
-                raise ValueError(f"BCPF target counts must lie in [0, {self.m}]")
+        m, ks = self.m, self.ks
+        if m < 1 or not ks or ks[0] < 0 or ks[-1] > m or any(a >= b for a, b in zip(ks, ks[1:])):
+            raise ValueError(
+                f"need m >= 1 and distinct, increasing target counts in [0, m], got m = {m}, ks = {ks}"
+            )
+
+    @property
+    def kind(self) -> str:
+        """uniform for every count 0..m, cpf for one count, else bcpf."""
+        if len(self.ks) == self.m + 1:
+            return "uniform"
+        return "cpf" if len(self.ks) == 1 else "bcpf"
 
     @classmethod
     def uniform(cls, m: int) -> "ImageSpace":
-        return cls(m=m, kind="uniform")
+        return cls(m, tuple(range(m + 1)))
 
     @classmethod
     def cpf(cls, m: int, k: int) -> "ImageSpace":
-        return cls(m=m, kind="cpf", k=k)
+        return cls(m, (int(k),))
 
     @classmethod
     def bcpf(cls, m: int, ks) -> "ImageSpace":
-        ks = tuple(sorted(int(k) for k in ks))
-        if ks == tuple(range(m + 1)):
-            return cls(m=m, kind="uniform")
-        return cls(m=m, kind="bcpf", ks=ks)
+        return cls(m, tuple(sorted(int(k) for k in ks)))
 
     def log_pattern_count(self) -> float:
         """log of the number of patterns in the space."""
         if self.kind == "uniform":
             return self.m * LN2
-        return log_sum_exp(log_binomial(self.m, self.ks or (self.k,)))
+        return log_sum_exp(log_binomial(self.m, self.ks))
 
 
 def log_pair_counts(m: int, ks, ls) -> np.ndarray:
@@ -151,8 +145,7 @@ def log_distance_counts(space: ImageSpace) -> np.ndarray:
     if space.kind == "uniform":
         out = space.m * LN2 + log_binomial(space.m, np.arange(1, space.m + 1))
     else:
-        ks = space.ks or (space.k,)
-        out = log_pair_counts(space.m, ks, ks)
+        out = log_pair_counts(space.m, space.ks, space.ks)
     out.setflags(write=False)
     return out
 
@@ -169,7 +162,7 @@ def hamming_functional_uniform(m: int, f: float) -> float:
     Equals (1/2^m) * sum over ordered unequal m-bit pattern pairs of
     f^hamming.
     """
-    _check_mf(m, f)
+    _check_f(f)
     return _per_pattern(ImageSpace.uniform(m), f)
 
 
@@ -179,7 +172,7 @@ def cpf_functional(m: int, k: int, f: float) -> float:
     Terminating series sum_{j>=1} C(k,j) C(m-k,j) f^{2j}; zero for the
     singleton spaces k = 0 and k = m.
     """
-    _check_mf(m, f)
+    _check_f(f)
     return _per_pattern(ImageSpace.cpf(m, k), f)
 
 
@@ -188,13 +181,11 @@ def cross_functional(m: int, k: int, l: int, f: float) -> float:
     spaces (k != l); equals C(m,k) C(m,l) at f = 1.  A sum beyond double
     range returns ``math.inf`` without a warning; its log is
     ``log_hamming_sum(log_pair_counts(m, (k,), (l,)), log f)``."""
-    _check_mf(m, f)
+    _check_f(f)
     if k == l:
         raise ValueError("cross functional requires distinct target counts")
-    for v in (k, l):
-        if not 0 <= v <= m:
-            raise ValueError(f"target count {v} outside [0, {m}]")
-    return _exp(log_hamming_sum(log_pair_counts(m, (k,), (l,)), log_pow(f)))
+    ks, ls = ImageSpace.cpf(m, k).ks, ImageSpace.cpf(m, l).ks
+    return _exp(log_hamming_sum(log_pair_counts(m, ks, ls), log_pow(f)))
 
 
 def bcpf_functional(space: ImageSpace, f: float) -> float:
@@ -202,7 +193,7 @@ def bcpf_functional(space: ImageSpace, f: float) -> float:
     BCPF space; for the full count set it equals 2^m * ((f+1)^m - 1).  A sum
     beyond double range returns ``math.inf`` without a warning; its log is
     ``log_hamming_sum(log_distance_counts(space), log f)``."""
-    _check_mf(space.m, f)
+    _check_f(f)
     return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)))
 
 
@@ -216,8 +207,6 @@ def _per_pattern(space: ImageSpace, f: float) -> float:
     return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)) - space.log_pattern_count())
 
 
-def _check_mf(m: int, f: float) -> None:
-    if m < 1:
-        raise ValueError(f"pixel count must be >= 1, got {m}")
+def _check_f(f: float) -> None:
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity argument must lie in [0, 1], got {f}")

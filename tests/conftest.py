@@ -73,12 +73,10 @@ def brute_bcpf(m: int, ks, f: float) -> float:
 
 @st.composite
 def image_spaces(draw, max_m: int = 10) -> ImageSpace:
-    """Uniform, k-CPF or k-BCPF space with m <= max_m pixels."""
+    """Image space of m <= max_m pixels with any non-empty set of target
+    counts: k-CPF for one count, uniform for all of 0..m, k-BCPF otherwise."""
     m = draw(st.integers(1, max_m))
-    ks = draw(st.sets(st.integers(0, m), min_size=1))
-    if len(ks) == 1 and draw(st.booleans()):
-        return ImageSpace.cpf(m, ks.pop())
-    return ImageSpace.bcpf(m, ks)
+    return ImageSpace.bcpf(m, draw(st.sets(st.integers(0, m), min_size=1)))
 
 
 def brute_distance_counts(m: int, ks, ls) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Discrimination bounds, advantage metrics and pixel error intervals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -247,6 +248,46 @@ class TestBoundProperties:
     @given(st.integers(1, 60), st.booleans(), fidelities, fidelities, copies)
     def test_singleton_spaces_are_error_free(self, m, ones, f1, f2, M):
         k = m if ones else 0
-        for space in (ImageSpace.cpf(m, k), ImageSpace.bcpf(m, [k])):
-            rep = bounds(space, M, min(f1, f2), max(f1, f2))
-            assert (rep.q_lower, rep.q_upper, rep.cl_lower) == (0.0, 0.0, 0.0)
+        space = ImageSpace.cpf(m, k)
+        assert space == ImageSpace.bcpf(m, [k])
+        rep = bounds(space, M, min(f1, f2), max(f1, f2))
+        assert (rep.q_lower, rep.q_upper, rep.cl_lower) == (0.0, 0.0, 0.0)
+
+
+# any float outside [0, 1], infinities and NaN included
+outside = st.one_of(
+    st.floats(max_value=0.0, exclude_max=True),
+    st.floats(min_value=1.0, exclude_min=True),
+    st.just(math.nan),
+)
+
+
+class TestFidelityContract:
+    @given(image_spaces(), outside, fidelities, st.booleans())
+    def test_bounds_rejects_fidelity_outside_unit_interval(self, space, bad, good, quantum_bad):
+        F_q, F_cl = (bad, good) if quantum_bad else (good, bad)
+        # raised before any work: no warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                bounds(space, 1, F_q, F_cl)
+
+    @given(image_spaces(), fidelities, fidelities, copies)
+    def test_bounds_warns_only_when_quantum_fidelity_exceeds_classical(self, space, F_q, F_cl, M):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bounds(space, M, F_q, F_cl)
+        assert [type(w.message) for w in caught] == ([UserWarning] if F_q > F_cl else [])
+
+    @given(outside, fidelities, st.booleans())
+    @example(1.5, 0.0, False)
+    @example(-0.5, 0.0, False)
+    def test_min_rel_probe_validates_both_fidelities(self, bad, good, quantum_bad):
+        with pytest.raises(ValueError):
+            min_rel_probe_uniform(*((bad, good) if quantum_bad else (good, bad)))
+
+    @given(fidelities)
+    @example(0.0)
+    def test_min_rel_probe_without_classical_overlap_is_infinite(self, F_q):
+        # F_cl^(2M) > 2^m F_q^M never holds at F_cl = 0
+        assert min_rel_probe_uniform(F_q, 0.0) == math.inf

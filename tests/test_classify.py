@@ -1,12 +1,14 @@
 """Noise sampling, nearest-neighbour classification and error estimation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qthermal.bounds import pixel_error_bounds
-from qthermal.channels import EnvironmentPair
+from qthermal.channels import EnvironmentPair, fidelity_choi_inf, fidelity_classical
 from qthermal.classify import (
     NOISE_DERIVATIONS,
     NoiseModel,
@@ -45,15 +47,19 @@ class TestNoiseModel:
             NoiseModel(0.7)
 
     def test_endpoint_consistency(self):
-        model = NoiseModel.from_bounds(0.9, 10, "quantum-upper")
-        lo, hi = pixel_error_bounds(0.9, 10)
-        assert model.flip_probability == hi
-        model = NoiseModel.from_bounds(0.9, 10, "quantum-lower")
-        assert model.flip_probability == lo
-
-    def test_out_of_interval_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel(flip_probability=0.4, derivation="quantum-lower", fidelity=0.5, copies=20)
+        # bit for bit the two intervals at the Choi and vacuum-probe fidelities
+        pairs = (EnvironmentPair.additive(0.02, 0.01), EnvironmentPair.thermal(0.99, 18.5, 20.2))
+        for pair, M in itertools.product(pairs, (1, 10, 1000)):
+            models = endpoint_noise_models(pair, M)
+            q_lo, q_hi = pixel_error_bounds(fidelity_choi_inf(pair), M)
+            cl_lo, cl_hi = pixel_error_bounds(fidelity_classical(pair), M)
+            assert list(models) == list(NOISE_DERIVATIONS)
+            assert {tag: (m.flip_probability, m.derivation) for tag, m in models.items()} == {
+                "classical-lower": (cl_lo, "classical-lower"),
+                "classical-upper": (cl_hi, "classical-upper"),
+                "quantum-lower": (q_lo, "quantum-lower"),
+                "quantum-upper": (q_hi, "quantum-upper"),
+            }
 
     def test_four_endpoints(self):
         models = endpoint_noise_models(EnvironmentPair.additive(0.02, 0.01), 20)

@@ -583,7 +583,7 @@ class TestManifestAndConfig:
             assert "param nuB: 0.02" in manifest
 
     def test_config_value_may_start_with_a_minus(self, capsys, tmp_path):
-        # read as --nuT=-1e-13; argparse would take a separate "-1e-13" for a flag
+        # read as the single token --nuT=-1e-13
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nuT=-1e-13\n")
         code, out, _ = run(
@@ -592,6 +592,24 @@ class TestManifestAndConfig:
         )
         assert code == 0
         assert out.split("\n")[1] == "0.5,1.0"
+
+    @pytest.mark.parametrize("value", ["-1e-13", "-1E-13", "-.5e-3"])
+    def test_negative_exponent_value_may_follow_its_flag(self, capsys, tmp_path, value):
+        # argparse's negative-number pattern has no exponent, so it would take
+        # these for flags; the thermal kind records --nuT without using it
+        csvs = []
+        for i, spelling in enumerate((["--nuT", value], [f"--nuT={value}"])):
+            out = tmp_path / f"{i}.csv"
+            code, _, _ = run(
+                ["fidelity", "--kind", "thermal", "--tau", "0.99", "--epsB", "18.5",
+                 "--epsT", "20.2", "--a", "0.5,2", *spelling, "--out", str(out)],
+                capsys,
+            )
+            assert code == 0
+            manifest = (tmp_path / f"{i}.csv.manifest").read_text(encoding="utf-8")
+            assert f"param nuT: {float(value)}" in manifest.splitlines()
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize(
         "argv",

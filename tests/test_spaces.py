@@ -41,6 +41,17 @@ class TestImageSpace:
         sp = ImageSpace.bcpf(3, [0, 1, 2, 3])
         assert sp.kind == "uniform"
 
+    @given(st.integers(1, 12).flatmap(
+        lambda m: st.tuples(st.just(m), st.sets(st.integers(0, m), min_size=1))
+    ))
+    def test_one_description_per_count_set(self, args):
+        m, ks = args
+        assert ImageSpace.bcpf(m, ks) == ImageSpace(m, tuple(sorted(ks)))
+        assert ImageSpace.bcpf(m, range(m + 1)) == ImageSpace.uniform(m)
+        k = min(ks)
+        assert ImageSpace.cpf(m, k) == ImageSpace.bcpf(m, [k])
+        assert log_distance_counts(ImageSpace.cpf(m, k)) is log_distance_counts(ImageSpace.bcpf(m, [k]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ImageSpace.cpf(4, 5)
@@ -50,6 +61,8 @@ class TestImageSpace:
             ImageSpace.bcpf(4, [1, 1])
         with pytest.raises(ValueError):
             ImageSpace.uniform(0)
+        with pytest.raises(ValueError):
+            ImageSpace(4, (2, 1))
 
     def test_pattern_counts(self):
         assert ImageSpace.uniform(5).log_pattern_count() == pytest.approx(5 * math.log(2))
@@ -152,8 +165,7 @@ class TestOverflow:
 class TestDistanceSpectrum:
     @given(image_spaces())
     def test_matches_enumeration(self, space):
-        ks = range(space.m + 1) if space.kind == "uniform" else space.ks or (space.k,)
-        expected = brute_distance_counts(space.m, ks, ks)
+        expected = brute_distance_counts(space.m, space.ks, space.ks)
         counts = np.rint(np.exp(log_distance_counts(space)))
         np.testing.assert_array_equal(counts, expected)
 
