@@ -9,9 +9,9 @@ one M.  The nearest-neighbour rule scores a batch with one float64 GEMM
 against the training set packed several images per column, in integers below
 2**53, so its labels are exact.  ``estimate_error`` runs its trials in order;
 ``advantage_regions`` is the one place that runs work concurrently, its
-(M, endpoint) jobs, classifier training included, on ``threads`` workers.
-Every job depends only on its own streams, so any thread count reproduces
-the same numbers bit for bit.
+(M, flip probability) jobs, classifier training included, on ``threads``
+workers.  Every job depends only on its own streams, so any thread count
+reproduces the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -319,10 +319,12 @@ def advantage_regions(
     classifier per endpoint (the nearest-neighbour rule is used otherwise);
     ``p_override`` forces one flip probability everywhere, for diagnostics.
 
-    Each (M, endpoint) pair is one job: build its predictor (training it,
-    with a factory), then run all its trials.  ``threads`` workers run the
-    jobs of the whole grid concurrently; the rows are bit-identical for any
-    thread count.
+    Each distinct (M, flip probability) is one job: build its predictor
+    (training it, with a factory), then run all its trials.  Endpoints of one
+    M with the same flip probability, as all four are under ``p_override``,
+    share one job and its estimate; the factory sees the first of their
+    models.  ``threads`` workers run the jobs of the whole grid concurrently;
+    the rows are bit-identical for any thread count.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -335,17 +337,20 @@ def advantage_regions(
             models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override, "override"))
         grid.append((int(M), models, trial_stream(master_seed, mi).integers(2**63)))
 
-    def run_job(job: tuple[int, NoiseModel, int]) -> ErrorEstimate:
-        M, model, seed = job
+    def run_job(job: tuple[tuple[int, float, int], NoiseModel]) -> ErrorEstimate:
+        (M, _, seed), model = job
         predictor = predictor_factory(model, M) if predictor_factory else nn
         return estimate_error(training, evaluation, model, trials, seed, predictor=predictor)
 
-    jobs = [(M, model, seed) for M, models, seed in grid for model in models.values()]
+    jobs: dict[tuple[int, float, int], NoiseModel] = {}
+    for M, models, seed in grid:
+        for model in models.values():
+            jobs.setdefault((M, model.flip_probability, seed), model)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        estimates = pool.map(run_job, jobs)
+        estimates = dict(zip(jobs, pool.map(run_job, jobs.items())))
         rows = []
-        for M, models, _ in grid:
-            e = {tag: next(estimates) for tag in models}
+        for M, models, seed in grid:
+            e = {tag: estimates[M, model.flip_probability, seed] for tag, model in models.items()}
             rows.append(
                 AdvantageRow(
                     M=M,

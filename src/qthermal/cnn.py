@@ -1,26 +1,29 @@
 """Minimal from-scratch convolutional classifier.
 
-Valid-padding convolutions with ReLU on channels-last activations, dense
-layers that read the last conv output in (C, H, W) order (the order of the
-checkpointed weights), softmax cross-entropy and plain SGD by
-backpropagation, all in numpy.  ``loss_and_grad`` returns batch-summed
-quantities, so duplicated batch entries double both; the trainer divides
-by the batch size when updating.
+Valid-padding convolutions with ReLU, dense layers, softmax cross-entropy
+and plain SGD by backpropagation, all in numpy.  ``loss_and_grad`` returns
+batch-summed quantities, so duplicated batch entries double both; the
+trainer divides by the batch size when updating.
 
 The compute dtype follows the parameters.  ``init_params`` returns float64,
 which the gradient checks use; ``train`` casts to float32, so training and
 prediction run in float32.  Checkpoints stay float64 on disk.
 
-A conv layer copies its input windows into a K-major (C, k, k, B, OH, OW)
-buffer, one strided slice per kernel tap, whose transpose is the
-(B*OH*OW, C*k*k) GEMM operand in the weights' K order.  The large arrays of
-a pass live in a workspace, a dict of buffers keyed by layer and role that
-smaller batches reuse.  A ``train`` call owns one for its SGD steps and
-holdout predictions; any other ``predict_labels`` call makes its own and
-runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
-between threads: ``make_predictor`` holds none, because a predictor may be
-shared across the job threads of ``advantage_regions``, as its one
-nearest-neighbour predictor is.
+Every activation is feature-major with the batch last: (C, H, W, B) for
+conv layers, (features, B) for dense ones, so every layer is one GEMM
+``z = W @ X`` and its backward pass ``dW = dz @ X.T``, ``dX = W.T @ dz``.
+A conv layer's X is its windows, copied into a (C, k, k, OH, OW, B) buffer
+one strided slice per kernel tap, in the weights' K order; the last conv
+output, read as (C*H*W, B), is the first dense input in the checkpoint's
+(C, H, W) order.  Window copies and their gradient's scatter move
+contiguous runs of B.  The large arrays of a pass live in a workspace, a
+dict of buffers keyed by layer and role that smaller batches reuse.  A
+``train`` call owns one for its SGD steps and holdout predictions; any
+other ``predict_labels`` call makes its own and runs in chunks of
+``_PREDICT_CHUNK`` images.  No workspace is shared between threads:
+``make_predictor`` holds none, because a predictor may be shared across the
+job threads of ``advantage_regions``, as its one nearest-neighbour
+predictor is.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 <= self.holdout_fraction < 1.0:  # NaN fails too
+            raise ValueError(f"holdout fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
 def spec_digest(net: NetworkSpec) -> bytes:
@@ -161,22 +166,21 @@ def _buffer(workspace: dict | None, key, shape, dtype) -> np.ndarray:
 
 
 def _windows(x: np.ndarray, kernel: int, stride: int, out: np.ndarray) -> np.ndarray:
-    # x: (B, H, W, C) -> out (C, k, k, B, OH, OW), one strided copy per tap
-    oh, ow = out.shape[-2:]
-    planes = x.transpose(3, 0, 1, 2)
+    # x: (C, H, W, B) -> out (C, k, k, OH, OW, B), one strided copy per tap
+    oh, ow = out.shape[3:5]
     for i in range(kernel):
         for j in range(kernel):
-            out[:, i, j] = planes[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            out[:, i, j] = x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
     return out
 
 
 def _col2im(dcols: np.ndarray, dx: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    # dcols: (B, OH, OW, C, k, k) scattered back onto dx (B, H, W, C)
-    oh, ow = dcols.shape[1], dcols.shape[2]
+    # dcols: (C, k, k, OH, OW, B) scattered back onto dx (C, H, W, B)
+    oh, ow = dcols.shape[3:5]
     dx.fill(0)
     for i in range(kernel):
         for j in range(kernel):
-            dx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[..., i, j]
+            dx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
     return dx
 
 
@@ -199,45 +203,38 @@ def _forward_batch(
     cache: list | None = None,
     workspace: dict | None = None,
 ):
-    """Shared forward pass; images (B, H, W), returns logits in the params' dtype.
+    """Shared forward pass; images (B, H, W), returns (B, classes) logits in
+    the params' dtype, a transposed view of the (classes, B) output.
 
-    A ``cache`` list receives one (input, pre-activation) pair per layer; a
-    conv layer's are its (B*OH*OW, C*k*k) window matrix, a transposed view of
-    the K-major window buffer, and its (B*OH*OW, F) pre-activation.  With a
-    ``workspace`` every array, the logits included, is a view of its storage
-    and is overwritten by the next call.
+    A ``cache`` list receives one (input, pre-activation) pair per layer: a
+    (C*k*k, N) window matrix and an (F, N) pre-activation, with N = OH*OW*B
+    for a conv layer and B for a dense one.  With a ``workspace`` every
+    array, the logits included, is a view of its storage and is overwritten
+    by the next call.
     """
     _check_params(net, params)
     dtype = params[0][0].dtype
     B = len(images)
     shapes = net.feature_shapes()
-    x = images[..., None]  # cast to the compute dtype by the first copy
-    for i, ((W, b), (filters, kernel, stride)) in enumerate(zip(params, net.conv)):
-        c = shapes[i][0]
-        _, oh, ow = shapes[i + 1]
-        cols = _buffer(workspace, ("cols", i), (c, kernel, kernel, B, oh, ow), dtype)
-        flat = _windows(x, kernel, stride, cols).reshape(c * kernel * kernel, -1).T
-        z = _buffer(workspace, ("z", i), (len(flat), filters), dtype)
-        np.matmul(flat, W.reshape(filters, -1).T, out=z)
-        z += b
+    x = _buffer(workspace, "input", (*shapes[0], B), dtype)
+    x[0] = images.transpose(1, 2, 0)
+    for i, (W, b) in enumerate(params):
+        if i < len(net.conv):  # windows in the K order (C, k, k) of W
+            _, kernel, stride = net.conv[i]
+            cols = _buffer(workspace, ("cols", i), (*W.shape[1:], *shapes[i + 1][1:], B), dtype)
+            inp = _windows(x, kernel, stride, cols).reshape(W[0].size, -1)
+        else:  # a conv output (C, H, W, B) is the dense input in (C, H, W) order
+            inp = x.reshape(-1, B)
+        z = _buffer(workspace, ("z", i), (len(W), inp.shape[1]), dtype)
+        np.matmul(W.reshape(len(W), -1), inp, out=z)
+        z += b[:, None]
         if cache is not None:
-            cache.append((flat, z))
-        x = np.maximum(z, 0.0, out=_buffer(workspace, ("a", i), z.shape, dtype))
-        x = x.reshape(B, oh, ow, filters)
-    # dense layers read (C, H, W) features; the last is the output layer without ReLU
-    c, h, w = shapes[-1]
-    a = _buffer(workspace, "features", (B, c * h * w), dtype)
-    a.reshape(B, c, h, w)[...] = x.transpose(0, 3, 1, 2)
-    for i in range(len(net.conv), len(params)):
-        W, b = params[i]
-        z = _buffer(workspace, ("z", i), (B, len(W)), dtype)
-        np.matmul(a, W.T, out=z)
-        z += b
-        if cache is not None:
-            cache.append((a, z))
-        if i < len(params) - 1:
-            a = np.maximum(z, 0.0, out=_buffer(workspace, ("a", i), z.shape, dtype))
-    return z
+            cache.append((inp, z))
+        if i < len(params) - 1:  # the output layer has no ReLU
+            x = np.maximum(z, 0.0, out=_buffer(workspace, ("a", i), z.shape, dtype))
+            if i < len(net.conv):
+                x = x.reshape(*shapes[i + 1], B)
+    return z.T
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -291,40 +288,35 @@ def loss_and_grad(
     if labels.shape != (images.shape[0],):
         raise ShapeMismatchError("labels do not match the batch size")
     cache = []
-    logits = _forward_batch(net, params, images, cache, _workspace)
-    B = logits.shape[0]
-    top = logits.max(axis=1, keepdims=True)
+    logits = _forward_batch(net, params, images, cache, _workspace).T
+    B = logits.shape[1]
+    top = logits.max(axis=0)
     e = np.exp(logits - top)
-    loss = float(np.sum(np.log(e.sum(axis=1)) + top[:, 0] - logits[np.arange(B), labels]))
+    loss = float(np.sum(np.log(e.sum(axis=0)) + top - logits[labels, np.arange(B)]))
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss evaluated to {loss}")
 
     dtype = logits.dtype
     shapes = net.feature_shapes()
-    n_conv = len(net.conv)
     grads: list = [None] * len(params)
-    dz = e / e.sum(axis=1, keepdims=True)
-    dz[np.arange(B), labels] -= 1.0
+    dz = e / e.sum(axis=0)
+    dz[labels, np.arange(B)] -= 1.0
     for i in reversed(range(len(params))):
         inp, z = cache[i]
         W, _ = params[i]
         if i < len(params) - 1:  # hidden layers end in a ReLU
             mask = np.greater(z, 0.0, out=_buffer(_workspace, ("mask", i), z.shape, bool))
             dz = _buffer(_workspace, ("dz", i), z.shape, dtype)
-            np.multiply(da, mask.reshape(da.shape), out=dz.reshape(da.shape))
-        grads[i] = ((dz.T @ inp).reshape(W.shape), dz.sum(axis=0))
+            np.multiply(da.reshape(z.shape), mask, out=dz)
+        grads[i] = ((dz @ inp.T).reshape(W.shape), dz.sum(axis=1))
         if i == 0:  # the first layer's input gradient is the image's
             break
         da = _buffer(_workspace, ("da", i), inp.shape, dtype)
-        np.matmul(dz, W.reshape(len(W), -1), out=da)
-        if i == n_conv:  # back from (C, H, W) to channels-last
-            c, h, w = shapes[-1]
-            da = da.reshape(B, c, h, w).transpose(0, 2, 3, 1)
-        elif i < n_conv:
+        np.matmul(W.reshape(len(W), -1).T, dz, out=da)
+        if i < len(net.conv):  # scatter the windows' gradient onto the layer input
             _, kernel, stride = net.conv[i]
-            c, h, w = shapes[i]
-            dcols = da.reshape(B, *shapes[i + 1][1:], c, kernel, kernel)
-            dx = _buffer(_workspace, ("dx", i), (B, h, w, c), dtype)
+            dcols = da.reshape(*W.shape[1:], *shapes[i + 1][1:], B)
+            dx = _buffer(_workspace, ("dx", i), (*shapes[i], B), dtype)
             da = _col2im(dcols, dx, kernel, stride)
     return loss, grads
 

@@ -346,6 +346,34 @@ class TestAdvantageRegions:
         assert row.e_cl_low.mean > 0.0
         assert row.e_cl_low == row.e_cl_up == row.e_q_low == row.e_q_up
 
+    def test_p_override_runs_one_job_per_M(self, digits_small):
+        # the four endpoints share one model and one seed per M, so one
+        # predictor and one estimate serve all four columns
+        train, evaluation = digits_small
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        nn = nn_predictor(train)
+        built = []
+
+        def factory(noise, M):
+            built.append((M, noise))
+            return nn
+
+        rows = advantage_regions(
+            train, evaluation, pair, [10, 40], trials=3, master_seed=6,
+            threads=2, predictor_factory=factory, p_override=0.2,
+        )
+        assert sorted(built, key=lambda job: job[0]) == [
+            (10, NoiseModel(0.2, "override")), (40, NoiseModel(0.2, "override"))
+        ]
+        for mi, row in enumerate(rows):
+            seed = trial_stream(6, mi).integers(2**63)
+            expected = estimate_error(train, evaluation, NoiseModel(0.2), 3, seed)
+            assert expected.mean > 0.0
+            assert row.e_cl_low == row.e_cl_up == row.e_q_low == row.e_q_up == expected
+        assert rows == advantage_regions(
+            train, evaluation, pair, [10, 40], trials=3, master_seed=6, p_override=0.2
+        )
+
     def test_pixel_probabilities_recorded(self, digits_small):
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.01)

@@ -12,7 +12,9 @@ from qthermal.cnn import (
     _PREDICT_CHUNK,
     NetworkSpec,
     TrainConfig,
+    _col2im,
     _forward_batch,
+    _windows,
     evaluate,
     forward,
     init_params,
@@ -64,6 +66,15 @@ class TestTrainConfig:
     def test_rejects_non_finite_or_negative_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -0.1, 1.0, 1.5])
+    def test_rejects_holdout_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"holdout fraction must lie in \[0, 1\)"):
+            TrainConfig(holdout_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.99])
+    def test_accepts_holdout_fraction_in_unit_interval(self, fraction):
+        assert TrainConfig(holdout_fraction=fraction).holdout_fraction == fraction
 
 
 class TestForward:
@@ -259,6 +270,29 @@ def random_params(net, seed, dtype):
     rng = np.random.default_rng(seed)
     return [(W.astype(dtype), rng.normal(0.0, 0.1, b.shape).astype(dtype))
             for W, b in init_params(net, seed)]
+
+
+class TestWindows:
+    @given(
+        c=st.integers(1, 4),
+        kernel=st.integers(1, 3),
+        stride=st.integers(1, 2),
+        h=st.integers(5, 9),
+        w=st.integers(5, 9),
+        batch=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_col2im_is_the_adjoint_of_windows(self, c, kernel, stride, h, w, batch, seed):
+        # <windows(x), y> == <x, col2im(y)> for every kernel/stride pair,
+        # so the backward scatter sends each window gradient to its pixel
+        oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c, h, w, batch))
+        y = rng.normal(size=(c, kernel, kernel, oh, ow, batch))
+        cols = _windows(x, kernel, stride, np.empty_like(y))
+        dx = _col2im(y, np.full_like(x, np.nan), kernel, stride)
+        lhs, rhs = np.vdot(cols, y), np.vdot(x, dx)
+        assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(y))
 
 
 class TestWorkspace:
