@@ -80,7 +80,7 @@ def cnn_comparison(train, evaluation) -> None:
     M = 10
     print(f"\nCNN vs NN at M = {M} (additive pair), trained per noise endpoint:")
     net = NetworkSpec(input_shape=(train.height, train.width), classes=10)
-    config = TrainConfig(learning_rate=0.05, batch_size=64, epochs=3, seed=0)
+    config = TrainConfig()
     from qthermal.classify import endpoint_noise_models
 
     for tag, model in endpoint_noise_models(pair, M).items():

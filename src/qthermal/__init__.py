@@ -39,7 +39,6 @@ from .classify import (
     nn_predictor,
     sample_noisy,
     snapp_fit,
-    trial_stream,
 )
 from .data import (
     BinaryImageDataset,
@@ -48,6 +47,7 @@ from .data import (
     load_idx_split,
     parse_idx,
     synthetic_digits,
+    trial_stream,
 )
 from .gaussian import (
     CovarianceMatrix,

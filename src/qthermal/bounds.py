@@ -23,18 +23,25 @@ class BoundReport:
 
     ``q_lower``/``q_upper`` sandwich the optimal quantum-assisted error
     probability, ``cl_lower`` bounds the optimal classical strategy from
-    below, ``mga = cl_lower - q_upper`` is the minimum guaranteed advantage,
-    ``mpa = cl_lower - q_lower`` the maximum potential advantage and
-    ``mbar_adv`` the minimum probe copies per pixel guaranteeing advantage
-    on uniform spaces (infinite when no crossing exists).
+    below and ``mbar_adv`` is the minimum probe copies per pixel
+    guaranteeing advantage on uniform spaces (infinite when no crossing
+    exists).  Derived from them: ``mga = cl_lower - q_upper``, the minimum
+    guaranteed advantage, and ``mpa = cl_lower - q_lower``, the maximum
+    potential advantage.
     """
 
     q_lower: float
     q_upper: float
     cl_lower: float
-    mga: float
-    mpa: float
     mbar_adv: float
+
+    @property
+    def mga(self) -> float:
+        return self.cl_lower - self.q_upper
+
+    @property
+    def mpa(self) -> float:
+        return self.cl_lower - self.q_lower
 
 
 def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
@@ -74,15 +81,7 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
     if space.kind == "uniform":
         # local Helstrom bound of pixel-by-pixel measurement: 1 - (1 - F^M/2)^m
         q_upper = min(q_upper, -math.expm1(space.m * math.log1p(-0.5 * math.exp(log_fm))))
-    q_lower, cl_lower = lower(F_q), lower(F_cl)
-    return BoundReport(
-        q_lower=q_lower,
-        q_upper=q_upper,
-        cl_lower=cl_lower,
-        mga=cl_lower - q_upper,
-        mpa=cl_lower - q_lower,
-        mbar_adv=mbar_adv,
-    )
+    return BoundReport(q_lower=lower(F_q), q_upper=q_upper, cl_lower=lower(F_cl), mbar_adv=mbar_adv)
 
 
 def min_rel_probe_uniform(F_q: float, F_cl: float) -> float:
@@ -94,8 +93,6 @@ def min_rel_probe_uniform(F_q: float, F_cl: float) -> float:
     there is no crossing and infinity is returned; F_q = 0 < F_cl gives 0.
     A fidelity outside [0, 1] raises ``ValueError``.
     """
-    if not (0.0 <= F_q <= 1.0 and 0.0 <= F_cl <= 1.0):
-        raise ValueError(f"fidelities must lie in [0, 1], got F_q={F_q}, F_cl={F_cl}")
     # -inf at F_cl = 0, NaN at F_cl = F_q = 0 and +inf at F_q = 0 < F_cl
     denom = 2.0 * log_pow(F_cl) - log_pow(F_q)
     if not denom > 0.0:
@@ -128,8 +125,6 @@ def pixel_error_bounds(F: float, M: int) -> tuple[float, float]:
 
         (1 - sqrt(1 - F^(2M))) / 2  <=  p  <=  F^M / 2.
     """
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {F}")
     if M < 1:
         raise ValueError(f"probe copy number must be >= 1, got {M}")
     # 1 - sqrt(1-x) = x / (1 + sqrt(1-x)) avoids cancellation at small x

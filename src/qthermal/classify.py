@@ -5,7 +5,8 @@ Sensor imperfection is modelled as independent symmetric pixel flips whose
 probability comes from the single-pixel error bounds.  Each trial flips the
 whole evaluation set with one block of uniforms from a counter-based stream
 keyed on (master seed, M index, trial), shared by the four noise endpoints of
-one M.  The nearest-neighbour rule scores a batch with one float64 GEMM
+one M; streams come from ``data.trial_stream``, which this module re-exports.
+The nearest-neighbour rule scores a batch with one float64 GEMM
 against the training set packed several images per column, in integers below
 2**53, so its labels are exact.  ``estimate_error`` runs its trials in order;
 ``advantage_regions`` is the one place that runs work concurrently, its
@@ -24,7 +25,7 @@ import numpy as np
 
 from .bounds import pixel_error_bounds
 from .channels import EnvironmentPair, fidelity_choi_inf, fidelity_classical
-from .data import BinaryImageDataset
+from .data import BinaryImageDataset, trial_stream
 from .errors import (
     EmptyEvaluationSetError,
     EmptyTrainingSetError,
@@ -64,12 +65,6 @@ def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, Noise
     cl = pixel_error_bounds(fidelity_classical(pair), copies)
     q = pixel_error_bounds(fidelity_choi_inf(pair), copies)
     return {tag: NoiseModel(p, tag) for tag, p in zip(NOISE_DERIVATIONS, (*cl, *q))}
-
-
-def trial_stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, trial, ...) coordinate."""
-    entropy = (int(master_seed),) + tuple(int(p) for p in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def sample_noisy(images: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:

@@ -313,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="concurrent (M, endpoint) jobs; with N > 1 set OPENBLAS_NUM_THREADS=1, "
                    "or each job's BLAS calls start their own threads and oversubscribe the cores")
-    p.add_argument("--epochs", type=int, default=3, help="cnn training epochs")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.05, help="cnn learning rate")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="cnn training epochs")
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="cnn learning rate")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("temp", help="occupation to temperature table")

@@ -36,9 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import ErrorEstimate, NoiseModel, estimate_error, sample_noisy, trial_stream
-from .data import BinaryImageDataset
-from .errors import NonFiniteLossError, ShapeMismatchError, TruncatedPayloadError
+from .classify import ErrorEstimate, NoiseModel, estimate_error, sample_noisy
+from .data import BinaryImageDataset, trial_stream
+from .errors import (
+    EmptyTrainingSetError,
+    NonFiniteLossError,
+    ShapeMismatchError,
+    TruncatedPayloadError,
+)
 
 CHECKPOINT_MAGIC = b"QTHC"
 CHECKPOINT_VERSION = 1
@@ -99,9 +104,11 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings; the package's only CNN training defaults."""
+
     learning_rate: float = 0.05
     batch_size: int = 64
-    epochs: int = 5
+    epochs: int = 3
     seed: int = 0
     holdout_fraction: float = 0.1
 
@@ -325,7 +332,6 @@ def loss_and_grad(
 class TrainResult:
     params: list
     trace: list[dict] = field(default_factory=list)
-    best_epoch: int = 0
 
 
 def train(
@@ -336,26 +342,26 @@ def train(
 ) -> TrainResult:
     """Plain float32 SGD training with a held-out slice for best-epoch selection.
 
-    With a noise model each image receives a fresh noise sample every
+    The holdout is min(max(1, round(holdout_fraction * n)), n - 1) of the n
+    images, disjoint from the rest, which are fitted; only n = 1 leaves it
+    empty.  With a noise model each image receives a fresh noise sample every
     epoch, drawn from (seed, epoch, batch) streams; everything is
-    deterministic for a fixed config.
+    deterministic for a fixed config.  An empty set raises ``EmptyTrainingSetError``.
     """
-    if len(training) == 0:
-        raise ValueError("training set is empty")
     n = len(training)
+    if n == 0:
+        raise EmptyTrainingSetError("training set is empty")
     images = training.images.reshape(n, *net.input_shape)
     labels = training.labels
 
-    n_hold = max(1, int(round(config.holdout_fraction * n))) if n > 1 else 0
+    n_hold = min(max(1, round(config.holdout_fraction * n)), n - 1)
     perm = trial_stream(config.seed, 0x51).permutation(n)
     hold_idx, fit_idx = perm[:n_hold], perm[n_hold:]
-    if len(fit_idx) == 0:
-        fit_idx, hold_idx = perm, perm
     x_hold, y_hold = images[hold_idx], labels[hold_idx]
 
     params = [(W.astype(np.float32), b.astype(np.float32))
               for W, b in init_params(net, config.seed)]
-    best_acc, best_epoch = -1.0, 0
+    best_acc = -1.0
     trace = []
     workspace: dict = {}
     apply_noise = noise is not None and noise.flip_probability > 0
@@ -390,9 +396,9 @@ def train(
             }
         )
         if acc >= best_acc:
-            best_acc, best_epoch = acc, epoch
+            best_acc = acc
             best = [(W.copy(), b.copy()) for W, b in params]
-    return TrainResult(params=best, trace=trace, best_epoch=best_epoch)
+    return TrainResult(params=best, trace=trace)
 
 
 def make_predictor(net: NetworkSpec, params):

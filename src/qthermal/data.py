@@ -1,4 +1,5 @@
-"""Binary image datasets: IDX ingestion, binarisation, synthetic digits.
+"""Binary image datasets (IDX ingestion, binarisation, synthetic digits) and
+``trial_stream``, the one constructor of the package's random generators.
 
 The IDX container is the big-endian binary layout used by the classic
 handwritten-digit files: a 4-byte magic (0x00000803 for uint8 images with 3
@@ -41,6 +42,13 @@ _SPLIT_FILES = {
     "training": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "evaluation": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
+
+
+def trial_stream(master_seed: int, *path: int) -> np.random.Generator:
+    """Counter-based generator for one (seed, trial, ...) coordinate; every
+    random draw of the package, synthetic images included, comes from one."""
+    entropy = (int(master_seed),) + tuple(int(p) for p in path)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -227,7 +235,7 @@ def synthetic_digits(
     Fully determined by (n, seed, split) through counter-based streams.
     """
     split_tag = int.from_bytes(hashlib.sha256(split.encode()).digest()[:4], "big")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, split_tag))))
+    rng = trial_stream(seed, split_tag)
     scale = max(1, min((height - 2) // 7, (width - 2) // 5))
     glyphs = [_glyph_array(c, scale) for c in range(10)]
     if glyphs[0].shape[0] > height or glyphs[0].shape[1] > width:

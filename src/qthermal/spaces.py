@@ -54,10 +54,13 @@ def log_sum_exp(values: np.ndarray) -> float:
 
 
 def log_pow(f: float, exponent: float = 1.0) -> float:
-    """log(f^exponent) for f in [0, 1]: -inf at f = 0 and 0 at f = 1."""
-    if f <= 0.0:
+    """log(f^exponent) for a fidelity f: -inf at f = 0 and 0 at f = 1.  The
+    package's one fidelity range check: f outside [0, 1] or NaN raises."""
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {f}")
+    if f == 0.0:
         return NEG_INF
-    if f >= 1.0:
+    if f == 1.0:
         return 0.0
     return exponent * math.log(f)
 
@@ -162,7 +165,6 @@ def hamming_functional_uniform(m: int, f: float) -> float:
     Equals (1/2^m) * sum over ordered unequal m-bit pattern pairs of
     f^hamming.
     """
-    _check_f(f)
     return _per_pattern(ImageSpace.uniform(m), f)
 
 
@@ -172,7 +174,6 @@ def cpf_functional(m: int, k: int, f: float) -> float:
     Terminating series sum_{j>=1} C(k,j) C(m-k,j) f^{2j}; zero for the
     singleton spaces k = 0 and k = m.
     """
-    _check_f(f)
     return _per_pattern(ImageSpace.cpf(m, k), f)
 
 
@@ -181,7 +182,6 @@ def cross_functional(m: int, k: int, l: int, f: float) -> float:
     spaces (k != l); equals C(m,k) C(m,l) at f = 1.  A sum beyond double
     range returns ``math.inf`` without a warning; its log is
     ``log_hamming_sum(log_pair_counts(m, (k,), (l,)), log f)``."""
-    _check_f(f)
     if k == l:
         raise ValueError("cross functional requires distinct target counts")
     ks, ls = ImageSpace.cpf(m, k).ks, ImageSpace.cpf(m, l).ks
@@ -193,7 +193,6 @@ def bcpf_functional(space: ImageSpace, f: float) -> float:
     BCPF space; for the full count set it equals 2^m * ((f+1)^m - 1).  A sum
     beyond double range returns ``math.inf`` without a warning; its log is
     ``log_hamming_sum(log_distance_counts(space), log f)``."""
-    _check_f(f)
     return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)))
 
 
@@ -205,8 +204,3 @@ def _exp(log_value: float) -> float:
 
 def _per_pattern(space: ImageSpace, f: float) -> float:
     return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)) - space.log_pattern_count())
-
-
-def _check_f(f: float) -> None:
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity argument must lie in [0, 1], got {f}")

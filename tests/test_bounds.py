@@ -20,7 +20,13 @@ from qthermal.channels import (
     fidelity_choi_inf,
     fidelity_classical,
 )
-from qthermal.spaces import ImageSpace
+from qthermal.spaces import (
+    ImageSpace,
+    bcpf_functional,
+    cpf_functional,
+    cross_functional,
+    hamming_functional_uniform,
+)
 
 from conftest import image_spaces, printed_choi_additive, printed_classical_additive
 
@@ -285,6 +291,26 @@ class TestFidelityContract:
     def test_min_rel_probe_validates_both_fidelities(self, bad, good, quantum_bad):
         with pytest.raises(ValueError):
             min_rel_probe_uniform(*((bad, good) if quantum_bad else (good, bad)))
+
+    @given(outside, copies)
+    def test_pixel_error_bounds_rejects_fidelity_outside_unit_interval(self, bad, M):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            pixel_error_bounds(bad, M)
+
+    @pytest.mark.parametrize(
+        "functional",
+        [
+            lambda f: hamming_functional_uniform(6, f),
+            lambda f: cpf_functional(6, 2, f),
+            lambda f: cross_functional(6, 2, 3, f),
+            lambda f: bcpf_functional(ImageSpace.bcpf(6, [1, 3]), f),
+        ],
+        ids=["uniform", "cpf", "cross", "bcpf"],
+    )
+    @given(bad=outside)
+    def test_space_functionals_reject_fidelity_outside_unit_interval(self, functional, bad):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            functional(bad)
 
     @given(fidelities)
     @example(0.0)

@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qthermal.channels import EnvironmentPair, fidelity_classical
-from qthermal.cli import main
+from qthermal.cli import build_parser, main
+from qthermal.cnn import TrainConfig
 
 
 def _load_bench_runner():
@@ -250,6 +251,15 @@ class TestSimulateCommand:
         row = lines[1].split(",")
         assert int(row[0]) == 10
         assert "synthetic" in err
+
+    def test_cnn_flag_defaults_are_the_train_config_defaults(self):
+        args = build_parser().parse_args(self.BASE)
+        defaults = TrainConfig()
+        assert (args.epochs, args.batch_size, args.lr) == (
+            defaults.epochs,
+            defaults.batch_size,
+            defaults.learning_rate,
+        )
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run([*self.BASE, "--seed", "3"], capsys)

@@ -1,11 +1,14 @@
 """Forward pass, backpropagation, training loop and checkpoints."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qthermal import cnn
 from qthermal.channels import EnvironmentPair
 from qthermal.classify import NoiseModel, advantage_regions
 from qthermal.cnn import (
@@ -27,7 +30,7 @@ from qthermal.cnn import (
     train,
 )
 from qthermal.data import BinaryImageDataset, synthetic_digits
-from qthermal.errors import ShapeMismatchError, TruncatedPayloadError
+from qthermal.errors import EmptyTrainingSetError, ShapeMismatchError, TruncatedPayloadError
 
 from conftest import direct_conv_logits, max_fd_error, smooth_configuration
 
@@ -210,6 +213,40 @@ class TestTrain:
         for (W, b), (W0, b0) in zip(result.params, init_params(net, 2)):
             assert_allclose(W, W0)
             assert_allclose(b, b0)
+
+    def test_empty_training_set_raises_typed_error(self):
+        empty = BinaryImageDataset(
+            images=np.zeros((0, 16)), labels=np.zeros(0), height=4, width=4, split="training"
+        )
+        with pytest.raises(EmptyTrainingSetError, match="training set is empty"):
+            train(TOY, empty, None, TrainConfig(epochs=1))
+
+    @given(st.integers(2, 30), st.floats(0.0, 1.0, exclude_max=True))
+    @example(2, 0.75)
+    @settings(max_examples=50, deadline=None)
+    def test_holdout_and_fit_sets_are_disjoint_and_non_empty(self, n, fraction):
+        # image i shows the bits of i + 1, so its pattern names its index
+        place = 1 << np.arange(16)
+        images = (np.arange(1, n + 1)[:, None] & place) > 0
+        ds = BinaryImageDataset(
+            images=images, labels=np.arange(n) % 2, height=4, width=4, split="training"
+        )
+        seen = {"fit": set(), "holdout": set()}
+
+        def recording(role, fn):
+            def wrapped(net, params, batch, *args, **kwargs):
+                seen[role].update(int(i) - 1 for i in np.reshape(batch, (len(batch), 16)) @ place)
+                return fn(net, params, batch, *args, **kwargs)
+
+            return wrapped
+
+        config = TrainConfig(batch_size=4, epochs=2, holdout_fraction=fraction)
+        with mock.patch.object(cnn, "loss_and_grad", recording("fit", cnn.loss_and_grad)), \
+                mock.patch.object(cnn, "predict_labels", recording("holdout", cnn.predict_labels)):
+            train(TOY, ds, None, config)
+        assert seen["fit"] and seen["holdout"]
+        assert seen["fit"].isdisjoint(seen["holdout"])
+        assert seen["fit"] | seen["holdout"] == set(range(n))
 
     def test_fixed_seed_reproducible(self):
         ds = synthetic_digits(60, seed=4, height=8, width=8)
