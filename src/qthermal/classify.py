@@ -8,11 +8,14 @@ keyed on (master seed, M index, trial), shared by the four noise endpoints of
 one M; streams come from ``data.trial_stream``, which this module re-exports.
 The nearest-neighbour rule scores a batch with one float64 GEMM
 against the training set packed several images per column, in integers below
-2**53, so its labels are exact.  ``estimate_error`` runs its trials in order;
-``advantage_regions`` is the one place that runs work concurrently, its
-(M, flip probability) jobs, classifier training included, on ``threads``
-workers.  Every job depends only on its own streams, so any thread count
-reproduces the same numbers bit for bit.
+2**53, so its labels are exact.  The GEMM output is unpacked and scored in
+row blocks of ``_NN_ROWS`` queries, in buffers reused from block to block,
+with one argmin per query over scores laid out in training-index order, so
+ties go to the lowest-index nearest image.  ``estimate_error`` runs its
+trials in order; ``advantage_regions`` is the one place that runs work
+concurrently, its (M, flip probability) jobs, classifier training included,
+on ``threads`` workers.  Every job depends only on its own streams, so any
+thread count reproduces the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ NOISE_DERIVATIONS = (
 
 # truncation order of the finite-sample error expansion fitted by ``snapp_fit``
 _SNAPP_JMAX = 5
+
+# queries per row block when ``nn_predictor`` scores a batch's GEMM output
+_NN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -89,12 +95,16 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
     every q.t.  Each product and partial sum is a non-negative integer below
     2**53, hence exact in any summation order, BLAS kernel or thread count.
     Digit k of the product, read with a shift and a mask, is q.t for block k,
-    the training images k cols ... (k + 1) cols - 1.  Each block's argmin
-    takes its lowest index on ties and the first block wins ties between
-    blocks, so the label is that of the lowest-index nearest training image.
-    Padding slots of the last block score above every real image.  A pixel
-    other than 0 or 1 could carry into the next digit, so such a batch raises
-    ``ValueError``.
+    the training images k cols ... (k + 1) cols - 1.
+
+    The product is scored ``_NN_ROWS`` queries at a time: each row block's
+    digits are written into one (rows, blocks, cols) score array, so that
+    position k cols + c is training index k cols + c, and one argmin per row
+    returns the lowest-index nearest training image.  Scores lie within
+    +-2**bits, so they are int32 up to 30 bits.  Padding slots of the last
+    block score above every real image.  A pixel other than 0 or 1 could
+    carry into the next digit, so such a batch raises ``ValueError``; the
+    check runs on the batch as given, before any cast.
     """
     if training is None or len(training) == 0:
         raise EmptyTrainingSetError("training set is empty")
@@ -111,29 +121,34 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
         packed *= float(1 << bits)
         block = images[k * cols : (k + 1) * cols]
         packed[: len(block)] += block
-    block_norms = np.full(blocks * cols, t_norms.max() + 1)
+    score_dtype = np.int32 if bits <= 30 else np.int64
+    block_norms = np.full(blocks * cols, t_norms.max() + 1, dtype=score_dtype)
     block_norms[:n] = t_norms
     block_norms = block_norms.reshape(blocks, cols)
     twice_mask = 2 * ((1 << bits) - 1)
     t_labels = training.labels
 
     def predict(batch: np.ndarray) -> np.ndarray:
-        batch = np.asarray(batch, dtype=np.float64)
-        if np.any((batch != 0.0) & (batch != 1.0)):
+        batch = np.asarray(batch)
+        if np.any((batch != 0) & (batch != 1)):
             raise ValueError("nearest-neighbour queries must be binary (pixels 0 or 1)")
-        dots = (batch @ packed.T).astype(np.int64)
-        rows = np.arange(len(batch))
-        best = np.empty((blocks, len(batch)), dtype=np.int64)
-        low = np.empty((blocks, len(batch)), dtype=np.int64)
-        for k in range(blocks):
-            # 2 q.t for block k: digit k shifted one bit less, masked
-            scores = dots << 1 if k == 0 else dots >> (bits * k - 1)
-            scores &= twice_mask
-            np.subtract(block_norms[k], scores, out=scores)
-            best[k] = np.argmin(scores, axis=1)
-            low[k] = scores[rows, best[k]]
-        k = np.argmin(low, axis=0)
-        return t_labels[k * cols + best[k, rows]]
+        products = np.asarray(batch, dtype=np.float64) @ packed.T
+        nearest = np.empty(len(batch), dtype=np.int64)
+        # one set of row-block buffers, reused by every block
+        twice = np.empty((min(_NN_ROWS, len(batch)), cols), dtype=np.int64)
+        digit = np.empty_like(twice)
+        scores = np.empty((len(twice), blocks, cols), dtype=score_dtype)
+        for start in range(0, len(batch), _NN_ROWS):
+            rows = min(_NN_ROWS, len(batch) - start)
+            t, d, s = twice[:rows], digit[:rows], scores[:rows]
+            # 2 q.t of block k is bits k up in t, read with a shift and a mask
+            np.multiply(products[start : start + rows], 2.0, out=t, casting="unsafe")
+            for k in range(blocks):
+                np.right_shift(t, bits * k, out=d)
+                d &= twice_mask
+                np.subtract(block_norms[k], d, out=s[:, k], casting="unsafe")
+            nearest[start : start + rows] = np.argmin(s.reshape(rows, -1), axis=1)
+        return t_labels[nearest]
 
     return predict
 

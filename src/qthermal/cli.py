@@ -10,8 +10,8 @@ once, as ``warning: <Category>: <message>``, and leaves the exit code as it
 is.  Every fidelity comes from the closed forms of :mod:`qthermal.channels`:
 no command builds a covariance matrix or works in extended precision.
 Probe copy (``--M``) and target count (``--k``) grids must hold integers,
-and an empty ``--M``, ``--k``, ``--nbar`` or ``--eps`` grid is a usage
-error.  Output is deterministic: identical flags, input files and seeds
+and an empty ``--M``, ``--k``, ``--a``, ``--nbar`` or ``--eps`` grid is a
+usage error.  Output is deterministic: identical flags, input files and seeds
 produce byte-identical CSVs.
 """
 
@@ -84,8 +84,9 @@ def _manifest(args: argparse.Namespace, extra: dict) -> list[str]:
     return lines
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Comma list `a,b,c` or range `start:stop:step` (inclusive stop)."""
+def _grid(text: str, name: str) -> list[float]:
+    """Comma list `a,b,c` or range `start:stop:step` (inclusive stop) of the
+    ``name`` grid; an empty grid is an error."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
         if not all(map(math.isfinite, (start, stop, step))):
@@ -94,15 +95,11 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError("grid step must be positive")
         # index the points instead of accumulating step, which drifts
         count = math.floor((stop - start) / step + 1e-9) + 1
-        return [start + i * step for i in range(max(count, 0))]
-    values = [float(p) for p in text.split(",") if p]
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"grid values must be finite, got {text!r}")
-    return values
-
-
-def _grid(text: str, name: str) -> list[float]:
-    grid = _parse_grid(text)
+        grid = [start + i * step for i in range(max(count, 0))]
+    else:
+        grid = [float(p) for p in text.split(",") if p]
+        if not all(map(math.isfinite, grid)):
+            raise ValueError(f"grid values must be finite, got {text!r}")
     if not grid:
         raise ValueError(f"empty {name} grid")
     return grid
@@ -137,7 +134,7 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_fidelity(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
-    grid = sorted(set(_parse_grid(args.a)) | {0.5})
+    grid = sorted(set(_grid(args.a, "squeezing")) | {0.5})
     rows = ["a,F"] + [_row(a, f) for a, f in zip(grid, fidelity_finite(pair, grid))]
     rows.append(_row("inf", fidelity_choi_inf(pair)))
     return rows, {}

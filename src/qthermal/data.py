@@ -33,10 +33,12 @@ _MAX_ELEMENTS = 2**31
 
 # ``synthetic_digits``: largest glyph offset in pixels along each axis, the
 # probability of a speckle flip per pixel, and the images per block of
-# speckle uniforms
+# speckle uniforms.  The uniforms of every block are drawn into one reused
+# float64 buffer of this many images (0.8 MB at 28x28), not into an
+# (n, height, width) array; the stream, and so the output, is the same.
 _MAX_SHIFT = 2
 _SPECKLE = 0.01
-_SPECKLE_ROWS = 1024
+_SPECKLE_ROWS = 128
 
 _SPLIT_FILES = {
     "training": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -240,22 +242,26 @@ def synthetic_digits(
     glyphs = [_glyph_array(c, scale) for c in range(10)]
     if glyphs[0].shape[0] > height or glyphs[0].shape[1] > width:
         raise ValueError(f"canvas {height}x{width} too small for the glyphs")
-    images = np.zeros((n, height, width), dtype=np.uint8)
     labels = np.arange(n, dtype=np.int64) % 10
     gh, gw = glyphs[0].shape
     base_r = (height - gh) // 2
     base_c = (width - gw) // 2
     shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
-    # every image's glyph window is written by one fancy-indexed assignment
     r, c = np.clip(shifts + [base_r, base_c], 0, [height - gh, width - gw]).T
-    rows = r[:, None, None] + np.arange(gh)[:, None]
-    cols = c[:, None, None] + np.arange(gw)
-    images[np.arange(n)[:, None, None], rows, cols] = np.stack(glyphs)[labels]
-    # one stream drawn in row blocks yields the same uniforms as one draw,
-    # without an (n, height, width) float64 temporary
+    # one template per (class, clipped offset) in use, at most 25 per class;
+    # each image is a copy of its template
+    keys, which = np.unique((labels * height + r) * width + c, return_inverse=True)
+    templates = np.zeros((len(keys), height, width), dtype=np.uint8)
+    for template, key in zip(templates, keys.tolist()):
+        cls, at = divmod(key, height * width)
+        r0, c0 = divmod(at, width)
+        template[r0 : r0 + gh, c0 : c0 + gw] = glyphs[cls]
+    images = templates[which]
+    uniforms = np.empty((min(n, _SPECKLE_ROWS), height, width))
     for start in range(0, n, _SPECKLE_ROWS):
         block = images[start : start + _SPECKLE_ROWS]
-        block ^= (rng.random(block.shape) < _SPECKLE).view(np.uint8)
+        u = rng.random(out=uniforms[: len(block)])
+        block ^= (u < _SPECKLE).view(np.uint8)
     return BinaryImageDataset(
         images=images.reshape(n, height * width),
         labels=labels,

@@ -20,7 +20,7 @@ from qthermal.classify import (
     snapp_fit,
     trial_stream,
 )
-from qthermal.classify import _snapp_design
+from qthermal.classify import _NN_ROWS, _snapp_design
 from qthermal.data import BinaryImageDataset, synthetic_digits
 from qthermal.errors import (
     EmptyEvaluationSetError,
@@ -146,6 +146,10 @@ class TestNNClassify:
             nn_predictor(train)
 
 
+# query counts on either side of one and two scoring row blocks
+ROW_BLOCK_COUNTS = [_NN_ROWS - 1, _NN_ROWS, _NN_ROWS + 1, 2 * _NN_ROWS + 3]
+
+
 @st.composite
 def nn_cases(draw):
     """(training, queries) binary arrays for the packed nearest-neighbour GEMM.
@@ -154,7 +158,9 @@ def nn_cases(draw):
     packed column holds as few as 4 images; an all-zero training set gives
     the 1-bit floor.  Training sizes are arbitrary, so the last block is
     usually padded; optional all-ones and duplicated rows put the largest
-    norm on a bit boundary and force ties.
+    norm on a bit boundary and force ties.  Query counts reach past one and
+    two scoring row blocks, so a row dropped, repeated or moved at a block
+    boundary shows.
     """
     m = draw(st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 1023, 1024, 4095, 4096])))
     n = draw(st.integers(1, 30))
@@ -164,10 +170,13 @@ def nn_cases(draw):
         train[draw(st.integers(0, n - 1))] = 1
     if draw(st.booleans()):
         train[draw(st.integers(0, n - 1))] = train[draw(st.integers(0, n - 1))]
-    queries = (rng.random((draw(st.integers(1, 6)), m)) < draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])))
+    count = draw(st.one_of(st.integers(1, 6), st.sampled_from(ROW_BLOCK_COUNTS)))
+    queries = rng.random((count, m)) < draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
     queries = queries.astype(np.uint8)
     if draw(st.booleans()):
         queries[0] = train[draw(st.integers(0, n - 1))]
+    if draw(st.booleans()):
+        queries[-1] = train[draw(st.integers(0, n - 1))]
     return train, queries
 
 
@@ -182,6 +191,16 @@ def all_ones_case(m):
     return train, queries.astype(np.uint8)
 
 
+def row_block_case(count):
+    """Eleven distinct images, so the last block is padded, queried with
+    ``count`` exact copies in a shuffled order: every row has one nearest
+    image, so any row moved across a block boundary changes the answer."""
+    rng = np.random.default_rng(count)
+    train = (rng.random((11, 64)) < 0.5).astype(np.uint8)
+    train[:, :4] = np.unpackbits(np.arange(11, dtype=np.uint8)[:, None], axis=1)[:, 4:]
+    return train, train[rng.integers(0, len(train), count)]
+
+
 class TestNNPredictor:
     @given(nn_cases())
     # every norm 0: the 1-bit floor, 53 images per column
@@ -189,6 +208,10 @@ class TestNNPredictor:
     # all-ones norms 4095 (largest 12-bit digit) and 4096 (13 bits), 4 per column
     @example(all_ones_case(4095))
     @example(all_ones_case(4096))
+    @example(row_block_case(ROW_BLOCK_COUNTS[0]))
+    @example(row_block_case(ROW_BLOCK_COUNTS[1]))
+    @example(row_block_case(ROW_BLOCK_COUNTS[2]))
+    @example(row_block_case(ROW_BLOCK_COUNTS[3]))
     def test_matches_hamming_argmin(self, case):
         train, queries = case
         # labels are training indices, so duplicates carry different labels

@@ -79,6 +79,16 @@ class TestFidelityCommand:
         vals = [float(l.split(",")[1]) for l in out.strip().split("\n")[1:-1]]
         assert np.all(np.diff(vals) <= 1e-12)
 
+    @pytest.mark.parametrize("grid", ["", ","], ids=["empty", "comma"])
+    def test_empty_squeezing_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run(
+            ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", grid],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: empty squeezing grid" in err
+
     def test_missing_channel_flags(self, capsys):
         code, _, err = run(["fidelity", "--kind", "additive", "--nuT", "0.01"], capsys)
         assert code == 2

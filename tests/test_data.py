@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from qthermal.data import (
+    _GLYPHS,
+    _SPECKLE_ROWS,
     DATASET_DIR_ENV,
     BinaryImageDataset,
     binarize,
@@ -16,6 +18,7 @@ from qthermal.data import (
     load_idx_split,
     parse_idx,
     synthetic_digits,
+    trial_stream,
 )
 from qthermal.errors import (
     BadMagicError,
@@ -23,6 +26,28 @@ from qthermal.errors import (
     IdxFormatError,
     TruncatedPayloadError,
 )
+
+
+def reference_digits(n, seed, split, height, width):
+    """``synthetic_digits`` spelled out: each glyph placed by its own loop
+    step at its clipped offset, then every speckle uniform from one
+    (n, height, width) draw of the same stream.  Also returns whether any
+    offset clipped."""
+    rng = trial_stream(seed, int.from_bytes(hashlib.sha256(split.encode()).digest()[:4], "big"))
+    scale = max(1, min((height - 2) // 7, (width - 2) // 5))
+    shifts = rng.integers(-2, 3, size=(n, 2))
+    images = np.zeros((n, height, width), np.uint8)
+    clipped = False
+    ones = np.ones((scale, scale), np.uint8)
+    for i, (dr, dc) in enumerate(shifts):
+        glyph = np.kron(np.array([list(row) for row in _GLYPHS[i % 10]], np.uint8), ones)
+        gh, gw = glyph.shape
+        r = min(max((height - gh) // 2 + dr, 0), height - gh)
+        c = min(max((width - gw) // 2 + dc, 0), width - gw)
+        clipped |= (r, c) != ((height - gh) // 2 + dr, (width - gw) // 2 + dc)
+        images[i, r : r + gh, c : c + gw] = glyph
+    images ^= (rng.random((n, height, width)) < 0.01).view(np.uint8)
+    return images.reshape(n, -1), np.arange(n) % 10, clipped
 
 
 def idx_images(payload: bytes, dims: tuple[int, int, int]) -> bytes:
@@ -174,6 +199,16 @@ class TestSyntheticDigits:
         assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
             "0b04921139958a92387e0b904a75d068333817d816adb53f799b7b203749f80c"
         )
+
+    @pytest.mark.parametrize("height, width", [(23, 17), (24, 18)])
+    def test_matches_reference_where_offsets_clip(self, height, width):
+        # n spans three speckle blocks, the last one partial
+        n = 2 * _SPECKLE_ROWS + 37
+        ds = synthetic_digits(n, seed=4, split="evaluation", height=height, width=width)
+        images, labels, clipped = reference_digits(n, 4, "evaluation", height, width)
+        assert clipped
+        assert np.array_equal(ds.images, images)
+        assert np.array_equal(ds.labels, labels)
 
     def test_balanced_classes(self):
         ds = synthetic_digits(100, seed=1)

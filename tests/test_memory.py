@@ -1,0 +1,45 @@
+"""Traced peak memory of the two largest transient allocations of a
+nearest-neighbour simulation: scoring one batch and building the digits."""
+
+import tracemalloc
+
+import pytest
+
+from qthermal.classify import NoiseModel, nn_predictor, sample_noisy
+from qthermal.data import synthetic_digits, trial_stream
+
+MB = 1e6
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated during ``fn(*args)``, and the call's result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def training():
+    return synthetic_digits(10_000, seed=1)
+
+
+def test_nn_batch_peaks_below_batch_plus_product(training):
+    # synthetic norms stay below 256, so 8-bit digits pack 6 images per
+    # column and the GEMM output is 250 x ceil(10 000 / 6) float64
+    assert training.images.sum(axis=1).max() < 256
+    predict = nn_predictor(training)
+    batch = sample_noisy(synthetic_digits(250, seed=2, split="evaluation").images,
+                         NoiseModel(0.2), trial_stream(3, 0))
+    peak, labels = traced_peak(predict, batch)
+    assert len(labels) == 250
+    assert peak < 250 * 784 * 8 + 250 * 1667 * 8 + 2 * MB
+
+
+def test_synthetic_digits_peaks_below_images_plus_3mb():
+    synthetic_digits(1, seed=0)  # one-time setup stays out of the traced call
+    peak, ds = traced_peak(synthetic_digits, 10_000, 1)
+    assert ds.images.nbytes == 10_000 * 784
+    assert peak < ds.images.nbytes + 3 * MB
