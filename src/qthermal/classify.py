@@ -33,6 +33,7 @@ from .errors import (
     EmptyEvaluationSetError,
     EmptyTrainingSetError,
     InsufficientSamplesError,
+    ShapeMismatchError,
     SingularDesignError,
 )
 
@@ -102,9 +103,10 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
     position k cols + c is training index k cols + c, and one argmin per row
     returns the lowest-index nearest training image.  Scores lie within
     +-2**bits, so they are int32 up to 30 bits.  Padding slots of the last
-    block score above every real image.  A pixel other than 0 or 1 could
-    carry into the next digit, so such a batch raises ``ValueError``; the
-    check runs on the batch as given, before any cast.
+    block score above every real image.  A batch that is not (B, pixels)
+    raises ``ShapeMismatchError``.  A pixel other than 0 or 1 could carry
+    into the next digit, so such a batch raises ``ValueError``.  Both checks
+    run on the batch as given, before any cast.
     """
     if training is None or len(training) == 0:
         raise EmptyTrainingSetError("training set is empty")
@@ -130,6 +132,10 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
 
     def predict(batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch)
+        if batch.ndim != 2 or batch.shape[1] != images.shape[1]:
+            raise ShapeMismatchError(
+                f"nearest-neighbour batch must be (B, {images.shape[1]}), got {batch.shape}"
+            )
         if np.any((batch != 0) & (batch != 1)):
             raise ValueError("nearest-neighbour queries must be binary (pixels 0 or 1)")
         products = np.asarray(batch, dtype=np.float64) @ packed.T

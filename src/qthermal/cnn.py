@@ -7,46 +7,35 @@ trainer divides by the batch size when updating.
 
 The compute dtype follows the parameters.  ``init_params`` returns float64,
 which the gradient checks use; ``train`` casts to float32, so training and
-prediction run in float32.  Checkpoints stay float64 on disk.
+prediction run in float32.
 
 Every activation is feature-major with the batch last: (C, H, W, B) for
 conv layers, (features, B) for dense ones, so every layer is one GEMM
 ``z = W @ X`` and its backward pass ``dW = dz @ X.T``, ``dX = W.T @ dz``.
 A conv layer's X is its windows, copied into a (C, k, k, OH, OW, B) buffer
 one strided slice per kernel tap, in the weights' K order; the last conv
-output, read as (C*H*W, B), is the first dense input in the checkpoint's
-(C, H, W) order.  Window copies and their gradient's scatter move
-contiguous runs of B.  The large arrays of a pass live in a workspace, a
-dict of buffers keyed by layer and role that smaller batches reuse.  A
-``train`` call owns one for its SGD steps and holdout predictions; any
-other ``predict_labels`` call makes its own and runs in chunks of
-``_PREDICT_CHUNK`` images.  No workspace is shared between threads:
-``make_predictor`` holds none, because a predictor may be shared across the
-job threads of ``advantage_regions``, as its one nearest-neighbour
-predictor is.
+output, read as (C*H*W, B), is the first dense input, in the (C, H, W)
+order of the first dense layer's weight columns.  Window copies and their
+gradient's scatter move contiguous runs of B.  The large arrays of a pass
+live in a workspace, a dict of buffers keyed by layer and role that
+smaller batches reuse.  A ``train`` call owns one for its SGD steps and
+holdout predictions; any other ``predict_labels`` call makes its own and
+runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
+between threads: ``make_predictor`` holds none, because a predictor may be
+shared across the job threads of ``advantage_regions``, as its one
+nearest-neighbour predictor is.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import ErrorEstimate, NoiseModel, estimate_error, sample_noisy
 from .data import BinaryImageDataset, trial_stream
-from .errors import (
-    EmptyTrainingSetError,
-    NonFiniteLossError,
-    ShapeMismatchError,
-    TruncatedPayloadError,
-)
-
-CHECKPOINT_MAGIC = b"QTHC"
-CHECKPOINT_VERSION = 1
+from .errors import EmptyTrainingSetError, NonFiniteLossError, ShapeMismatchError
 
 DEFAULT_CONV = ((8, 3, 1), (16, 3, 2))
 DEFAULT_DENSE = (64,)
@@ -123,19 +112,6 @@ class TrainConfig:
             raise ValueError(f"holdout fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
-def spec_digest(net: NetworkSpec) -> bytes:
-    payload = json.dumps(
-        {
-            "input_shape": list(net.input_shape),
-            "conv": [list(c) for c in net.conv],
-            "dense": list(net.dense),
-            "classes": net.classes,
-        },
-        sort_keys=True,
-    ).encode()
-    return hashlib.sha256(payload).digest()
-
-
 def init_params(net: NetworkSpec, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """He-style uniform initialisation from a counter-based stream."""
     rng = trial_stream(seed, 0xC0)
@@ -194,8 +170,8 @@ def _col2im(dcols: np.ndarray, dx: np.ndarray, kernel: int, stride: int) -> np.n
 def _as_batch(net: NetworkSpec, images) -> np.ndarray:
     """(B, H, W) view of a (B, H, W) or flattened (B, H*W) batch."""
     images = np.asarray(images)
-    if images.ndim == 2:
-        images = images.reshape(-1, *net.input_shape)
+    if images.ndim == 2 and images.shape[1] == math.prod(net.input_shape):
+        images = images.reshape(len(images), *net.input_shape)
     if images.ndim != 3 or images.shape[1:] != net.input_shape:
         raise ShapeMismatchError(
             f"images must be (B, {net.input_shape[0]}, {net.input_shape[1]}), got {images.shape}"
@@ -422,54 +398,3 @@ def evaluate(
     the nearest-neighbour estimator's contract."""
     predictor = make_predictor(net, params)
     return estimate_error(None, evaluation, noise, trials, master_seed, predictor=predictor)
-
-
-def _flatten(params) -> np.ndarray:
-    return np.concatenate([arr.ravel() for W, b in params for arr in (W, b)])
-
-
-def _unflatten(net: NetworkSpec, flat: np.ndarray):
-    params, pos = [], 0
-    for w_shape, b_shape in net.parameter_shapes():
-        wn, bn = int(np.prod(w_shape)), int(np.prod(b_shape))
-        W = flat[pos : pos + wn].reshape(w_shape)
-        pos += wn
-        b = flat[pos : pos + bn].reshape(b_shape)
-        pos += bn
-        params.append((W, b))
-    if pos != flat.size:
-        raise ShapeMismatchError("checkpoint size does not match the architecture")
-    return params
-
-
-def save_params(path: str, net: NetworkSpec, params) -> None:
-    """Versioned checkpoint: magic, format version, architecture digest, and
-    the flat little-endian float64 parameter vector."""
-    _check_params(net, params)
-    flat = _flatten(params).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(spec_digest(net))
-        fh.write(struct.pack("<Q", flat.size))
-        fh.write(flat.tobytes())
-
-
-def load_params(path: str, net: NetworkSpec):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("not a parameter checkpoint")
-    if len(data) < 48:
-        raise TruncatedPayloadError("checkpoint header truncated")
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    if data[8:40] != spec_digest(net):
-        raise ValueError("checkpoint was written for a different architecture")
-    (count,) = struct.unpack("<Q", data[40:48])
-    if len(data) < 48 + 8 * count:
-        raise TruncatedPayloadError("checkpoint payload truncated")
-    if len(data) > 48 + 8 * count:
-        raise ValueError(f"{len(data) - 48 - 8 * count} trailing bytes after the checkpoint")
-    return _unflatten(net, np.frombuffer(data, dtype="<f8", offset=48).astype(float))

@@ -54,7 +54,7 @@ class SingularDesignError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """Tensor shape inconsistent with the network specification."""
+    """Input shape inconsistent with what the classifier takes."""
 
 
 class NonFiniteLossError(FloatingPointError):

@@ -86,6 +86,32 @@ def brute_distance_counts(m: int, ks, ls) -> np.ndarray:
     return np.bincount(sub.ravel(), minlength=m + 1)[1:]
 
 
+def space_patterns(space: ImageSpace) -> np.ndarray:
+    """Every pattern of ``space``, in the bit order of ``all_patterns``."""
+    pats = all_patterns(space.m)
+    return pats[np.isin(pats.sum(axis=1), space.ks)]
+
+
+def exact_nn_error(patterns, p: float) -> float:
+    """Exact nearest-neighbour error when each of the (n, m) ``patterns`` is
+    its own class, drawn uniformly, and every pixel flips with probability p.
+
+    Sums over all 2^m flip patterns e with weight p^|e| (1 - p)^(m - |e|);
+    the decision is the lowest-index nearest pattern, as ``nn_predictor``
+    takes it.  Over a whole space this is maximum-likelihood decoding on a
+    binary symmetric channel, so ties do not change the error.
+    """
+    patterns = np.asarray(patterns, dtype=np.int64)
+    n, m = patterns.shape
+    codes = patterns @ (1 << np.arange(m))
+    words = np.arange(2**m)
+    pop = all_patterns(m).sum(axis=1)  # pop[w] = |w|
+    decode = np.argmin(pop[words[:, None] ^ codes[None, :]], axis=1)
+    wrong = decode[codes[:, None] ^ words[None, :]] != np.arange(n)[:, None]
+    weights = float(p) ** pop * (1.0 - float(p)) ** (m - pop)
+    return float((wrong * weights).sum() / n)
+
+
 def random_symplectic(modes: int, rng: np.random.Generator) -> np.ndarray:
     """Random symplectic from mode rotations, pair mixers and squeezers."""
     n = 2 * modes
@@ -268,7 +294,7 @@ def direct_conv_logits(net, params, images) -> np.ndarray:
     Activations are (B, C, H, W); each output position is an explicit loop
     iteration over its k x k window.  Conv stages end in a ReLU, and the
     dense layers read the last conv output flattened in (C, H, W) order,
-    the order checkpointed dense weights are written in.
+    the order of the first dense layer's weight columns.
     """
     x = np.asarray(images, dtype=float)[:, None]
     for (W, b), (filters, kernel, stride) in zip(params, net.conv):
@@ -316,9 +342,25 @@ def smooth_configuration(net, seed, batch=4):
     raise RuntimeError("no kink-free configuration found")
 
 
+def _flatten(params) -> np.ndarray:
+    return np.concatenate([arr.ravel() for W, b in params for arr in (W, b)])
+
+
+def _unflatten(net, flat: np.ndarray):
+    params, pos = [], 0
+    for w_shape, b_shape in net.parameter_shapes():
+        wn, bn = int(np.prod(w_shape)), int(np.prod(b_shape))
+        W = flat[pos : pos + wn].reshape(w_shape)
+        pos += wn
+        b = flat[pos : pos + bn].reshape(b_shape)
+        pos += bn
+        params.append((W, b))
+    return params
+
+
 def max_fd_error(net, params, images, labels, coords=100, eps=1e-3, seed=0):
     """Worst relative deviation of backprop from central differences."""
-    from qthermal.cnn import _flatten, _unflatten, loss_and_grad
+    from qthermal.cnn import loss_and_grad
 
     _, grads = loss_and_grad(net, params, images, labels)
     flat_g = _flatten(grads)

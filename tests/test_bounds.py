@@ -28,7 +28,13 @@ from qthermal.spaces import (
     hamming_functional_uniform,
 )
 
-from conftest import image_spaces, printed_choi_additive, printed_classical_additive
+from conftest import (
+    exact_nn_error,
+    image_spaces,
+    printed_choi_additive,
+    printed_classical_additive,
+    space_patterns,
+)
 
 F_Q_ADD = printed_choi_additive(0.01, 0.02)
 F_CL_ADD = printed_classical_additive(0.01, 0.02)
@@ -102,6 +108,22 @@ class TestUniformBounds:
                     f = mp.mpf(F) ** (2 * M)
                     exact = ((1 + f) ** m - 1) / mp.mpf(2) ** (m + 1)
                     assert abs(got - exact) <= 2e-12 * exact, (M, F)
+
+    @pytest.mark.parametrize("M", [1, 10, 100, 1000, 5000])
+    @pytest.mark.parametrize(
+        "pair",
+        [EnvironmentPair.thermal(0.99, 18.5, 20.2), EnvironmentPair.additive(0.02, 0.01)],
+        ids=["thermal", "additive"],
+    )
+    def test_q_upper_is_exact_nn_error_at_upper_pixel_error(self, pair, M):
+        # on a uniform space NN decoding fails unless no pixel flips, so its
+        # exact error at p_q_up = F_q^M / 2 is the local Helstrom cap
+        # 1 - (1 - F_q^M / 2)^m inside q_upper
+        F_q, F_cl = fidelity_choi_inf(pair), fidelity_classical(pair)
+        space = ImageSpace.uniform(6)
+        p_q_up = pixel_error_bounds(F_q, M)[1]
+        exact = exact_nn_error(space_patterns(space), p_q_up)
+        assert bounds(space, M, F_q, F_cl).q_upper == pytest.approx(exact, rel=1e-12)
 
     def test_warns_on_inverted_fidelities(self):
         with pytest.warns(UserWarning):

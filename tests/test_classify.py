@@ -26,7 +26,11 @@ from qthermal.errors import (
     EmptyEvaluationSetError,
     EmptyTrainingSetError,
     InsufficientSamplesError,
+    ShapeMismatchError,
 )
+from qthermal.spaces import ImageSpace
+
+from conftest import exact_nn_error, space_patterns
 
 
 def make_dataset(images, labels, width=None):
@@ -227,6 +231,17 @@ class TestNNPredictor:
         with pytest.raises(ValueError, match="binary"):
             predict(batch)
 
+    @pytest.mark.parametrize(
+        "batch",
+        [np.array([0, 1, 1]), np.zeros((2, 4)), np.zeros((2, 1, 3)), np.zeros((2, 3, 1))],
+        ids=["one-image", "wrong-width", "3d", "3d-trailing-axis"],
+    )
+    def test_batch_not_b_by_pixels_rejected(self, batch):
+        # checked before the binarity check: a 2 would otherwise raise ValueError
+        predict = nn_predictor(make_dataset([[0, 1, 1], [1, 0, 0]], [0, 1]))
+        with pytest.raises(ShapeMismatchError, match=r"must be \(B, 3\)"):
+            predict(batch + 2)
+
 
 class TestEstimateError:
     def test_noiseless_subset_is_exact_zero(self, digits_small):
@@ -267,6 +282,20 @@ class TestEstimateError:
             estimate_error(empty, evaluation, NoiseModel(0.1), 1, 0)
         with pytest.raises(EmptyEvaluationSetError):
             estimate_error(train, empty, NoiseModel(0.1), 1, 0)
+
+    @pytest.mark.parametrize("p", [0.07, 0.2])
+    @pytest.mark.parametrize(
+        "space",
+        [ImageSpace.uniform(6), ImageSpace.cpf(8, 3), ImageSpace.bcpf(9, [2, 3, 4])],
+        ids=["uniform6", "cpf8-3", "bcpf9-234"],
+    )
+    def test_matches_exact_enumeration(self, space, p):
+        # training = evaluation = the whole space, each pattern its own class
+        patterns = space_patterns(space)
+        ds = make_dataset(patterns, np.arange(len(patterns)))
+        est = estimate_error(ds, ds, NoiseModel(p), trials=400, master_seed=0)
+        exact = exact_nn_error(patterns, p)
+        assert abs(est.mean - exact) <= 4 * est.stderr, (est.mean, est.stderr, exact)
 
 
 class TestSnappFit:

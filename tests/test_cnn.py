@@ -1,4 +1,4 @@
-"""Forward pass, backpropagation, training loop and checkpoints."""
+"""Forward pass, backpropagation and training loop."""
 
 from unittest import mock
 
@@ -21,16 +21,13 @@ from qthermal.cnn import (
     evaluate,
     forward,
     init_params,
-    load_params,
     loss_and_grad,
     make_predictor,
     predict_labels,
-    save_params,
-    spec_digest,
     train,
 )
 from qthermal.data import BinaryImageDataset, synthetic_digits
-from qthermal.errors import EmptyTrainingSetError, ShapeMismatchError, TruncatedPayloadError
+from qthermal.errors import EmptyTrainingSetError, ShapeMismatchError
 
 from conftest import direct_conv_logits, max_fd_error, smooth_configuration
 
@@ -52,11 +49,6 @@ class TestNetworkSpec:
     def test_kernel_too_large(self):
         with pytest.raises(ValueError):
             NetworkSpec(input_shape=(2, 2), conv=((4, 3, 1),))
-
-    def test_digest_distinguishes_architectures(self):
-        a = NetworkSpec(input_shape=(6, 6), conv=((2, 3, 1),), dense=(4,), classes=2)
-        b = NetworkSpec(input_shape=(6, 6), conv=((2, 3, 1),), dense=(5,), classes=2)
-        assert spec_digest(a) != spec_digest(b)
 
 
 class TestTrainConfig:
@@ -115,6 +107,12 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             forward(SMALL, init_params(SMALL, 0), np.zeros((4, 4)))
+
+    # (3, 12) holds 36 = 6 * 6 pixels, so a reshape alone would read it as one image
+    @pytest.mark.parametrize("shape", [(3, 12), (2, 35), (2, 6), (2, 6, 5), (2, 1, 6, 6)])
+    def test_batch_shape_mismatch(self, shape):
+        with pytest.raises(ShapeMismatchError, match=r"must be \(B, 6, 6\)"):
+            predict_labels(SMALL, init_params(SMALL, 0), np.zeros(shape))
 
     @pytest.mark.parametrize(
         "net",
@@ -432,65 +430,3 @@ class TestEvaluate:
         nn_est = estimate_error(ds, evaluation, noise, trials=3, master_seed=5)
         assert cnn_est.mean < 0.5
         assert nn_est.mean < 0.5
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        params = init_params(SMALL, 13)
-        path = str(tmp_path / "params.bin")
-        save_params(path, SMALL, params)
-        loaded = load_params(path, SMALL)
-        for (W, b), (W2, b2) in zip(params, loaded):
-            assert np.array_equal(W, W2)
-            assert np.array_equal(b, b2)
-
-    def test_float32_parameters_saved_as_float64(self, tmp_path):
-        config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=2, seed=1)
-        params = train(TOY, toy_separable_dataset(), None, config).params
-        assert all(W.dtype == b.dtype == np.float32 for W, b in params)
-        path = tmp_path / "params.bin"
-        save_params(str(path), TOY, params)
-        count = sum(W.size + b.size for W, b in params)
-        assert path.stat().st_size == 48 + 8 * count
-        loaded = load_params(str(path), TOY)
-        for (W, b), (W2, b2) in zip(params, loaded):
-            assert W2.dtype == b2.dtype == np.float64
-            assert np.array_equal(W, W2)
-            assert np.array_equal(b, b2)
-
-    def test_architecture_mismatch_rejected(self, tmp_path):
-        params = init_params(SMALL, 13)
-        path = str(tmp_path / "params.bin")
-        save_params(path, SMALL, params)
-        other = NetworkSpec(input_shape=(6, 6), conv=((2, 3, 1),), dense=(9,), classes=3)
-        with pytest.raises(ValueError):
-            load_params(path, other)
-
-    def test_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ValueError):
-            load_params(str(path), SMALL)
-
-    @pytest.mark.parametrize("keep", [6, 44])
-    def test_truncated_header(self, tmp_path, keep):
-        path = tmp_path / "params.bin"
-        save_params(str(path), SMALL, init_params(SMALL, 13))
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(TruncatedPayloadError):
-            load_params(str(path), SMALL)
-
-    def test_truncated_payload(self, tmp_path):
-        # a cut that leaves a payload length not a multiple of 8
-        path = tmp_path / "params.bin"
-        save_params(str(path), SMALL, init_params(SMALL, 13))
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(TruncatedPayloadError, match="payload truncated"):
-            load_params(str(path), SMALL)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "params.bin"
-        save_params(str(path), SMALL, init_params(SMALL, 13))
-        path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(ValueError, match="trailing bytes"):
-            load_params(str(path), SMALL)

@@ -9,11 +9,12 @@ import qthermal
 
 
 def loaded_by_import(package: str) -> str:
-    """Modules of ``package`` that ``import qthermal`` loads, in a fresh
+    """Modules of ``package`` that ``import qthermal.cli``, which every command
+    runs and which includes ``import qthermal``, loads in a fresh
     interpreter: this process may already hold them."""
     src = str(Path(qthermal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, qthermal; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    code = f"import sys, qthermal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return result.stdout.strip()
 
@@ -25,3 +26,7 @@ def test_import_does_not_load_scipy():
 def test_import_does_not_load_mpmath():
     # only the extended-precision references, which no command calls, import it
     assert loaded_by_import("mpmath") == "[]"
+
+
+def test_import_does_not_load_json():
+    assert loaded_by_import("json") == "[]"
