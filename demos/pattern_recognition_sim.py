@@ -84,8 +84,8 @@ def cnn_comparison(train, evaluation) -> None:
     from qthermal.classify import endpoint_noise_models
 
     for tag, model in endpoint_noise_models(pair, M).items():
-        result = train_net(net, train, model, config)
-        est = evaluate(net, result.params, evaluation, model, trials=5, master_seed=3)
+        params = train_net(net, train, model, config)
+        est = evaluate(net, params, evaluation, model, trials=5, master_seed=3)
         print(f"  {tag:16s} p={model.flip_probability:.4f}  CNN error {est.mean:.4f} +- {est.stderr:.4f}")
 
 

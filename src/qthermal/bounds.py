@@ -22,10 +22,8 @@ class BoundReport:
     """Bounds and advantage metrics for one (space, M, fidelity) configuration.
 
     ``q_lower``/``q_upper`` sandwich the optimal quantum-assisted error
-    probability, ``cl_lower`` bounds the optimal classical strategy from
-    below and ``mbar_adv`` is the minimum probe copies per pixel
-    guaranteeing advantage on uniform spaces (infinite when no crossing
-    exists).  Derived from them: ``mga = cl_lower - q_upper``, the minimum
+    probability and ``cl_lower`` bounds the optimal classical strategy from
+    below.  Derived from them: ``mga = cl_lower - q_upper``, the minimum
     guaranteed advantage, and ``mpa = cl_lower - q_lower``, the maximum
     potential advantage.
     """
@@ -33,7 +31,6 @@ class BoundReport:
     q_lower: float
     q_upper: float
     cl_lower: float
-    mbar_adv: float
 
     @property
     def mga(self) -> float:
@@ -60,7 +57,7 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
     """
     if M < 1:
         raise ValueError(f"probe copy number must be >= 1, got {M}")
-    mbar_adv = min_rel_probe_uniform(F_q, F_cl)  # validates both fidelities
+    log_fq, log_fcl = log_pow(F_q), log_pow(F_cl)  # validated before the warning
     if F_q > F_cl:
         warnings.warn(
             f"expected 0 <= F_q <= F_cl <= 1, got F_q={F_q}, F_cl={F_cl}",
@@ -71,17 +68,17 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
     log_counts = log_distance_counts(space)
     log_size = space.log_pattern_count()
 
-    def lower(F: float) -> float:  # S(F^2M) / (2 |S|^2)
-        log_sum = log_hamming_sum(log_counts, log_pow(F, 2.0 * M))
+    def lower(log_f: float) -> float:  # S(F^2M) / (2 |S|^2)
+        log_sum = log_hamming_sum(log_counts, 2.0 * M * log_f)
         return math.exp(log_sum - 2.0 * log_size - LN2)
 
-    log_fm = log_pow(F_q, float(M))
+    log_fm = M * log_fq
     # min(1, S(F^M) / |S|), exponentiated only where it cannot overflow
     q_upper = math.exp(min(log_hamming_sum(log_counts, log_fm) - log_size, 0.0))
     if space.kind == "uniform":
         # local Helstrom bound of pixel-by-pixel measurement: 1 - (1 - F^M/2)^m
         q_upper = min(q_upper, -math.expm1(space.m * math.log1p(-0.5 * math.exp(log_fm))))
-    return BoundReport(q_lower=lower(F_q), q_upper=q_upper, cl_lower=lower(F_cl), mbar_adv=mbar_adv)
+    return BoundReport(q_lower=lower(log_fq), q_upper=q_upper, cl_lower=lower(log_fcl))
 
 
 def min_rel_probe_uniform(F_q: float, F_cl: float) -> float:

@@ -321,7 +321,7 @@ def advantage_regions(
     trials: int,
     master_seed: int,
     threads: int = 1,
-    predictor_factory: Callable[[NoiseModel, int], Callable] | None = None,
+    predictor_factory: Callable[[NoiseModel], Callable] | None = None,
     p_override: float | None = None,
 ) -> list[AdvantageRow]:
     """Classifier error regions across the four pixel-noise endpoints.
@@ -331,9 +331,9 @@ def advantage_regions(
     each, and the guaranteed/potential error advantages are their
     differences, taken with common random numbers: the four estimates of one
     M share the seed drawn from the (``master_seed``, M index) stream.
-    ``predictor_factory(noise, M)`` may supply a trained
-    classifier per endpoint (the nearest-neighbour rule is used otherwise);
-    ``p_override`` forces one flip probability everywhere, for diagnostics.
+    ``predictor_factory(noise)`` may supply a trained classifier per
+    endpoint (the nearest-neighbour rule is used otherwise); ``p_override``
+    forces one flip probability everywhere, for diagnostics.
 
     Each distinct (M, flip probability) is one job: build its predictor
     (training it, with a factory), then run all its trials.  Endpoints of one
@@ -354,8 +354,8 @@ def advantage_regions(
         grid.append((int(M), models, trial_stream(master_seed, mi).integers(2**63)))
 
     def run_job(job: tuple[tuple[int, float, int], NoiseModel]) -> ErrorEstimate:
-        (M, _, seed), model = job
-        predictor = predictor_factory(model, M) if predictor_factory else nn
+        (_, _, seed), model = job
+        predictor = predictor_factory(model) if predictor_factory else nn
         return estimate_error(training, evaluation, model, trials, seed, predictor=predictor)
 
     jobs: dict[tuple[int, float, int], NoiseModel] = {}

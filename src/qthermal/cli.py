@@ -23,11 +23,12 @@ import re
 import sys
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .bounds import ImageSpace, bounds
+from .bounds import ImageSpace, bounds, min_rel_probe_uniform
 from .channels import (
     EnvironmentPair,
     fidelity_choi_inf,
@@ -36,7 +37,7 @@ from .channels import (
     temperature_of,
 )
 from .classify import advantage_regions
-from .cnn import NetworkSpec, TrainConfig, make_predictor, train
+from .cnn import NetworkSpec, TrainConfig, predict_labels, train
 from .data import dataset_dir, load_idx_split, synthetic_digits
 from .errors import IdxFormatError, NonFiniteLossError
 
@@ -164,8 +165,7 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
     for M in M_grid:
         rep = bounds(space, M, f_q, f_cl)
         rows.append(_row(M, rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa))
-    # the grid is not empty, and every report carries the same mbar_adv
-    rows.append(f"# mbar_adv = {_fmt(rep.mbar_adv)}")
+    rows.append(f"# mbar_adv = {_fmt(min_rel_probe_uniform(f_q, f_cl))}")
     return rows, {"F_q": f_q, "F_cl": f_cl}
 
 
@@ -199,9 +199,8 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
             seed=args.seed,
         )
 
-        def predictor_factory(noise, M):
-            result = train(net, training, noise, config)
-            return make_predictor(net, result.params)
+        def predictor_factory(noise):
+            return partial(predict_labels, net, train(net, training, noise, config))
 
     table = advantage_regions(
         training,

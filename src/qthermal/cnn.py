@@ -21,15 +21,16 @@ live in a workspace, a dict of buffers keyed by layer and role that
 smaller batches reuse.  A ``train`` call owns one for its SGD steps and
 holdout predictions; any other ``predict_labels`` call makes its own and
 runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
-between threads: ``make_predictor`` holds none, because a predictor may be
-shared across the job threads of ``advantage_regions``, as its one
-nearest-neighbour predictor is.
+between threads: a predictor, ``partial(predict_labels, net, params)``,
+holds none, because it may be shared across the job threads of
+``advantage_regions``, as its one nearest-neighbour predictor is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -304,19 +305,14 @@ def loss_and_grad(
     return loss, grads
 
 
-@dataclass
-class TrainResult:
-    params: list
-    trace: list[dict] = field(default_factory=list)
-
-
 def train(
     net: NetworkSpec,
     training: BinaryImageDataset,
     noise: NoiseModel | None,
     config: TrainConfig,
-) -> TrainResult:
-    """Plain float32 SGD training with a held-out slice for best-epoch selection.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Plain float32 SGD training with a held-out slice for best-epoch
+    selection; returns the parameters of the best epoch.
 
     The holdout is min(max(1, round(holdout_fraction * n)), n - 1) of the n
     images, disjoint from the rest, which are fitted; only n = 1 leaves it
@@ -338,20 +334,17 @@ def train(
     params = [(W.astype(np.float32), b.astype(np.float32))
               for W, b in init_params(net, config.seed)]
     best_acc = -1.0
-    trace = []
     workspace: dict = {}
     apply_noise = noise is not None and noise.flip_probability > 0
 
     for epoch in range(config.epochs):
         order = trial_stream(config.seed, 0x5E, epoch).permutation(len(fit_idx))
-        total_loss = 0.0
         for bi in range(0, len(order), config.batch_size):
             sel = fit_idx[order[bi : bi + config.batch_size]]
             xb = images[sel]
             if apply_noise:
                 xb = sample_noisy(xb, noise, trial_stream(config.seed, 0x7A, epoch, bi))
-            loss, grads = loss_and_grad(net, params, xb, labels[sel], _workspace=workspace)
-            total_loss += loss
+            _, grads = loss_and_grad(net, params, xb, labels[sel], _workspace=workspace)
             lr = config.learning_rate / len(sel)
             for layer, step in zip(params, grads):
                 for p, g in zip(layer, step):
@@ -364,26 +357,10 @@ def train(
             acc = float(np.mean(predict_labels(net, params, x_eval, workspace) == y_hold))
         else:
             acc = 0.0
-        trace.append(
-            {
-                "epoch": epoch,
-                "mean_loss": total_loss / len(fit_idx),
-                "holdout_accuracy": acc,
-            }
-        )
         if acc >= best_acc:
             best_acc = acc
             best = [(W.copy(), b.copy()) for W, b in params]
-    return TrainResult(params=best, trace=trace)
-
-
-def make_predictor(net: NetworkSpec, params):
-    """Batch label predictor compatible with the Monte Carlo estimator."""
-
-    def predict(batch: np.ndarray) -> np.ndarray:
-        return predict_labels(net, params, batch)
-
-    return predict
+    return best
 
 
 def evaluate(
@@ -396,5 +373,5 @@ def evaluate(
 ) -> ErrorEstimate:
     """Monte Carlo misclassification of the network on noisy samples; mirrors
     the nearest-neighbour estimator's contract."""
-    predictor = make_predictor(net, params)
+    predictor = partial(predict_labels, net, params)
     return estimate_error(None, evaluation, noise, trials, master_seed, predictor=predictor)

@@ -118,7 +118,6 @@ class BinaryImageDataset:
     labels: np.ndarray
     height: int
     width: int
-    split: str
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -150,7 +149,6 @@ class BinaryImageDataset:
             labels=self.labels[indices],
             height=self.height,
             width=self.width,
-            split=self.split,
             provenance=dict(self.provenance),
         )
 
@@ -169,11 +167,14 @@ def load_idx_split(
     """Load and binarise one IDX split from a directory.
 
     Looks for the conventional file names (``train-images-idx3-ubyte`` etc.),
-    optionally with a ``.gz`` suffix.  A split left with no images after
-    ``limit`` raises ``IdxFormatError``.
+    optionally with a ``.gz`` suffix.  A negative ``limit`` raises
+    ``ValueError``; a split left with no images after ``limit`` raises
+    ``IdxFormatError``.
     """
     if split not in _SPLIT_FILES:
         raise ValueError(f"split must be one of {sorted(_SPLIT_FILES)}, got {split!r}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"image limit must be >= 0, got {limit}")
     arrays, digests = [], {}
     for name in _SPLIT_FILES[split]:
         path = os.path.join(directory, name)
@@ -197,7 +198,6 @@ def load_idx_split(
         labels=labels.astype(np.int64),
         height=h,
         width=w,
-        split=split,
         provenance={"source": digests, "threshold": threshold, "kind": "idx"},
     )
 
@@ -234,8 +234,11 @@ def synthetic_digits(
 
     Each image is a scaled glyph placed at a random offset with a small
     fraction of speckle flips; classes cycle so the dataset is balanced.
-    Fully determined by (n, seed, split) through counter-based streams.
+    Fully determined by (n, seed, split) through counter-based streams.  A
+    negative ``n`` raises ``ValueError``.
     """
+    if n < 0:
+        raise ValueError(f"image count must be >= 0, got {n}")
     split_tag = int.from_bytes(hashlib.sha256(split.encode()).digest()[:4], "big")
     rng = trial_stream(seed, split_tag)
     scale = max(1, min((height - 2) // 7, (width - 2) // 5))
@@ -267,6 +270,5 @@ def synthetic_digits(
         labels=labels,
         height=height,
         width=width,
-        split=split,
         provenance={"kind": "synthetic", "seed": seed, "speckle": _SPECKLE},
     )

@@ -79,7 +79,7 @@ class TestUniformBounds:
             rep = bounds(space, 10, 1.0, 1.0)
             assert rep.q_lower == rep.cl_lower
             assert rep.mga <= 0.0
-            assert rep.mbar_adv == math.inf
+        assert min_rel_probe_uniform(1.0, 1.0) == math.inf
 
     def test_mga_crossing_additive_m9(self):
         space = ImageSpace.uniform(9)
@@ -280,6 +280,27 @@ class TestBoundProperties:
         assert space == ImageSpace.bcpf(m, [k])
         rep = bounds(space, M, min(f1, f2), max(f1, f2))
         assert (rep.q_lower, rep.q_upper, rep.cl_lower) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("M", [1, 10, 100, 1000, 5000])
+    @pytest.mark.parametrize(
+        "pair",
+        [EnvironmentPair.thermal(0.99, 18.5, 20.2), EnvironmentPair.additive(0.02, 0.01)],
+        ids=["thermal", "additive"],
+    )
+    @pytest.mark.parametrize(
+        "space",
+        [ImageSpace.uniform(6), ImageSpace.cpf(8, 3), ImageSpace.bcpf(9, [2, 3, 4])],
+        ids=["uniform6", "cpf8-3", "bcpf9-234"],
+    )
+    def test_lower_bounds_below_exact_nn_error(self, space, pair, M):
+        # pixel-by-pixel measurement with nearest-neighbour decoding is one
+        # strategy of each kind, so its exact error at the upper pixel error
+        # F^M / 2 cannot fall below the lower bound on the optimal error
+        F_q, F_cl = fidelity_choi_inf(pair), fidelity_classical(pair)
+        patterns = space_patterns(space)
+        rep = bounds(space, M, F_q, F_cl)
+        assert exact_nn_error(patterns, pixel_error_bounds(F_q, M)[1]) >= rep.q_lower
+        assert exact_nn_error(patterns, pixel_error_bounds(F_cl, M)[1]) >= rep.cl_lower
 
 
 # any float outside [0, 1], infinities and NaN included

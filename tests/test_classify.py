@@ -1,6 +1,7 @@
 """Noise sampling, nearest-neighbour classification and error estimation."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ def make_dataset(images, labels, width=None):
         labels=np.asarray(labels, np.int64),
         height=1,
         width=images.shape[1],
-        split="training",
     )
 
 
@@ -406,17 +406,15 @@ class TestAdvantageRegions:
         nn = nn_predictor(train)
         built = []
 
-        def factory(noise, M):
-            built.append((M, noise))
+        def factory(noise):
+            built.append(noise)
             return nn
 
         rows = advantage_regions(
             train, evaluation, pair, [10, 40], trials=3, master_seed=6,
             threads=2, predictor_factory=factory, p_override=0.2,
         )
-        assert sorted(built, key=lambda job: job[0]) == [
-            (10, NoiseModel(0.2, "override")), (40, NoiseModel(0.2, "override"))
-        ]
+        assert built == [NoiseModel(0.2, "override")] * 2
         for mi, row in enumerate(rows):
             seed = trial_stream(6, mi).integers(2**63)
             expected = estimate_error(train, evaluation, NoiseModel(0.2), 3, seed)
@@ -436,6 +434,27 @@ class TestAdvantageRegions:
             assert row.p_cl_low <= row.p_cl_up
             assert row.p_q_up < row.p_cl_up
 
+    def test_each_column_matches_exact_enumeration(self):
+        # training = evaluation = every CPF(8, 3) pattern, each its own class,
+        # so each column's expected value is the exact NN error at its flip
+        # probability; the exact variance keeps a zero estimate of a tiny
+        # error from dividing by a zero sample variance
+        patterns = space_patterns(ImageSpace.cpf(8, 3))
+        ds = make_dataset(patterns, np.arange(len(patterns)))
+        pair = EnvironmentPair.thermal(0.99, 18.5, 20.2)
+        rows = advantage_regions(ds, ds, pair, [1000, 2500], trials=200, master_seed=3, threads=2)
+        for row in rows:
+            for p, est in (
+                (row.p_cl_low, row.e_cl_low),
+                (row.p_cl_up, row.e_cl_up),
+                (row.p_q_low, row.e_q_low),
+                (row.p_q_up, row.e_q_up),
+            ):
+                exact = exact_nn_error(patterns, p)
+                assert 0.01 < exact < 0.99, (row.M, p, exact)
+                sigma = np.sqrt(exact * (1.0 - exact) / est.total_samples)
+                assert abs(est.mean - exact) <= 4 * sigma, (row.M, p, est.mean, exact)
+
     def test_one_predictor_per_endpoint_and_thread_invariance(self, digits_small):
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.01)
@@ -444,8 +463,8 @@ class TestAdvantageRegions:
         def run(threads):
             built = []
 
-            def factory(noise, M):
-                built.append((M, noise.derivation))
+            def factory(noise):
+                built.append(noise)
                 return nn
 
             rows = advantage_regions(
@@ -456,7 +475,9 @@ class TestAdvantageRegions:
 
         rows1, built1 = run(1)
         rows4, built4 = run(4)
-        expected = sorted((M, tag) for M in (10, 40) for tag in NOISE_DERIVATIONS)
-        assert sorted(built1) == sorted(built4) == expected
+        # the eight endpoint models of M = 10 and 40 are distinct
+        expected = Counter(m for M in (10, 40) for m in endpoint_noise_models(pair, M).values())
+        assert len(expected) == 8
+        assert Counter(built1) == Counter(built4) == expected
         assert rows1 == rows4
         assert any(row.e_cl_up.mean > 0.0 for row in rows1)

@@ -2,7 +2,9 @@
 
 import hashlib
 import importlib.util
+import json
 import struct
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -328,6 +330,28 @@ class TestSimulateCommand:
         assert code == 3
         assert "data error" in err and "no images" in err
 
+    @pytest.mark.parametrize("idx", [True, False], ids=["idx", "synthetic"])
+    @pytest.mark.parametrize("flag, value", [("--T", "-3"), ("--eval-size", "-1")])
+    def test_negative_image_count_is_usage_error(self, capsys, tmp_path, monkeypatch, idx, flag, value):
+        # on IDX files a negative count would slice off the last images
+        monkeypatch.delenv("QTHERMAL_DATASET_DIR", raising=False)
+        data = []
+        if idx:
+            images = np.random.default_rng(0).integers(0, 256, (50, 4, 4), np.uint8)
+            for split in ("train", "t10k"):
+                (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(
+                    struct.pack(">IIII", 0x00000803, 50, 4, 4) + images.tobytes()
+                )
+                (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(
+                    struct.pack(">II", 0x00000801, 50) + bytes(range(50))
+                )
+            data = ["--data-dir", str(tmp_path)]
+        code, out, err = run([*self.BASE, *data, flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"must be >= 0, got {value}" in err
+        assert "Traceback" not in err
+
     def test_thermal_figure_parameters(self, capsys):
         code, out, _ = run(
             [
@@ -568,6 +592,30 @@ def test_benchmark_tracer_hooks_every_entry_point(capsys):
     assert code == 0
     names = {span[2] for span in tracer.spans}
     assert {"cnn.train", "cnn.loss_and_grad", "cnn.predict_labels", "classify.estimate_error"} <= names
+
+
+MICRO_CASES = {
+    "gaussian.fidelity_mixed_us",
+    "gaussian.fidelity_nearpure_us",
+    "channels.choi_inf_thermal_ms",
+    "spaces.bcpf_functional_ms",
+    "classify.estimate_error_1trial_ms",
+    "cnn.loss_and_grad_b64_ms",
+    "cnn.predict_labels_b250_ms",
+}
+
+
+def test_microbenchmarks_run(tmp_path):
+    """``bench/micro.py`` calls qthermal functions by module and name, so a
+    rename under ``src/`` breaks the benchmark's per-call layer; run it in a
+    fresh interpreter with the environment ``bench/run.py`` gives it."""
+    result = tmp_path / "micro.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH.HERE / "micro.py"), str(result), "1"],
+        env=BENCH._child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert set(json.loads(result.read_text(encoding="utf-8"))) == MICRO_CASES
 
 
 class TestManifestAndConfig:

@@ -1,5 +1,6 @@
 """Forward pass, backpropagation and training loop."""
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,6 @@ from qthermal.cnn import (
     forward,
     init_params,
     loss_and_grad,
-    make_predictor,
     predict_labels,
     train,
 )
@@ -190,7 +190,7 @@ def toy_separable_dataset():
     images[4:, :, 2:] = 1
     labels = np.array([0] * 4 + [1] * 4, np.int64)
     return BinaryImageDataset(
-        images=images.reshape(8, 16), labels=labels, height=4, width=4, split="training"
+        images=images.reshape(8, 16), labels=labels, height=4, width=4
     )
 
 
@@ -199,22 +199,22 @@ class TestTrain:
         ds = toy_separable_dataset()
         net = NetworkSpec(input_shape=(4, 4), conv=((2, 2, 1),), dense=(4,), classes=2)
         config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=50, seed=1, holdout_fraction=0.25)
-        result = train(net, ds, None, config)
-        preds = predict_labels(net, result.params, ds.images.reshape(-1, 4, 4).astype(float))
+        params = train(net, ds, None, config)
+        preds = predict_labels(net, params, ds.images.reshape(-1, 4, 4).astype(float))
         assert np.array_equal(preds, ds.labels)
 
     def test_zero_learning_rate_keeps_parameters(self):
         ds = toy_separable_dataset()
         net = NetworkSpec(input_shape=(4, 4), conv=(), dense=(3,), classes=2)
         config = TrainConfig(learning_rate=0.0, batch_size=4, epochs=2, seed=2)
-        result = train(net, ds, None, config)
-        for (W, b), (W0, b0) in zip(result.params, init_params(net, 2)):
+        params = train(net, ds, None, config)
+        for (W, b), (W0, b0) in zip(params, init_params(net, 2)):
             assert_allclose(W, W0)
             assert_allclose(b, b0)
 
     def test_empty_training_set_raises_typed_error(self):
         empty = BinaryImageDataset(
-            images=np.zeros((0, 16)), labels=np.zeros(0), height=4, width=4, split="training"
+            images=np.zeros((0, 16)), labels=np.zeros(0), height=4, width=4
         )
         with pytest.raises(EmptyTrainingSetError, match="training set is empty"):
             train(TOY, empty, None, TrainConfig(epochs=1))
@@ -227,7 +227,7 @@ class TestTrain:
         place = 1 << np.arange(16)
         images = (np.arange(1, n + 1)[:, None] & place) > 0
         ds = BinaryImageDataset(
-            images=images, labels=np.arange(n) % 2, height=4, width=4, split="training"
+            images=images, labels=np.arange(n) % 2, height=4, width=4
         )
         seen = {"fit": set(), "holdout": set()}
 
@@ -253,8 +253,7 @@ class TestTrain:
         noise = NoiseModel(0.05)
         t1 = train(net, ds, noise, config)
         t2 = train(net, ds, noise, config)
-        assert t1.trace == t2.trace
-        for (W1, b1), (W2, b2) in zip(t1.params, t2.params):
+        for (W1, b1), (W2, b2) in zip(t1, t2):
             assert np.array_equal(W1, W2)
             assert np.array_equal(b1, b2)
 
@@ -266,8 +265,8 @@ def as_dtype(params, dtype):
 class TestComputeDtype:
     def test_train_returns_float32(self):
         config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=2, seed=1)
-        result = train(TOY, toy_separable_dataset(), NoiseModel(0.05), config)
-        assert all(W.dtype == b.dtype == np.float32 for W, b in result.params)
+        params = train(TOY, toy_separable_dataset(), NoiseModel(0.05), config)
+        assert all(W.dtype == b.dtype == np.float32 for W, b in params)
 
     @pytest.mark.parametrize("net", [SMALL, TWO_CONV], ids=["one_conv", "two_conv"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -392,23 +391,23 @@ class TestEvaluate:
         ds = toy_separable_dataset()
         net = NetworkSpec(input_shape=(4, 4), conv=((2, 2, 1),), dense=(4,), classes=2)
         config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=50, seed=1, holdout_fraction=0.25)
-        result = train(net, ds, None, config)
-        est = evaluate(net, result.params, ds, NoiseModel(0.0), trials=2, master_seed=0)
+        params = train(net, ds, None, config)
+        est = evaluate(net, params, ds, NoiseModel(0.0), trials=2, master_seed=0)
         assert est.mean == 0.0
 
     def test_thread_count_does_not_change_estimate(self):
         ds = synthetic_digits(100, seed=21, height=12, width=12)
         evaluation = synthetic_digits(70, seed=22, split="evaluation", height=12, width=12)
         net = NetworkSpec(input_shape=(12, 12), conv=((4, 3, 1), (4, 3, 2)), dense=(8,), classes=10)
-        params = train(net, ds, NoiseModel(0.05), TrainConfig(batch_size=16, epochs=1, seed=2)).params
+        params = train(net, ds, NoiseModel(0.05), TrainConfig(batch_size=16, epochs=1, seed=2))
         est = evaluate(net, params, evaluation, NoiseModel(0.1), trials=6, master_seed=4)
         assert 0.0 < est.mean < 1.0
         # one predictor shared by every job thread of advantage_regions
-        predictor = make_predictor(net, params)
+        predictor = partial(predict_labels, net, params)
         rows = [
             advantage_regions(
                 ds, evaluation, EnvironmentPair.additive(0.02, 0.01), [10], trials=6,
-                master_seed=4, threads=t, predictor_factory=lambda noise, M: predictor,
+                master_seed=4, threads=t, predictor_factory=lambda noise: predictor,
             )
             for t in (1, 4)
         ]
@@ -425,8 +424,8 @@ class TestEvaluate:
         evaluation = synthetic_digits(150, seed=78, split="evaluation")
         net = NetworkSpec(input_shape=(28, 28), classes=10)
         config = TrainConfig(learning_rate=0.05, batch_size=64, epochs=2, seed=1)
-        result = train(net, ds, noise, config)
-        cnn_est = evaluate(net, result.params, evaluation, noise, trials=3, master_seed=5)
+        params = train(net, ds, noise, config)
+        cnn_est = evaluate(net, params, evaluation, noise, trials=3, master_seed=5)
         nn_est = estimate_error(ds, evaluation, noise, trials=3, master_seed=5)
         assert cnn_est.mean < 0.5
         assert nn_est.mean < 0.5

@@ -129,7 +129,6 @@ class TestDataset:
                 labels=np.zeros(2, np.int64),
                 height=2,
                 width=2,
-                split="training",
             )
         with pytest.raises(ValueError):
             BinaryImageDataset(
@@ -137,7 +136,6 @@ class TestDataset:
                 labels=np.zeros(2, np.int64),
                 height=2,
                 width=2,
-                split="training",
             )
 
     def test_load_split_roundtrip(self, tmp_path):
@@ -165,12 +163,26 @@ class TestDataset:
         with pytest.raises(IdxFormatError, match="no images"):
             load_idx_split(str(tmp_path), "evaluation", limit=limit)
 
+    @pytest.mark.parametrize("limit", [-1, -3])
+    def test_negative_limit_rejected(self, tmp_path, limit):
+        # images[:limit] would silently drop the last |limit| images
+        imgs = np.zeros((5, 2, 2), np.uint8)
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(idx_images(imgs.tobytes(), imgs.shape))
+        (tmp_path / "train-labels-idx1-ubyte").write_bytes(idx_labels(bytes(5)))
+        with pytest.raises(ValueError, match=f"limit must be >= 0, got {limit}") as caught:
+            load_idx_split(str(tmp_path), "training", limit=limit)
+        assert not isinstance(caught.value, IdxFormatError)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_idx_split(str(tmp_path), "evaluation")
 
 
 class TestSyntheticDigits:
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be >= 0, got -3"):
+            synthetic_digits(-3, seed=0)
+
     def test_deterministic(self):
         a = synthetic_digits(50, seed=3)
         b = synthetic_digits(50, seed=3)
