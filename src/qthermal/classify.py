@@ -173,6 +173,13 @@ class ErrorEstimate:
         return self.trials * self.evaluations
 
 
+def _check_estimate(evaluation: BinaryImageDataset, trials: int) -> None:
+    if len(evaluation) == 0:
+        raise EmptyEvaluationSetError("evaluation set is empty")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def estimate_error(
     training: BinaryImageDataset | None,
     evaluation: BinaryImageDataset,
@@ -192,12 +199,9 @@ def estimate_error(
         ``ErrorEstimate`` with mean error and standard error
         sample-stddev / sqrt(trials * |evaluation|).
     """
+    _check_estimate(evaluation, trials)
     if predictor is None:
         predictor = nn_predictor(training)
-    if len(evaluation) == 0:
-        raise EmptyEvaluationSetError("evaluation set is empty")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
 
     # one function call per trial, so that no trial's noisy images are
     # still held while the next trial draws its own
@@ -344,6 +348,7 @@ def advantage_regions(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_estimate(evaluation, trials)  # before any predictor is built
     nn = None if predictor_factory else nn_predictor(training)
     grid = []
     for mi, M in enumerate(M_grid):

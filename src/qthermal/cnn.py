@@ -16,9 +16,14 @@ A conv layer's X is its windows, copied into a (C, k, k, OH, OW, B) buffer
 one strided slice per kernel tap, in the weights' K order; the last conv
 output, read as (C*H*W, B), is the first dense input, in the (C, H, W)
 order of the first dense layer's weight columns.  Window copies and their
-gradient's scatter move contiguous runs of B.  The large arrays of a pass
-live in a workspace, a dict of buffers keyed by layer and role that
-smaller batches reuse.  A ``train`` call owns one for its SGD steps and
+gradient's scatter move contiguous runs of B.  A pass owns its input, each
+conv layer's windows, each layer's output (ReLU runs in place) and, in
+training, one ReLU mask, all in a workspace: a dict of buffers keyed by
+layer and role that smaller batches reuse.  The backward pass writes a
+layer's input gradient over that input once dW has read it, scattering a
+conv layer's onto the activation below; that activation's mask is taken
+first, since ``max(z, 0) > 0`` equals ``z > 0`` for every z, -0.0 and NaN
+included.  A ``train`` call owns one workspace for its SGD steps and
 holdout predictions; any other ``predict_labels`` call makes its own and
 runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
 between threads: a predictor, ``partial(predict_labels, net, params)``,
@@ -190,11 +195,11 @@ def _forward_batch(
     """Shared forward pass; images (B, H, W), returns (B, classes) logits in
     the params' dtype, a transposed view of the (classes, B) output.
 
-    A ``cache`` list receives one (input, pre-activation) pair per layer: a
-    (C*k*k, N) window matrix and an (F, N) pre-activation, with N = OH*OW*B
-    for a conv layer and B for a dense one.  With a ``workspace`` every
-    array, the logits included, is a view of its storage and is overwritten
-    by the next call.
+    A ``cache`` list receives one (input, output) pair per layer: (C*k*k, N)
+    windows or a dense layer's (features, B) input, and the (F, N) output,
+    after ReLU, N = OH*OW*B for conv, B for dense.  With a ``workspace``
+    every array, the logits included, is a view of its storage and is
+    overwritten by the next call.
     """
     _check_params(net, params)
     dtype = params[0][0].dtype
@@ -212,12 +217,11 @@ def _forward_batch(
         z = _buffer(workspace, ("z", i), (len(W), inp.shape[1]), dtype)
         np.matmul(W.reshape(len(W), -1), inp, out=z)
         z += b[:, None]
+        if i < len(params) - 1:  # the output layer has no ReLU
+            np.maximum(z, 0.0, out=z)
         if cache is not None:
             cache.append((inp, z))
-        if i < len(params) - 1:  # the output layer has no ReLU
-            x = np.maximum(z, 0.0, out=_buffer(workspace, ("a", i), z.shape, dtype))
-            if i < len(net.conv):
-                x = x.reshape(*shapes[i + 1], B)
+        x = z.reshape(*shapes[i + 1], B) if i < len(net.conv) else z
     return z.T
 
 
@@ -280,28 +284,24 @@ def loss_and_grad(
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss evaluated to {loss}")
 
-    dtype = logits.dtype
     shapes = net.feature_shapes()
     grads: list = [None] * len(params)
     dz = e / e.sum(axis=0)
     dz[labels, np.arange(B)] -= 1.0
     for i in reversed(range(len(params))):
-        inp, z = cache[i]
+        inp, _ = cache[i]
         W, _ = params[i]
-        if i < len(params) - 1:  # hidden layers end in a ReLU
-            mask = np.greater(z, 0.0, out=_buffer(_workspace, ("mask", i), z.shape, bool))
-            dz = _buffer(_workspace, ("dz", i), z.shape, dtype)
-            np.multiply(da.reshape(z.shape), mask, out=dz)
         grads[i] = ((dz @ inp.T).reshape(W.shape), dz.sum(axis=1))
         if i == 0:  # the first layer's input gradient is the image's
             break
-        da = _buffer(_workspace, ("da", i), inp.shape, dtype)
-        np.matmul(W.reshape(len(W), -1).T, dz, out=da)
+        a = cache[i - 1][1]  # the activation below: masked, then overwritten by its gradient
+        mask = np.greater(a, 0.0, out=_buffer(_workspace, "mask", a.shape, bool))
+        np.matmul(W.reshape(len(W), -1).T, dz, out=inp)  # dW has read inp
         if i < len(net.conv):  # scatter the windows' gradient onto the layer input
             _, kernel, stride = net.conv[i]
-            dcols = da.reshape(*W.shape[1:], *shapes[i + 1][1:], B)
-            dx = _buffer(_workspace, ("dx", i), (*shapes[i], B), dtype)
-            da = _col2im(dcols, dx, kernel, stride)
+            dcols = inp.reshape(*W.shape[1:], *shapes[i + 1][1:], B)
+            _col2im(dcols, a.reshape(*shapes[i], B), kernel, stride)
+        dz = np.multiply(a, mask, out=a)
     return loss, grads
 
 

@@ -315,12 +315,16 @@ def direct_conv_logits(net, params, images) -> np.ndarray:
 
 
 def relu_margin(net, params, images) -> float:
-    """Smallest |pre-activation| over all hidden units of the batch."""
+    """Smallest |pre-activation| over all hidden units of the batch, recomputed
+    from the cached layer inputs (the cache holds post-ReLU outputs)."""
     from qthermal.cnn import _forward_batch
 
     cache = []
     _forward_batch(net, params, images, cache)
-    margins = [np.min(np.abs(z)) for _, z in cache[:-1]]
+    margins = [
+        np.min(np.abs(W.reshape(len(W), -1) @ inp + b[:, None]))
+        for (inp, _), (W, b) in zip(cache[:-1], params)
+    ]
     return float(min(margins)) if margins else float("inf")
 
 

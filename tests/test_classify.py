@@ -367,6 +367,32 @@ class TestAdvantageRegions:
         with pytest.raises(ValueError, match="threads"):
             advantage_regions(train, evaluation, pair, [10], trials=1, master_seed=0, threads=threads)
 
+    @pytest.mark.parametrize(
+        "trials, n_eval, error, message",
+        [
+            (0, 100, ValueError, "trials must be >= 1, got 0"),
+            (2, 0, EmptyEvaluationSetError, "evaluation set is empty"),
+        ],
+        ids=["no_trials", "empty_evaluation"],
+    )
+    def test_rejects_empty_estimate_before_any_predictor(
+        self, digits_small, trials, n_eval, error, message
+    ):
+        train, evaluation = digits_small
+        built = []
+
+        def factory(noise):
+            built.append(noise)
+            return nn_predictor(train)
+
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        with pytest.raises(error, match=message):
+            advantage_regions(
+                train, evaluation.subset(np.arange(n_eval)), pair, [10, 40], trials=trials,
+                master_seed=0, threads=2, predictor_factory=factory,
+            )
+        assert built == []
+
     def test_identical_channels_no_advantage(self, digits_small):
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.02)

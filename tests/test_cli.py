@@ -421,6 +421,27 @@ class TestSimulateCommand:
         assert any(l.startswith(f"error: {name} must be >= 1") for l in err.splitlines())
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "0", "--threads", "2"], "error: trials must be >= 1, got 0"),
+            (["--eval-size", "0", "--threads", "1"], "error: evaluation set is empty"),
+        ],
+        ids=["no_trials", "empty_evaluation"],
+    )
+    def test_empty_estimate_is_usage_error_before_training(self, capsys, monkeypatch, argv, message):
+        import qthermal.cli as cli
+
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        code, out, err = run(
+            [*self.BASE, "--M", "10,40", "--classifier", "cnn", "--epochs", "1", *argv], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err.splitlines()
+        assert trained == []
+
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_usage_error(self, capsys, lr):
         code, out, err = run(

@@ -360,10 +360,11 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("net", [SMALL, TWO_CONV, NetworkSpec(input_shape=(28, 28))],
                              ids=["one_conv", "two_conv", "default"])
-    @pytest.mark.parametrize("sizes", [(7, 3), (3, 7)], ids=["shrink", "grow"])
+    @pytest.mark.parametrize("sizes", [(7, 3), (3, 7), (64, 37)], ids=["shrink", "grow", "b64_b37"])
     def test_shared_workspace_matches_fresh_calls(self, net, sizes):
         # a second batch through the same workspace must not see the first
-        # batch's windows, ReLU masks or scattered input gradients
+        # batch's windows, ReLU masks or the input gradients written over
+        # its windows and activations, nor may a prediction after them
         params = random_params(net, 3, np.float32)
         rng = np.random.default_rng(5)
         workspace = {}
@@ -376,6 +377,8 @@ class TestWorkspace:
             for (gW_ws, gb_ws), (gW, gb) in zip(grads_ws, grads):
                 assert gW_ws.tobytes() == gW.tobytes()
                 assert gb_ws.tobytes() == gb.tobytes()
+        reused = predict_labels(net, params, images, workspace)
+        assert np.array_equal(reused, predict_labels(net, params, images))
 
 
 class TestEvaluate:

@@ -1,11 +1,15 @@
 """Traced peak memory of the two largest transient allocations of a
-nearest-neighbour simulation: scoring one batch and building the digits."""
+nearest-neighbour simulation, scoring one batch and building the digits, and
+the size of a CNN training step's workspace."""
 
 import tracemalloc
 
 import pytest
 
+import numpy as np
+
 from qthermal.classify import NoiseModel, nn_predictor, sample_noisy
+from qthermal.cnn import NetworkSpec, init_params, loss_and_grad
 from qthermal.data import synthetic_digits, trial_stream
 
 MB = 1e6
@@ -43,3 +47,15 @@ def test_synthetic_digits_peaks_below_images_plus_3mb():
     peak, ds = traced_peak(synthetic_digits, 10_000, 1)
     assert ds.images.nbytes == 10_000 * 784
     assert peak < ds.images.nbytes + 3 * MB
+
+
+def test_cnn_training_workspace_below_9mb():
+    # one float32 SGD step on 64 images of the default net: the windows and
+    # activations of the forward pass, one ReLU mask and the input; the
+    # backward pass writes its input gradients into those same buffers
+    net = NetworkSpec((28, 28))
+    params = [(W.astype(np.float32), b.astype(np.float32)) for W, b in init_params(net, 0)]
+    digits = synthetic_digits(64, seed=3)
+    workspace = {}
+    loss_and_grad(net, params, digits.images, digits.labels, _workspace=workspace)
+    assert sum(a.nbytes for a in workspace.values()) <= 9.0 * MB
