@@ -11,13 +11,7 @@ noise.
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundReport,
-    bounds,
-    min_rel_probe_additive,
-    min_rel_probe_uniform,
-    pixel_error_bounds,
-)
+from .bounds import BoundReport, bounds, min_rel_probe_uniform, pixel_error_bounds
 from .channels import (
     ChannelSpec,
     EnvironmentPair,
@@ -58,13 +52,7 @@ from .gaussian import (
     tmsv_cm,
     vacuum_cm,
 )
-from .spaces import (
-    ImageSpace,
-    bcpf_functional,
-    cpf_functional,
-    cross_functional,
-    hamming_functional_uniform,
-)
+from .spaces import ImageSpace, bcpf_functional
 
 __all__ = [
     "AdvantageRow",
@@ -82,8 +70,6 @@ __all__ = [
     "binarize",
     "bounds",
     "choi_cm",
-    "cpf_functional",
-    "cross_functional",
     "endpoint_noise_models",
     "estimate_error",
     "fidelity_choi_inf",
@@ -91,10 +77,8 @@ __all__ = [
     "fidelity_classical",
     "fidelity_finite",
     "gaussian_fidelity",
-    "hamming_functional_uniform",
     "load_idx",
     "load_idx_split",
-    "min_rel_probe_additive",
     "min_rel_probe_uniform",
     "nn_predictor",
     "parse_idx",

@@ -69,7 +69,7 @@ def bounds(space: ImageSpace, M: int, F_q: float, F_cl: float) -> BoundReport:
     log_size = space.log_pattern_count()
 
     def lower(log_f: float) -> float:  # S(F^2M) / (2 |S|^2)
-        log_sum = log_hamming_sum(log_counts, 2.0 * M * log_f)
+        log_sum = log_hamming_sum(log_counts, 2.0 * (M * log_f))  # 0 at f = 1 for any M
         return math.exp(log_sum - 2.0 * log_size - LN2)
 
     log_fm = M * log_fq
@@ -93,26 +93,6 @@ def min_rel_probe_uniform(F_q: float, F_cl: float) -> float:
     # -inf at F_cl = 0, NaN at F_cl = F_q = 0 and +inf at F_q = 0 < F_cl
     denom = 2.0 * log_pow(F_cl) - log_pow(F_q)
     if not denom > 0.0:
-        return math.inf
-    return LN2 / denom
-
-
-def min_rel_probe_additive(nu_t: float, nu_b: float) -> float:
-    """Closed form of :func:`min_rel_probe_uniform` for an additive-noise
-    pair, via the quantum and classical excess-noise gaps
-
-        d_q  = (sqrt(nu_b) - sqrt(nu_t))^2 / (2 sqrt(nu_b nu_t)),
-        d_cl = sqrt((nu_t+1)(nu_b+1)) - sqrt(nu_b nu_t) - 1,
-
-    giving log 2 / (log(1 + d_q) - 2 log(1 + d_cl))."""
-    if nu_t < 0 or nu_b < 0:
-        raise ValueError("additive noise parameters must be non-negative")
-    if nu_t == nu_b:
-        return math.inf
-    d_q = (math.sqrt(nu_b) - math.sqrt(nu_t)) ** 2 / (2.0 * math.sqrt(nu_b * nu_t))
-    d_cl = math.sqrt((nu_t + 1.0) * (nu_b + 1.0)) - math.sqrt(nu_b * nu_t) - 1.0
-    denom = math.log1p(d_q) - 2.0 * math.log1p(d_cl)
-    if denom <= 0.0:
         return math.inf
     return LN2 / denom
 

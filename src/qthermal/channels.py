@@ -143,17 +143,32 @@ def choi_cm(channel: ChannelSpec, a: float) -> CovarianceMatrix:
     return CovarianceMatrix(V)
 
 
-def _root_products(pair: EnvironmentPair) -> tuple[float, float]:
-    """(hi, lo) of :func:`fidelity_finite`: R+- = sqrt((nu_t +- g)(nu_b +- g))
-    with g = |1 - tau|/2, ordered (R+, R-) for tau <= 1 and (R-, R+) above."""
+def _in_units(pair: EnvironmentPair, a=math.inf) -> tuple:
+    """(k, hi, lo, e) of :func:`fidelity_finite`, the last three in units of
+    2^k, k (elementwise in a) putting the largest of nu_t, nu_b and tau/(2a)
+    near 2^500 so that no square overflows: R+- = sqrt((nu_t +- g)(nu_b +- g)),
+    g = |1 - tau|/2, (hi, lo) = (R+, R-) for tau <= 1 and (R-, R+) above.
+    Each factor of R+- is brought to [1/2, 2) by an even power of two.  Powers
+    of two scale exactly: wherever the plain arithmetic stays normal, this
+    is it, bit for bit."""
     tau, nus = pair.tau, (pair.target.nu, pair.background.nu)
+    scale = np.maximum(max(nus), 0.5 * tau / a)  # tau/(2a): finite for any tau
+    k = np.frexp(scale)[1] - 500
     halves = (0.5, -tau / 2) if tau <= 1.0 else (-0.5, tau / 2)  # sum to g
-    # each nu +- g is one correctly rounded sum, 0 for a pure environment
-    plus, minus = (
-        math.sqrt(math.prod(max(math.fsum([nu, s * halves[0], s * halves[1]]), 0.0) for nu in nus))
-        for s in (1.0, -1.0)
-    )
-    return (plus, minus) if tau <= 1.0 else (minus, plus)
+    kf = max(0, math.frexp(max(*nus, tau))[1] - 1022)  # keeps each nu + g finite
+
+    def root(s: float):
+        # each nu +- g is one correctly rounded sum, 0 for a pure environment
+        xs = [max(math.fsum(math.ldexp(v, -kf) for v in (nu, s * halves[0], s * halves[1])), 0.0) for nu in nus]
+        js = [math.frexp(x)[1] // 2 for x in xs]
+        return np.ldexp(math.sqrt(math.prod(math.ldexp(x, -2 * j) for x, j in zip(xs, js))), kf - k + sum(js))
+
+    plus, minus = root(1.0), root(-1.0)
+    hi, lo = (plus, minus) if tau <= 1.0 else (minus, plus)
+    # a tolerance-negative nu below -scale only ever meets the clamp at 0
+    nu_sum = sum(np.ldexp(np.maximum(nu, -scale), -k) for nu in nus)
+    e = 2.0 * np.maximum(nu_sum, 0.0) + np.ldexp(0.5 * tau / a, 1 - k)
+    return k, hi, lo, e
 
 
 def fidelity_finite(pair: EnvironmentPair, a):
@@ -178,7 +193,9 @@ def fidelity_finite(pair: EnvironmentPair, a):
     tolerance can leave at -1e-12, as R+- clamp each nu -+ g at 0, so a
     noiseless additive pair gives 1.0 at every a.  F is non-increasing in
     a; at a = 1/2 it is :func:`fidelity_classical`, and as a -> infinity
-    it tends to (hi + lo)/(nu_t + nu_b), :func:`fidelity_choi_inf`.
+    it tends to (hi + lo)/(nu_t + nu_b), :func:`fidelity_choi_inf`.  F is
+    evaluated in the units 2^k of :func:`_in_units`, where e/a gains a factor
+    2^-k, so that every finite input gives a finite F.
 
     An array of a gives an array of its shape, each entry bit for bit the
     scalar call; a below 1/2 or not finite raises ``ValueError``.
@@ -186,10 +203,9 @@ def fidelity_finite(pair: EnvironmentPair, a):
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a) & (a >= 0.5)):
         raise ValueError(f"squeezing parameter a must be finite and >= 1/2, got {a.min()}")
-    hi, lo = _root_products(pair)
+    k, hi, lo, e = _in_units(pair, a)
     p = (a - 0.5) / a * hi + (a + 0.5) / a * lo
-    e = 2.0 * max(pair.target.nu + pair.background.nu, 0.0) + pair.tau / a
-    F = np.minimum((p + np.sqrt(p * p + e / a)) / e, 1.0)
+    F = np.minimum((p + np.sqrt(p * p + np.ldexp(e / a, -k))) / e, 1.0)
     return F if F.ndim else float(F)
 
 
@@ -215,11 +231,10 @@ def fidelity_choi_inf(pair: EnvironmentPair) -> float:
     tolerance admits nu down to -1e-12), a noiseless channel against a noisy
     one 0.0.
     """
-    total = pair.target.nu + pair.background.nu
-    if total <= 0.0:
+    if pair.target.nu + pair.background.nu <= 0.0:
         return 1.0
-    hi, lo = _root_products(pair)
-    return min(1.0, (hi + lo) / total)
+    _, hi, lo, e = _in_units(pair)  # e = 2 (nu_t + nu_b) at a = infinity
+    return min(1.0, float(2.0 * (hi + lo) / e))
 
 
 def _mp_choi_fidelity(pair: EnvironmentPair, a: float, dps: int = 60) -> float:
@@ -261,4 +276,8 @@ def temperature_of(nbar: float, wavelength: float) -> float:
         raise ValueError(f"occupation must be positive, got {nbar}")
     if not 0 < wavelength < math.inf:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    return _h_planck * _c_light / (_k_boltzmann * wavelength * np.log1p(1.0 / nbar))
+    with np.errstate(divide="ignore", over="ignore"):
+        t = _h_planck * _c_light / (_k_boltzmann * wavelength * np.log1p(1.0 / nbar))
+    if not np.isfinite(t):
+        raise ValueError(f"temperature overflows double precision: occupation {nbar}, wavelength {wavelength}")
+    return t

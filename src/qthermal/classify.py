@@ -53,12 +53,9 @@ _NN_ROWS = 32
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Symmetric pixel-flip channel with provenance: ``derivation`` records
-    which endpoint of the single-pixel error interval the flip probability
-    came from (one of ``NOISE_DERIVATIONS``), or ``"override"``."""
+    """Symmetric pixel-flip channel: one flip probability in [0, 1/2]."""
 
     flip_probability: float
-    derivation: str = "override"
 
     def __post_init__(self):
         p = self.flip_probability
@@ -68,10 +65,11 @@ class NoiseModel:
 
 def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, NoiseModel]:
     """The four noise models spanned by the quantum/classical error bounds,
-    keyed and ordered as ``NOISE_DERIVATIONS``."""
+    keyed and ordered as ``NOISE_DERIVATIONS``: the key is the one record of
+    which endpoint a flip probability came from."""
     cl = pixel_error_bounds(fidelity_classical(pair), copies)
     q = pixel_error_bounds(fidelity_choi_inf(pair), copies)
-    return {tag: NoiseModel(p, tag) for tag, p in zip(NOISE_DERIVATIONS, (*cl, *q))}
+    return {tag: NoiseModel(p) for tag, p in zip(NOISE_DERIVATIONS, (*cl, *q))}
 
 
 def sample_noisy(images: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -355,7 +353,7 @@ def advantage_regions(
         if p_override is None:
             models = endpoint_noise_models(pair, M)
         else:
-            models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override, "override"))
+            models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override))
         grid.append((int(M), models, trial_stream(master_seed, mi).integers(2**63)))
 
     def run_job(job: tuple[tuple[int, float, int], NoiseModel]) -> ErrorEstimate:

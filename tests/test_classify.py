@@ -58,11 +58,11 @@ class TestNoiseModel:
             q_lo, q_hi = pixel_error_bounds(fidelity_choi_inf(pair), M)
             cl_lo, cl_hi = pixel_error_bounds(fidelity_classical(pair), M)
             assert list(models) == list(NOISE_DERIVATIONS)
-            assert {tag: (m.flip_probability, m.derivation) for tag, m in models.items()} == {
-                "classical-lower": (cl_lo, "classical-lower"),
-                "classical-upper": (cl_hi, "classical-upper"),
-                "quantum-lower": (q_lo, "quantum-lower"),
-                "quantum-upper": (q_hi, "quantum-upper"),
+            assert {tag: m.flip_probability for tag, m in models.items()} == {
+                "classical-lower": cl_lo,
+                "classical-upper": cl_hi,
+                "quantum-lower": q_lo,
+                "quantum-upper": q_hi,
             }
 
     def test_four_endpoints(self):
@@ -440,7 +440,7 @@ class TestAdvantageRegions:
             train, evaluation, pair, [10, 40], trials=3, master_seed=6,
             threads=2, predictor_factory=factory, p_override=0.2,
         )
-        assert built == [NoiseModel(0.2, "override")] * 2
+        assert built == [NoiseModel(0.2)] * 2
         for mi, row in enumerate(rows):
             seed = trial_stream(6, mi).integers(2**63)
             expected = estimate_error(train, evaluation, NoiseModel(0.2), 3, seed)

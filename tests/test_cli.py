@@ -1,8 +1,11 @@
 """Command-line surface: schemas, determinism and exit codes."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -12,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qthermal.channels import EnvironmentPair, fidelity_classical
@@ -39,6 +42,13 @@ REFERENCE_JOBS = [
     for jobs in BENCH.WORKLOADS.values()
     for job, argv in jobs.items()
     if (BENCH.checks.REFERENCE_DIR / f"{job}.csv").exists()
+]
+
+
+# noise pairs far beyond any physical value, whose fidelities once overflowed
+HUGE_NOISE = [
+    ["--kind", "additive", "--nuT", "1e160", "--nuB", "2e160"],
+    ["--kind", "thermal", "--tau", "0.5", "--epsT", "1e160", "--epsB", "2e160"],
 ]
 
 
@@ -116,8 +126,33 @@ class TestFidelityCommand:
         warned = [l for l in err.splitlines() if l.startswith("warning: ")]
         assert warned == ["warning: RuntimeWarning: first", "warning: UserWarning: second"]
 
+    @pytest.mark.parametrize("channel", HUGE_NOISE, ids=["additive", "thermal"])
+    def test_huge_noise_prints_the_closed_form(self, capsys, tmp_path, channel):
+        # 2 sqrt(r)/(1 + r) at r = 1/2 at every a; plain double arithmetic
+        # once printed nan at a = 1/2 and 1.0 beyond, with a RuntimeWarning
+        out_path = tmp_path / "huge.csv"
+        code, _, err = run(["fidelity", *channel, "--a", "0.5,10", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert err == ""
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert [a for a, _ in rows] == ["0.5", "10.0", "inf"]
+        for _, F in rows:
+            assert float(F) == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-15, abs=0.0)
+
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize("channel", HUGE_NOISE, ids=["additive", "thermal"])
+    def test_huge_noise_bounds_are_finite(self, capsys, channel):
+        # a nan fidelity once made this a usage error: "fidelity must lie in [0, 1]"
+        code, out, err = run(["bounds", *channel, "--m", "6", "--M", "1,10"], capsys)
+        assert code == 0
+        assert "error" not in err
+        lines = out.strip().split("\n")
+        assert len(lines) == 4
+        for line in lines[1:3]:
+            assert all(math.isfinite(float(v)) for v in line.split(","))
+        assert not math.isnan(float(lines[-1].split("=")[1]))
+
     def test_schema_and_summary(self, capsys):
         code, out, _ = run(
             [
@@ -752,3 +787,102 @@ class TestManifestAndConfig:
         run([*args, "--out", str(p1)], capsys)
         run([*args, "--out", str(p2)], capsys)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Flag values for the CLI contract test, as (valid, invalid) spellings:
+# huge, tiny, negative and non-finite numbers, empty and malformed grids.
+EPS = ["0.5", "18.5", "20.2", "1e160", "2e160", "1e307"]
+NU = ["0", "0.01", "0.02", "-1e-13", "1e-200", "1e160", "2e160", "1e308"]
+BAD = ["-1", "inf", "nan", "x"]
+CHANNEL = {
+    "--kind": (["additive", "thermal"], ["bogus"]),
+    "--tau": (["0", "0.5", "0.99", "1.5", "1e300"], BAD),
+    "--epsT": (EPS, ["0.4", *BAD]),
+    "--epsB": (EPS, ["0.4", *BAD]),
+    "--nuT": (NU, BAD),
+    "--nuB": (NU, BAD),
+}
+COMMANDS = {
+    "fidelity": {
+        **CHANNEL,
+        "--a": (["0.5", "0.5,2.5,10", "0.5:100:0.0625", "1e6,1e300", "1.7e308"],
+                ["0.4", "", "5:1:1", "0.5,inf", "x"]),
+    },
+    "bounds": {
+        **CHANNEL,
+        "--space": (["uniform", "cpf", "bcpf"], ["bogus"]),
+        "--m": (["1", "6", "784"], ["0", "-3", "2.5"]),
+        "--k": (["0", "3", "2,3", "100:149:1"], ["7", "", "x"]),
+        "--M": (["1", "1,50,110", "100:20000:100", "1e308"], ["0", "1.5", ""]),
+        "--energy": (["asymptotic", "classical", "finite"], ["bogus"]),
+        "--a": (["0.5", "10", "1e300"], ["0.4", "inf"]),
+    },
+    "temp": {
+        "--wavelength": (["1e-3", "1e-300", "1e300"], ["0", "-1", "inf"]),
+        "--nbar": (["18", "0.5,18", "1e-300", "1e300", "5e-324"], ["0", "-1", ""]),
+        "--eps": (["18.5", "0.53125:100:0.03125", "1e308"], ["0.5", "x"]),
+    },
+    # kept tiny: an omitted size flag would default to paper scale
+    "simulate": {
+        **CHANNEL,
+        "--classifier": (["nn", "cnn"], ["bogus"]),
+        "--M": (["1", "10,40", "1e308"], ["0"]),
+        "--T": (["5", "30"], ["0", "-1"]),
+        "--eval-size": (["3", "10"], ["0", "-2"]),
+        "--trials": (["1", "2"], ["0"]),
+        "--threads": (["1", "2"], []),
+        "--p-override": (["0", "0.1", "0.5"], ["0.7", "-0.1", "nan"]),
+        "--epochs": (["1"], ["0"]),
+        "--batch-size": (["4"], ["0"]),
+        "--lr": (["0.1", "1e300"], ["nan"]),
+    },
+}
+# omitted, these flags would make nearly every case a usage error or too slow
+ALWAYS_GIVEN = {"--kind", "--M", "--T", "--eval-size", "--trials", "--epochs"}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """One command with each flag valid (mostly), invalid or omitted."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, (valid, invalid) in COMMANDS[command].items():
+        omit = [] if flag in ALWAYS_GIVEN else [None]
+        value = draw(st.sampled_from(valid * 4 + invalid + omit))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=300)
+@given(command_lines())
+@example(["fidelity", "--kind", "additive", "--nuT", "1e160", "--nuB", "2e160", "--a", "0.5,10"])
+@example(["fidelity", "--kind", "thermal", "--tau", "0.5", "--epsT", "1e160", "--epsB", "2e160"])
+@example(["bounds", "--kind", "additive", "--nuT", "1e160", "--nuB", "2e160", "--m", "6", "--M", "1"])
+@example(["bounds", "--kind", "additive", "--nuT", "0.02", "--nuB", "0.02", "--m", "6", "--M", "1e308"])
+@example(["temp", "--eps", "1e308"])
+def test_cli_contract(argv):
+    """Every argument list exits 0, 2, 3 or 4 without a traceback, and a run
+    that exits 0 prints only finite numbers, apart from the ``inf`` squeezing
+    row of ``fidelity`` and an infinite ``# mbar_adv``; the closed-form
+    commands (all but ``simulate``) also raise no RuntimeWarning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        return
+    assert argv[0] == "simulate" or "RuntimeWarning" not in err.getvalue()
+    header, *rows = out.getvalue().splitlines()
+    for row in rows:
+        if row.startswith("# mbar_adv = "):
+            assert not math.isnan(float(row.split("=")[1])), row
+            continue
+        cells = row.split(",")
+        if argv[0] == "fidelity" and cells[0] == "inf":
+            cells = cells[1:]
+        assert all(math.isfinite(float(c)) for c in cells), row

@@ -1,4 +1,4 @@
-"""Hamming functionals against brute-force enumeration."""
+"""Image-space sums, through the one primitive, against brute-force enumeration."""
 
 import math
 import warnings
@@ -12,9 +12,6 @@ from mpmath import mp
 from qthermal.spaces import (
     ImageSpace,
     bcpf_functional,
-    cpf_functional,
-    cross_functional,
-    hamming_functional_uniform,
     log_distance_counts,
     log_hamming_sum,
     log_pair_counts,
@@ -27,6 +24,7 @@ from conftest import (
     brute_distance_counts,
     brute_uniform,
     image_spaces,
+    pair_sum,
 )
 
 F_GRID = (0.0, 0.1, 0.5, 0.9, 1.0)
@@ -70,52 +68,61 @@ class TestImageSpace:
         assert ImageSpace.bcpf(5, [0, 2]).log_pattern_count() == pytest.approx(math.log(11))
 
 
+def uniform_sum(m, f):
+    """Per-pattern sum over the uniform space: (f+1)^m - 1."""
+    return pair_sum(m, range(m + 1), range(m + 1), f) / 2**m
+
+
+def cpf_sum(m, k, f):
+    """Per-pattern sum over the k-CPF space: the terminating series
+    sum_{j>=1} C(k,j) C(m-k,j) f^{2j}, zero for k = 0 and k = m."""
+    return pair_sum(m, [k], [k], f) / math.comb(m, k)
+
+
 class TestUniformFunctional:
     def test_spec_values(self):
-        assert hamming_functional_uniform(3, 1.0) == pytest.approx(7.0, rel=1e-12)
-        assert hamming_functional_uniform(6, 0.0) == 0.0
-        assert hamming_functional_uniform(2, 0.5) == pytest.approx(1.25, rel=1e-12)
+        assert uniform_sum(3, 1.0) == pytest.approx(7.0, rel=1e-12)
+        assert uniform_sum(6, 0.0) == 0.0
+        assert uniform_sum(2, 0.5) == pytest.approx(1.25, rel=1e-12)
 
     @pytest.mark.parametrize("m", range(1, 8))
     @pytest.mark.parametrize("f", F_GRID)
     def test_matches_enumeration(self, m, f):
-        assert rel_close(hamming_functional_uniform(m, f), brute_uniform(m, f))
+        assert rel_close(uniform_sum(m, f), brute_uniform(m, f))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            hamming_functional_uniform(3, 1.5)
+            uniform_sum(3, 1.5)
         with pytest.raises(ValueError):
-            hamming_functional_uniform(0, 0.5)
+            uniform_sum(0, 0.5)
 
 
 class TestCpfFunctional:
     def test_spec_values(self):
-        assert cpf_functional(4, 2, 1.0) == pytest.approx(5.0, rel=1e-12)
-        assert cpf_functional(4, 2, 0.5) == pytest.approx(1.0625, rel=1e-12)
-        assert cpf_functional(6, 0, 0.7) == 0.0
-        assert cpf_functional(6, 6, 0.7) == 0.0
+        assert cpf_sum(4, 2, 1.0) == pytest.approx(5.0, rel=1e-12)
+        assert cpf_sum(4, 2, 0.5) == pytest.approx(1.0625, rel=1e-12)
+        assert cpf_sum(6, 0, 0.7) == 0.0
+        assert cpf_sum(6, 6, 0.7) == 0.0
 
     @pytest.mark.parametrize("m", [2, 4, 6, 7])
     @pytest.mark.parametrize("f", F_GRID)
     def test_matches_enumeration(self, m, f):
         for k in range(m + 1):
-            assert rel_close(cpf_functional(m, k, f), brute_cpf(m, k, f))
+            assert rel_close(cpf_sum(m, k, f), brute_cpf(m, k, f))
 
     def test_large_m_no_overflow(self):
-        val = cpf_functional(10_000, 3, 0.5)
+        val = cpf_sum(10_000, 3, 0.5)
         assert np.isfinite(val) and val > 0
 
 
 class TestCrossFunctional:
     def test_spec_values(self):
-        assert cross_functional(4, 1, 2, 1.0) == pytest.approx(24.0, rel=1e-12)
-        assert cross_functional(3, 0, 1, 0.5) == pytest.approx(1.5, rel=1e-12)
-        assert cross_functional(5, 1, 3, 0.0) == 0.0
+        assert pair_sum(4, [1], [2], 1.0) == pytest.approx(24.0, rel=1e-12)
+        assert pair_sum(3, [0], [1], 0.5) == pytest.approx(1.5, rel=1e-12)
+        assert pair_sum(5, [1], [3], 0.0) == 0.0
 
     def test_symmetric_in_counts(self):
-        assert cross_functional(6, 2, 4, 0.3) == pytest.approx(
-            cross_functional(6, 4, 2, 0.3), rel=1e-12
-        )
+        assert pair_sum(6, [2], [4], 0.3) == pytest.approx(pair_sum(6, [4], [2], 0.3), rel=1e-12)
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     @pytest.mark.parametrize("f", F_GRID)
@@ -124,11 +131,7 @@ class TestCrossFunctional:
             for l in range(m + 1):
                 if k == l:
                     continue
-                assert rel_close(cross_functional(m, k, l, f), brute_cross(m, k, l, f))
-
-    def test_rejects_equal_counts(self):
-        with pytest.raises(ValueError):
-            cross_functional(4, 2, 2, 0.5)
+                assert rel_close(pair_sum(m, [k], [l], f), brute_cross(m, k, l, f))
 
 
 class TestBcpfFunctional:
@@ -138,7 +141,8 @@ class TestBcpfFunctional:
 
     def test_singleton_reduces_to_cpf(self):
         space = ImageSpace.bcpf(6, [2])
-        expected = math.comb(6, 2) * cpf_functional(6, 2, 0.4)
+        # C(6, 2) times the CPF series sum_{j>=1} C(2,j) C(4,j) f^{2j}
+        expected = math.comb(6, 2) * sum(math.comb(2, j) * math.comb(4, j) * 0.4 ** (2 * j) for j in (1, 2))
         assert bcpf_functional(space, 0.4) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_fidelity(self):
@@ -158,8 +162,6 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert bcpf_functional(ImageSpace.bcpf(784, range(100, 150)), 0.9) == math.inf
-            assert cross_functional(784, 300, 400, 0.99) == math.inf
-            assert hamming_functional_uniform(2000, 1.0) == math.inf
 
 
 class TestDistanceSpectrum:
