@@ -42,9 +42,10 @@ def error_regions(train, evaluation) -> None:
     print("\nadditive-noise sensing, nu = (0.02, 0.01), NN classifier")
     print("      M   E_cl in [L, U]          E_q in [L, U]           dE_min")
     for row in advantage_regions(train, evaluation, pair, [5, 10, 20, 40], trials=10, master_seed=7, threads=4):
+        cl_low, cl_up, q_low, q_up = (e.mean for e in row.errors.values())
         print(
-            f"  {row.M:5d}   [{row.e_cl_low.mean:7.4f}, {row.e_cl_up.mean:7.4f}]"
-            f"    [{row.e_q_low.mean:7.4f}, {row.e_q_up.mean:7.4f}]    {row.de_min:+8.4f}"
+            f"  {row.M:5d}   [{cl_low:7.4f}, {cl_up:7.4f}]"
+            f"    [{q_low:7.4f}, {q_up:7.4f}]    {row.de_min:+8.4f}"
         )
     print("  a positive dE_min certifies quantum advantage at that probe budget")
 

@@ -148,11 +148,15 @@ def _in_units(pair: EnvironmentPair, a=math.inf) -> tuple:
     2^k, k (elementwise in a) putting the largest of nu_t, nu_b and tau/(2a)
     near 2^500 so that no square overflows: R+- = sqrt((nu_t +- g)(nu_b +- g)),
     g = |1 - tau|/2, (hi, lo) = (R+, R-) for tau <= 1 and (R-, R+) above.
-    Each factor of R+- is brought to [1/2, 2) by an even power of two.  Powers
-    of two scale exactly: wherever the plain arithmetic stays normal, this
-    is it, bit for bit."""
+    Where the clamp zeroes nu_t + nu_b, R+ (at most ~1e-12) stands in for
+    the noise, so that e/a cannot underflow.  Each factor of R+- is brought
+    to [1/2, 2) by an even power of two.  Powers of two scale exactly:
+    wherever the plain arithmetic stays normal, this is it, bit for bit."""
     tau, nus = pair.tau, (pair.target.nu, pair.background.nu)
-    scale = np.maximum(max(nus), 0.5 * tau / a)  # tau/(2a): finite for any tau
+    clamped = sum(nus) <= 0.0  # then both |nu| and g are within ~1e-12
+    g = abs(1.0 - tau) / 2.0
+    top = math.sqrt(max(nus[0] + g, 0.0) * max(nus[1] + g, 0.0)) if clamped else max(nus)
+    scale = np.maximum(top, 0.5 * tau / a)  # tau/(2a): finite for any tau
     k = np.frexp(scale)[1] - 500
     halves = (0.5, -tau / 2) if tau <= 1.0 else (-0.5, tau / 2)  # sum to g
     kf = max(0, math.frexp(max(*nus, tau))[1] - 1022)  # keeps each nu + g finite
@@ -165,9 +169,8 @@ def _in_units(pair: EnvironmentPair, a=math.inf) -> tuple:
 
     plus, minus = root(1.0), root(-1.0)
     hi, lo = (plus, minus) if tau <= 1.0 else (minus, plus)
-    # a tolerance-negative nu below -scale only ever meets the clamp at 0
-    nu_sum = sum(np.ldexp(np.maximum(nu, -scale), -k) for nu in nus)
-    e = 2.0 * np.maximum(nu_sum, 0.0) + np.ldexp(0.5 * tau / a, 1 - k)
+    nu_sum = 0.0 if clamped else sum(np.ldexp(nu, -k) for nu in nus)
+    e = 2.0 * nu_sum + np.ldexp(0.5 * tau / a, 1 - k)
     return k, hi, lo, e
 
 

@@ -285,34 +285,25 @@ def _least_squares(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdvantageRow:
-    """One probe-copy grid point of a quantum-vs-classical simulation."""
+    """One probe-copy grid point of a quantum-vs-classical simulation: the
+    endpoint noise models and their error estimates, each a dict keyed and
+    ordered as ``NOISE_DERIVATIONS``."""
 
     M: int
-    p_cl_low: float
-    p_cl_up: float
-    p_q_low: float
-    p_q_up: float
-    e_cl_low: ErrorEstimate
-    e_cl_up: ErrorEstimate
-    e_q_low: ErrorEstimate
-    e_q_up: ErrorEstimate
+    models: dict[str, NoiseModel]
+    errors: dict[str, ErrorEstimate]
 
     @property
     def de_min(self) -> float:
-        return self.e_cl_low.mean - self.e_q_up.mean
+        return self.errors["classical-lower"].mean - self.errors["quantum-upper"].mean
 
     @property
     def de_max(self) -> float:
-        return self.e_cl_low.mean - self.e_q_low.mean
+        return self.errors["classical-lower"].mean - self.errors["quantum-lower"].mean
 
     @property
     def stderr_max(self) -> float:
-        return max(
-            self.e_cl_low.stderr,
-            self.e_cl_up.stderr,
-            self.e_q_low.stderr,
-            self.e_q_up.stderr,
-        )
+        return max(e.stderr for e in self.errors.values())
 
 
 def advantage_regions(
@@ -335,9 +326,10 @@ def advantage_regions(
     M share the seed drawn from the (``master_seed``, M index) stream.
     ``predictor_factory(noise)`` may supply a trained classifier per
     endpoint (the nearest-neighbour rule is used otherwise); ``p_override``
-    forces one flip probability everywhere, for diagnostics.
+    forces one flip probability everywhere, for diagnostics.  Each row holds
+    its M's models and estimates keyed by endpoint tag.
 
-    Each distinct (M, flip probability) is one job: build its predictor
+    Each distinct (M index, flip probability) is one job: build its predictor
     (training it, with a factory), then run all its trials.  Endpoints of one
     M with the same flip probability, as all four are under ``p_override``,
     share one job and its estimate; the factory sees the first of their
@@ -349,38 +341,25 @@ def advantage_regions(
     _check_estimate(evaluation, trials)  # before any predictor is built
     nn = None if predictor_factory else nn_predictor(training)
     grid = []
+    jobs: dict[tuple[int, float], tuple[NoiseModel, int]] = {}
     for mi, M in enumerate(M_grid):
         if p_override is None:
             models = endpoint_noise_models(pair, M)
         else:
             models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override))
-        grid.append((int(M), models, trial_stream(master_seed, mi).integers(2**63)))
+        grid.append((int(M), models))
+        seed = trial_stream(master_seed, mi).integers(2**63)
+        for model in models.values():
+            jobs.setdefault((mi, model.flip_probability), (model, seed))
 
-    def run_job(job: tuple[tuple[int, float, int], NoiseModel]) -> ErrorEstimate:
-        (_, _, seed), model = job
+    def run_job(job: tuple[NoiseModel, int]) -> ErrorEstimate:
+        model, seed = job
         predictor = predictor_factory(model) if predictor_factory else nn
         return estimate_error(training, evaluation, model, trials, seed, predictor=predictor)
 
-    jobs: dict[tuple[int, float, int], NoiseModel] = {}
-    for M, models, seed in grid:
-        for model in models.values():
-            jobs.setdefault((M, model.flip_probability, seed), model)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        estimates = dict(zip(jobs, pool.map(run_job, jobs.items())))
-        rows = []
-        for M, models, seed in grid:
-            e = {tag: estimates[M, model.flip_probability, seed] for tag, model in models.items()}
-            rows.append(
-                AdvantageRow(
-                    M=M,
-                    p_cl_low=models["classical-lower"].flip_probability,
-                    p_cl_up=models["classical-upper"].flip_probability,
-                    p_q_low=models["quantum-lower"].flip_probability,
-                    p_q_up=models["quantum-upper"].flip_probability,
-                    e_cl_low=e["classical-lower"],
-                    e_cl_up=e["classical-upper"],
-                    e_q_low=e["quantum-lower"],
-                    e_q_up=e["quantum-upper"],
-                )
-            )
-    return rows
+        estimates = dict(zip(jobs, pool.map(run_job, jobs.values())))
+    return [
+        AdvantageRow(M, models, {tag: estimates[mi, m.flip_probability] for tag, m in models.items()})
+        for mi, (M, models) in enumerate(grid)
+    ]

@@ -4,15 +4,15 @@ sidecar.
 
 Each ``cmd_*`` returns its CSV rows and extra manifest fields; ``main``
 runs it, writes the output and picks the exit code: 0 success, 2 usage
-error, 3 data error, 4 numeric non-convergence (a CNN loss that is not
-finite).  Every distinct warning raised during a command goes to stderr
-once, as ``warning: <Category>: <message>``, and leaves the exit code as it
-is.  Every fidelity comes from the closed forms of :mod:`qthermal.channels`:
-no command builds a covariance matrix or works in extended precision.
-Probe copy (``--M``) and target count (``--k``) grids must hold integers,
-and an empty ``--M``, ``--k``, ``--a``, ``--nbar`` or ``--eps`` grid is a
-usage error.  Output is deterministic: identical flags, input files and seeds
-produce byte-identical CSVs.
+error, 3 data error, 4 numeric non-convergence (CNN training whose loss or
+parameters are not finite).  Every distinct warning raised during a command
+goes to stderr once, as ``warning: <Category>: <message>``, and leaves the
+exit code as it is.  Every fidelity comes from the closed forms of
+:mod:`qthermal.channels`: no command builds a covariance matrix or works in
+extended precision.  Probe copy (``--M``) and target count (``--k``) grids
+must hold integers, and an empty ``--M``, ``--k``, ``--a``, ``--nbar`` or
+``--eps`` grid is a usage error.  Output is deterministic: identical flags,
+input files and seeds produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .channels import (
 )
 from .classify import advantage_regions
 from .cnn import NetworkSpec, TrainConfig, predict_labels, train
-from .data import dataset_dir, load_idx_split, synthetic_digits
+from .data import DEFAULT_THRESHOLD, dataset_dir, load_idx_split, synthetic_digits
 from .errors import IdxFormatError, NonFiniteLossError
 
 EXIT_USAGE = 2
@@ -215,11 +215,9 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     )
     rows = ["M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"]
     for r in table:
-        rows.append(_row(
-            r.M, r.p_cl_low, r.p_cl_up, r.p_q_low, r.p_q_up,
-            r.e_cl_low.mean, r.e_cl_up.mean, r.e_q_low.mean, r.e_q_up.mean,
-            r.de_min, r.de_max, r.stderr_max,
-        ))
+        ps = [m.flip_probability for m in r.models.values()]
+        es = [e.mean for e in r.errors.values()]
+        rows.append(_row(r.M, *ps, *es, r.de_min, r.de_max, r.stderr_max))
     return rows, {"input_digests": training.provenance.get("source", {})}
 
 
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=10000, help="training set size")
     p.add_argument("--eval-size", type=int, default=250, dest="eval_size")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--threshold", type=int, default=128, help="binarisation threshold")
+    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD, help="binarisation threshold")
     p.add_argument("--data-dir", dest="data_dir", help="IDX dataset directory (or set QTHERMAL_DATASET_DIR)")
     p.add_argument("--p-override", dest="p_override", type=float, help="force one flip probability")
     p.add_argument("--threads", type=int, default=1,

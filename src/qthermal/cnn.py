@@ -318,7 +318,9 @@ def train(
     images, disjoint from the rest, which are fitted; only n = 1 leaves it
     empty.  With a noise model each image receives a fresh noise sample every
     epoch, drawn from (seed, epoch, batch) streams; everything is
-    deterministic for a fixed config.  An empty set raises ``EmptyTrainingSetError``.
+    deterministic for a fixed config.  An empty set raises ``EmptyTrainingSetError``;
+    a loss, or after any epoch a parameter, that is not finite raises
+    ``NonFiniteLossError``.
     """
     n = len(training)
     if n == 0:
@@ -350,6 +352,8 @@ def train(
                 for p, g in zip(layer, step):
                     g *= lr
                     p -= g
+        if not all(np.isfinite(p).all() for layer in params for p in layer):
+            raise NonFiniteLossError(f"a parameter is not finite after epoch {epoch}")
         x_eval = x_hold
         if apply_noise:
             x_eval = sample_noisy(x_hold, noise, trial_stream(config.seed, 0x40, epoch))

@@ -30,6 +30,7 @@ LABEL_MAGIC = 0x00000801
 DATASET_DIR_ENV = "QTHERMAL_DATASET_DIR"
 
 _MAX_ELEMENTS = 2**31
+DEFAULT_THRESHOLD = 128  # ``binarize``: pixels at or above it are target (1)
 
 # ``synthetic_digits``: largest glyph offset in pixels along each axis, the
 # probability of a speckle flip per pixel, and the images per block of
@@ -102,7 +103,7 @@ def load_idx(path: str) -> tuple[np.ndarray, str]:
     return parse_idx(raw), digest
 
 
-def binarize(images: np.ndarray, threshold: int = 128) -> np.ndarray:
+def binarize(images: np.ndarray, threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
     """Threshold uint8 pixels: >= threshold becomes target (1), else
     background (0)."""
     if not 1 <= threshold <= 255:
@@ -161,7 +162,7 @@ def dataset_dir(flag_value: str | None = None) -> str | None:
 def load_idx_split(
     directory: str,
     split: str,
-    threshold: int = 128,
+    threshold: int = DEFAULT_THRESHOLD,
     limit: int | None = None,
 ) -> BinaryImageDataset:
     """Load and binarise one IDX split from a directory.

@@ -58,7 +58,7 @@ class ShapeMismatchError(ValueError):
 
 
 class NonFiniteLossError(FloatingPointError):
-    """Loss evaluated to NaN or infinity."""
+    """CNN training loss or parameters evaluated to NaN or infinity."""
 
 
 class ExtrapolationWarning(RuntimeWarning):

@@ -214,7 +214,7 @@ def test_criterion_6_simulator_ground_truths():
         exact_zero.mean == 0.0
         and abs(est_half.mean - 0.9) <= 3 * sigma
         and single == eight
-        and any(row.e_cl_up.mean > 0.0 for row in single)
+        and any(row.errors["classical-upper"].mean > 0.0 for row in single)
     )
     report(
         6,
@@ -250,9 +250,10 @@ def test_criterion_8_simulation_directions():
     )
     print()
     for r in rows:
+        cl_low, cl_up, q_low, q_up = (e.mean for e in r.errors.values())
         print(
-            f"  [recorded] additive M={r.M}: E_cl=[{r.e_cl_low.mean:.4f},{r.e_cl_up.mean:.4f}] "
-            f"E_q=[{r.e_q_low.mean:.4f},{r.e_q_up.mean:.4f}] dE_min={r.de_min:.4f} "
+            f"  [recorded] additive M={r.M}: E_cl=[{cl_low:.4f},{cl_up:.4f}] "
+            f"E_q=[{q_low:.4f},{q_up:.4f}] dE_min={r.de_min:.4f} "
             f"stderr_max={r.stderr_max:.5f}"
         )
     additive_ok = any(r.de_min > 3 * max(r.stderr_max, 1e-6) for r in rows)
@@ -261,15 +262,13 @@ def test_criterion_8_simulation_directions():
     row = advantage_regions(
         train, evaluation, pair_th, [2500], trials=20, master_seed=8, threads=4
     )[0]
+    cl_low, cl_up, q_low, q_up = (e.mean for e in row.errors.values())
     print(
-        f"  [recorded] thermal M={row.M}: E_cl=[{row.e_cl_low.mean:.4f},{row.e_cl_up.mean:.4f}] "
-        f"E_q=[{row.e_q_low.mean:.4f},{row.e_q_up.mean:.4f}] stderr_max={row.stderr_max:.5f}"
+        f"  [recorded] thermal M={row.M}: E_cl=[{cl_low:.4f},{cl_up:.4f}] "
+        f"E_q=[{q_low:.4f},{q_up:.4f}] stderr_max={row.stderr_max:.5f}"
     )
     noise = 2 * max(row.stderr_max, 1e-6)
-    thermal_ok = (
-        row.e_q_up.mean <= row.e_cl_low.mean + noise
-        and row.e_q_up.mean <= row.e_cl_up.mean + noise
-    )
+    thermal_ok = q_up <= cl_low + noise and q_up <= cl_up + noise
     report(
         8,
         "quantum-vs-classical simulation directions",

@@ -461,7 +461,8 @@ class TestHugeNoise:
 @st.composite
 def full_range_pairs(draw) -> EnvironmentPair:
     """Additive, loss or amplifier pair with each noise anywhere in [g, 1e308],
-    g = |1 - tau|/2, pure environments (nu = g) included."""
+    g = |1 - tau|/2, pure environments (nu = g) included; additive noise
+    reaches down to the complete-positivity tolerance, -1e-12."""
     kind = draw(st.sampled_from(["additive", "loss", "amplifier"]))
     if kind == "additive":
         tau = 1.0
@@ -470,7 +471,8 @@ def full_range_pairs(draw) -> EnvironmentPair:
     else:
         tau = draw(st.floats(1.0, 1e308, exclude_min=True))
     g = abs(1.0 - tau) / 2.0
-    noise = st.one_of(st.just(g), st.floats(g, 1e308))
+    low = -1e-12 if kind == "additive" else g
+    noise = st.one_of(st.just(g), st.floats(low, 1e308))
     return EnvironmentPair(ChannelSpec(tau, draw(noise)), ChannelSpec(tau, draw(noise)))
 
 
@@ -499,6 +501,15 @@ class TestFullFloatRange:
                 F = fidelity(pair)
                 assert math.isfinite(F) and 0.0 <= F <= 1.0
                 assert fidelity(swapped) == F
+
+    @given(full_range_pairs(), st.floats(0.5, 1e300))
+    @example(EnvironmentPair.additive(1e-13, -1e-13), 1e250)
+    @example(EnvironmentPair.additive(1e-13, -1e-13), 1e300)
+    def test_finite_squeezing_reaches_the_asymptote(self, pair, a):
+        # F is non-increasing in a towards fidelity_choi_inf; the examples'
+        # noise sums to 0, a noiseless pair at every a, though the larger
+        # noise alone would set a scale in which e/a underflows
+        assert fidelity_finite(pair, a) >= fidelity_choi_inf(pair) * (1 - 1e-12)
 
     @given(st.floats(0.0, 1e308), st.floats(0.0, 1e308))
     @example(1e160, 2e160)

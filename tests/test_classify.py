@@ -398,7 +398,7 @@ class TestAdvantageRegions:
         pair = EnvironmentPair.additive(0.02, 0.02)
         rows = advantage_regions(train, evaluation, pair, [5], trials=4, master_seed=8)
         row = rows[0]
-        means = [row.e_cl_low.mean, row.e_cl_up.mean, row.e_q_low.mean, row.e_q_up.mean]
+        means = [e.mean for e in row.errors.values()]
         assert max(means) - min(means) <= 4 * row.stderr_max + 0.05
         assert row.de_min <= 0.0 + 4 * row.stderr_max
 
@@ -410,7 +410,7 @@ class TestAdvantageRegions:
             train, subset, pair, [10], trials=2, master_seed=1, p_override=0.0
         )
         row = rows[0]
-        assert row.e_cl_low.mean == row.e_q_up.mean == 0.0
+        assert row.errors["classical-lower"].mean == row.errors["quantum-upper"].mean == 0.0
         assert row.de_min == row.de_max == 0.0
 
     def test_endpoints_share_uniforms(self, digits_small):
@@ -421,8 +421,8 @@ class TestAdvantageRegions:
         row = advantage_regions(
             train, evaluation, pair, [10], trials=3, master_seed=2, p_override=0.2
         )[0]
-        assert row.e_cl_low.mean > 0.0
-        assert row.e_cl_low == row.e_cl_up == row.e_q_low == row.e_q_up
+        assert row.errors["classical-lower"].mean > 0.0
+        assert list(row.errors.values()) == [row.errors["classical-lower"]] * 4
 
     def test_p_override_runs_one_job_per_M(self, digits_small):
         # the four endpoints share one model and one seed per M, so one
@@ -445,10 +445,24 @@ class TestAdvantageRegions:
             seed = trial_stream(6, mi).integers(2**63)
             expected = estimate_error(train, evaluation, NoiseModel(0.2), 3, seed)
             assert expected.mean > 0.0
-            assert row.e_cl_low == row.e_cl_up == row.e_q_low == row.e_q_up == expected
+            assert list(row.errors.values()) == [expected] * 4
         assert rows == advantage_regions(
             train, evaluation, pair, [10, 40], trials=3, master_seed=6, p_override=0.2
         )
+
+    @pytest.mark.parametrize("p_override", [None, 0.2])
+    def test_rows_keyed_by_endpoint_tag(self, digits_small, p_override):
+        train, evaluation = digits_small
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        rows = advantage_regions(
+            train, evaluation, pair, [10, 40], trials=2, master_seed=1, p_override=p_override
+        )
+        for row in rows:
+            assert tuple(row.models) == tuple(row.errors) == NOISE_DERIVATIONS
+            if p_override is None:
+                assert row.models == endpoint_noise_models(pair, row.M)
+            else:
+                assert set(row.models.values()) == {NoiseModel(p_override)}
 
     def test_pixel_probabilities_recorded(self, digits_small):
         train, evaluation = digits_small
@@ -456,9 +470,10 @@ class TestAdvantageRegions:
         rows = advantage_regions(train, evaluation, pair, [10, 40], trials=2, master_seed=1)
         for row, M in zip(rows, (10, 40)):
             assert row.M == M
-            assert row.p_q_low <= row.p_q_up
-            assert row.p_cl_low <= row.p_cl_up
-            assert row.p_q_up < row.p_cl_up
+            p = {tag: model.flip_probability for tag, model in row.models.items()}
+            assert p["quantum-lower"] <= p["quantum-upper"]
+            assert p["classical-lower"] <= p["classical-upper"]
+            assert p["quantum-upper"] < p["classical-upper"]
 
     def test_each_column_matches_exact_enumeration(self):
         # training = evaluation = every CPF(8, 3) pattern, each its own class,
@@ -470,12 +485,8 @@ class TestAdvantageRegions:
         pair = EnvironmentPair.thermal(0.99, 18.5, 20.2)
         rows = advantage_regions(ds, ds, pair, [1000, 2500], trials=200, master_seed=3, threads=2)
         for row in rows:
-            for p, est in (
-                (row.p_cl_low, row.e_cl_low),
-                (row.p_cl_up, row.e_cl_up),
-                (row.p_q_low, row.e_q_low),
-                (row.p_q_up, row.e_q_up),
-            ):
+            for tag, est in row.errors.items():
+                p = row.models[tag].flip_probability
                 exact = exact_nn_error(patterns, p)
                 assert 0.01 < exact < 0.99, (row.M, p, exact)
                 sigma = np.sqrt(exact * (1.0 - exact) / est.total_samples)
@@ -506,4 +517,4 @@ class TestAdvantageRegions:
         assert len(expected) == 8
         assert Counter(built1) == Counter(built4) == expected
         assert rows1 == rows4
-        assert any(row.e_cl_up.mean > 0.0 for row in rows1)
+        assert any(row.errors["classical-upper"].mean > 0.0 for row in rows1)

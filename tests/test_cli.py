@@ -440,6 +440,22 @@ class TestSimulateCommand:
         assert "error: loss evaluated to nan" in err.splitlines()
         assert "Traceback" not in err
 
+    def test_overflowed_training_exit_code(self, capsys):
+        # lr = 1e300 overflows the weights in the last SGD step of the only
+        # epoch, after the last finite loss
+        code, out, err = run(
+            [
+                "simulate", "--classifier", "cnn", "--kind", "additive", "--nuT", "0.01",
+                "--nuB", "0.02", "--M", "10", "--T", "5", "--eval-size", "3", "--trials", "1",
+                "--epochs", "1", "--batch-size", "4", "--lr", "1e300",
+            ],
+            capsys,
+        )
+        assert code == 4
+        assert out == ""
+        assert "error: a parameter is not finite after epoch 0" in err.splitlines()
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -863,9 +879,9 @@ def command_lines(draw) -> list[str]:
 @example(["temp", "--eps", "1e308"])
 def test_cli_contract(argv):
     """Every argument list exits 0, 2, 3 or 4 without a traceback, and a run
-    that exits 0 prints only finite numbers, apart from the ``inf`` squeezing
-    row of ``fidelity`` and an infinite ``# mbar_adv``; the closed-form
-    commands (all but ``simulate``) also raise no RuntimeWarning."""
+    that exits 0 raises no RuntimeWarning and prints only finite numbers,
+    apart from the ``inf`` squeezing row of ``fidelity`` and an infinite
+    ``# mbar_adv``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -876,7 +892,7 @@ def test_cli_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code != 0:
         return
-    assert argv[0] == "simulate" or "RuntimeWarning" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()
     header, *rows = out.getvalue().splitlines()
     for row in rows:
         if row.startswith("# mbar_adv = "):

@@ -27,7 +27,7 @@ from qthermal.cnn import (
     train,
 )
 from qthermal.data import BinaryImageDataset, synthetic_digits
-from qthermal.errors import EmptyTrainingSetError, ShapeMismatchError
+from qthermal.errors import EmptyTrainingSetError, NonFiniteLossError, ShapeMismatchError
 
 from conftest import direct_conv_logits, max_fd_error, smooth_configuration
 
@@ -181,6 +181,15 @@ class TestLossAndGrad:
         params[0] = (np.full_like(params[0][0], np.inf), params[0][1])
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError):
             loss_and_grad(SMALL, params, np.ones((1, 6, 6)), np.array([0]))
+
+
+def test_train_rejects_overflowed_parameters():
+    # the last loss is finite; the step after it overflows the weights
+    ds = synthetic_digits(5, seed=0, height=12, width=12)
+    net = NetworkSpec(input_shape=(12, 12), conv=((4, 3, 1),), dense=(8,), classes=10)
+    config = TrainConfig(learning_rate=1e300, batch_size=4, epochs=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError):
+        train(net, ds, None, config)
 
 
 def toy_separable_dataset():
@@ -415,7 +424,7 @@ class TestEvaluate:
             for t in (1, 4)
         ]
         assert rows[0] == rows[1]
-        assert 0.0 < rows[0][0].e_cl_up.mean < 1.0
+        assert 0.0 < rows[0][0].errors["classical-upper"].mean < 1.0
 
     def test_both_classifiers_beat_uniform_guessing(self):
         # no claim about which classifier wins, only that both trained
