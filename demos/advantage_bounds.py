@@ -18,6 +18,8 @@ Run:  python demos/advantage_bounds.py
 
 import math
 
+import numpy as np
+
 from qthermal import (
     EnvironmentPair,
     ImageSpace,
@@ -39,7 +41,9 @@ def mga_window(pair: EnvironmentPair, label: str, M_grid) -> None:
             f"  {M:5d}  {r.q_lower:10.4g}  {r.q_upper:10.4g}  {r.cl_lower:10.4g}"
             f"  {r.mga:+10.4g}  {r.mpa:+10.4g}"
         )
-    first = next((M for M in range(1, 100_000) if bounds(space, M, f_q, f_cl).mga > 0), None)
+    Ms = range(1, 100_000)
+    hits = np.flatnonzero(bounds(space, Ms, f_q, f_cl).mga > 0)
+    first = Ms[hits[0]] if hits.size else None
     print(f"  guaranteed advantage from M = {first} probes per pixel")
 
 

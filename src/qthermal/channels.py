@@ -272,15 +272,26 @@ def fidelity_choi_inf_extrapolated(pair: EnvironmentPair) -> float:
     return min(hi, 1.0)
 
 
-def temperature_of(nbar: float, wavelength: float) -> float:
+def temperature_of(nbar, wavelength: float):
     """Blackbody temperature (Kelvin) of a mode with occupation ``nbar`` at
-    the given wavelength (meters), T = hc / (k lambda ln(1/nbar + 1))."""
-    if nbar <= 0:
-        raise ValueError(f"occupation must be positive, got {nbar}")
+    the given wavelength (meters), T = hc / (k lambda ln(1/nbar + 1)).
+
+    ``nbar`` may be a float or an array of occupations; an array gives an
+    array of temperatures, each equal to the float call's.  An occupation
+    that is not positive (NaN included), or a temperature past double range,
+    raises ``ValueError`` naming the first such occupation.
+    """
+    nbar = np.asarray(nbar, dtype=float)
+    bad = ~(nbar > 0)
+    if bad.any():
+        raise ValueError(f"occupation must be positive, got {nbar[bad][0]}")
     if not 0 < wavelength < math.inf:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
     with np.errstate(divide="ignore", over="ignore"):
         t = _h_planck * _c_light / (_k_boltzmann * wavelength * np.log1p(1.0 / nbar))
-    if not np.isfinite(t):
-        raise ValueError(f"temperature overflows double precision: occupation {nbar}, wavelength {wavelength}")
-    return t
+    bad = ~np.isfinite(t)
+    if bad.any():
+        raise ValueError(
+            f"temperature overflows double precision: occupation {nbar[bad][0]}, wavelength {wavelength}"
+        )
+    return t[()]

@@ -11,13 +11,19 @@ exit code as it is.  Every fidelity comes from the closed forms of
 :mod:`qthermal.channels`: no command builds a covariance matrix or works in
 extended precision.  Probe copy (``--M``) and target count (``--k``) grids
 must hold integers, and an empty ``--M``, ``--k``, ``--a``, ``--nbar`` or
-``--eps`` grid is a usage error.  Output is deterministic: identical flags,
+``--eps`` grid is a usage error.  ``fidelity``, ``bounds`` and ``temp`` each
+make one array call per grid.  Output is deterministic: identical flags,
 input files and seeds produce byte-identical CSVs.
+
+:mod:`qthermal.cnn` is imported lazily: its body runs only when
+``simulate``'s flags are registered, that is, when ``simulate`` is parsed
+(or no subcommand is named, as with ``--help``).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import re
 import sys
@@ -37,13 +43,33 @@ from .channels import (
     temperature_of,
 )
 from .classify import advantage_regions
-from .cnn import NetworkSpec, TrainConfig, predict_labels, train
 from .data import DEFAULT_THRESHOLD, dataset_dir, load_idx_split, synthetic_digits
 from .errors import IdxFormatError, NonFiniteLossError
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NONCONVERGENCE = 4
+
+
+def _lazy_import(name: str):
+    """``import name`` whose module body runs at the first attribute access
+    (the stdlib ``LazyLoader`` recipe), registered in ``sys.modules`` and on
+    its package as an import would be.  Python 3.11's lazy module is not
+    thread-safe, so its first access must come before any thread starts."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+cnn = _lazy_import(f"{__package__}.cnn")
 
 
 def _fmt(x) -> str:
@@ -55,6 +81,12 @@ def _fmt(x) -> str:
 
 def _row(*values) -> str:
     return ",".join(_fmt(v) for v in values)
+
+
+def _rows(*columns) -> list[str]:
+    """One CSV row per entry of equal-length columns of Python ints and
+    floats, as ``.tolist()`` gives them; on those ``repr`` is ``_fmt``."""
+    return [",".join(map(repr, row)) for row in zip(*columns)]
 
 
 def _emit(rows: list[str], manifest: list[str], out_path: str | None) -> None:
@@ -136,7 +168,7 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> None:
 def cmd_fidelity(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     grid = sorted(set(_grid(args.a, "squeezing")) | {0.5})
-    rows = ["a,F"] + [_row(a, f) for a, f in zip(grid, fidelity_finite(pair, grid))]
+    rows = ["a,F", *_rows(grid, fidelity_finite(pair, grid).tolist())]
     rows.append(_row("inf", fidelity_choi_inf(pair)))
     return rows, {}
 
@@ -161,10 +193,9 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
         f_q = fidelity_finite(pair, args.a)
     else:
         f_q = fidelity_choi_inf(pair)
-    rows = ["M,q_lower,q_upper,cl_lower,mga,mpa"]
-    for M in M_grid:
-        rep = bounds(space, M, f_q, f_cl)
-        rows.append(_row(M, rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa))
+    rep = bounds(space, M_grid, f_q, f_cl)
+    columns = (rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa)
+    rows = ["M,q_lower,q_upper,cl_lower,mga,mpa", *_rows(M_grid, *(c.tolist() for c in columns))]
     rows.append(f"# mbar_adv = {_fmt(min_rel_probe_uniform(f_q, f_cl))}")
     return rows, {"F_q": f_q, "F_cl": f_cl}
 
@@ -190,9 +221,9 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
 
     predictor_factory = None
     if args.classifier == "cnn":
-        net = NetworkSpec(input_shape=(training.height, training.width),
-                          classes=max(training.num_classes, evaluation.num_classes))
-        config = TrainConfig(
+        net = cnn.NetworkSpec(input_shape=(training.height, training.width),
+                              classes=max(training.num_classes, evaluation.num_classes))
+        config = cnn.TrainConfig(
             learning_rate=args.lr,
             batch_size=args.batch_size,
             epochs=args.epochs,
@@ -200,7 +231,7 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
         )
 
         def predictor_factory(noise):
-            return partial(predict_labels, net, train(net, training, noise, config))
+            return partial(cnn.predict_labels, net, cnn.train(net, training, noise, config))
 
     table = advantage_regions(
         training,
@@ -228,11 +259,8 @@ def cmd_temp(args) -> tuple[list[str], dict]:
         nbars = [e - 0.5 for e in _grid(args.eps, "thermal parameter")]
     else:
         nbars = _grid(args.nbar, "occupation")
-    rows = ["nbar,T_K,T_C"]
-    for nb in nbars:
-        t_k = temperature_of(nb, args.wavelength)
-        rows.append(_row(nb, t_k, t_k - 273.15))
-    return rows, {}
+    temps = temperature_of(nbars, args.wavelength)
+    return ["nbar,T_K,T_C", *_rows(nbars, temps.tolist(), (temps - 273.15).tolist())], {}
 
 
 def _preparse(argv: list[str]) -> list[str]:
@@ -272,19 +300,13 @@ def _preparse(argv: list[str]) -> list[str]:
     return argv[:1] + pre + argv[1:]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qthermal",
-        description="bounds and simulations for thermal-image channel discrimination",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fidelity", help="probe-state fidelity against squeezing")
+def _fidelity_flags(p: argparse.ArgumentParser) -> None:
     _add_channel_flags(p)
     p.add_argument("--a", default="0.5,2.5,10,100", help="squeezing grid (list or start:stop:step)")
     p.set_defaults(func=cmd_fidelity)
 
-    p = sub.add_parser("bounds", help="error-probability bounds over a probe grid")
+
+def _bounds_flags(p: argparse.ArgumentParser) -> None:
     _add_channel_flags(p)
     p.add_argument("--space", choices=("uniform", "cpf", "bcpf"), default="uniform")
     p.add_argument("--m", type=int, required=True, help="pixel count")
@@ -294,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=10.0, help="squeezing for --energy finite")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("simulate", help="classifier error regions on noisy images")
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     _add_channel_flags(p)
     p.add_argument("--classifier", choices=("nn", "cnn"), default="nn")
     p.add_argument("--M", required=True, help="probe copies grid")
@@ -307,27 +330,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="concurrent (M, endpoint) jobs; with N > 1 set OPENBLAS_NUM_THREADS=1, "
                    "or each job's BLAS calls start their own threads and oversubscribe the cores")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="cnn training epochs")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="cnn learning rate")
+    # the first access to the lazy cnn module, on the main thread
+    p.add_argument("--epochs", type=int, default=cnn.TrainConfig.epochs, help="cnn training epochs")
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=cnn.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=cnn.TrainConfig.learning_rate, help="cnn learning rate")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("temp", help="occupation to temperature table")
+
+def _temp_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--wavelength", type=float, default=1e-3, help="probe wavelength in meters")
     p.add_argument("--nbar", help="occupation list")
     p.add_argument("--eps", help="thermal parameter list (nbar + 1/2)")
     p.set_defaults(func=cmd_temp)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--out", help="CSV output path (manifest written alongside)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--config", help="key=value defaults file; flags take precedence")
+
+# subcommand -> (help, function registering its flags)
+_SUBCOMMANDS = {
+    "fidelity": ("probe-state fidelity against squeezing", _fidelity_flags),
+    "bounds": ("error-probability bounds over a probe grid", _bounds_flags),
+    "simulate": ("classifier error regions on noisy images", _simulate_flags),
+    "temp": ("occupation to temperature table", _temp_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qthermal`` parser with every subcommand.  Flags are registered
+    for ``command`` alone when it names a subcommand, and for all of them
+    otherwise (no argument, or ``--help`` before any subcommand): only
+    ``simulate``'s flags read :mod:`qthermal.cnn`."""
+    parser = argparse.ArgumentParser(
+        prog="qthermal",
+        description="bounds and simulations for thermal-image channel discrimination",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in _SUBCOMMANDS or command == name:
+            add_flags(p)
+            p.add_argument("--out", help="CSV output path (manifest written alongside)")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--config", help="key=value defaults file; flags take precedence")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         argv = _preparse(argv)
     except (OSError, UnicodeDecodeError) as exc:

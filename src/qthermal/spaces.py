@@ -29,6 +29,7 @@ import numpy as np
 
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
+_ROWS = 128  # log f entries per block of image-space sums
 
 
 @lru_cache(maxsize=256)
@@ -46,12 +47,16 @@ def log_binomial(n: int, k) -> np.ndarray:
     return np.where(k == j, lf[n] - lf[j] - lf[n - j], NEG_INF)
 
 
-def log_sum_exp(values: np.ndarray) -> float:
-    """log of sum exp(values), shifted by the maximum; -inf if all are -inf."""
-    top = values.max()
-    if top == NEG_INF:
-        return NEG_INF
-    return float(top + np.log(np.exp(values - top).sum()))
+def log_sum_exp(values: np.ndarray):
+    """log of sum exp(values) over the last axis, shifted by each row's
+    maximum; -inf for a row of -inf only.  A float for 1-D ``values``."""
+    top = values.max(axis=-1, keepdims=True)
+    top[top == NEG_INF] = 0.0  # exp(-inf - 0) = 0 sums to 0, whose log is -inf
+    terms = values - top
+    np.exp(terms, out=terms)
+    with np.errstate(divide="ignore"):
+        out = top[..., 0] + np.log(terms.sum(axis=-1))
+    return out if out.ndim else float(out)
 
 
 def log_pow(f: float, exponent: float = 1.0) -> float:
@@ -154,12 +159,25 @@ def log_distance_counts(space: ImageSpace) -> np.ndarray:
     return out
 
 
-def log_hamming_sum(log_counts: np.ndarray, log_f: float) -> float:
+def log_hamming_sum(log_counts: np.ndarray, log_f):
     """log of sum_d N_d f^d over d = 1..m from ``log_counts`` = log N_d, the
     package's one primitive for image-space sums; ``log_f`` = log f may be
-    -inf (f = 0), 0 (f = 1) or so negative that f^d is 0."""
-    with np.errstate(over="ignore"):  # log_f * d saturates to -inf
-        return log_sum_exp(log_counts + log_f * np.arange(1, len(log_counts) + 1))
+    -inf (f = 0), 0 (f = 1) or so negative that f^d is 0.
+
+    A 1-D array of log f gives one log-sum per entry, each bit-identical to
+    the scalar call: the (entries, m) terms are summed ``_ROWS`` entries at a
+    time, so a long array needs no more than 0.8 MB per temporary at m = 784.
+    """
+    log_f = np.asarray(log_f, dtype=float)
+    rows = log_f.reshape(-1, 1)
+    d = np.arange(1.0, len(log_counts) + 1)
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), _ROWS):
+        with np.errstate(over="ignore"):  # log_f * d saturates to -inf
+            terms = rows[i:i + _ROWS] * d
+        terms += log_counts
+        out[i:i + _ROWS] = log_sum_exp(terms)
+    return out.reshape(log_f.shape) if log_f.ndim else float(out[0])
 
 
 def bcpf_functional(space: ImageSpace, f: float) -> float:

@@ -295,6 +295,48 @@ class TestBoundProperties:
         assert exact_nn_error(patterns, pixel_error_bounds(F_cl, M)[1]) >= rep.cl_lower
 
 
+# F = 0 and 1 are the endpoints the log domain special-cases
+grid_fidelities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# small counts repeat; the rest reach 10^300, past int64 and 2M log F overflow
+grid_copies = st.one_of(st.integers(1, 20), st.integers(1, 10**300))
+# longer than one block of image-space sums, unsorted, with repeats
+LONG_GRID = [(7 * i * i + 3) % 301 + 1 for i in range(300)] + [10**300, 1]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+class TestGridCalls:
+    @given(image_spaces(), grid_fidelities, grid_fidelities, st.lists(grid_copies, min_size=1, max_size=300))
+    @example(ImageSpace.uniform(10), 0.3, 0.6, LONG_GRID)
+    @example(ImageSpace.bcpf(10, [2, 5, 6]), 0.6, 0.3, LONG_GRID)  # F_q > F_cl
+    @example(ImageSpace.cpf(10, 4), 0.0, 1.0, LONG_GRID)
+    def test_grid_entry_is_the_scalar_call(self, space, F_q, F_cl, Ms):
+        # a grid entry depends on its own M only: not on the grid's order,
+        # length or repeats, nor on which block of sums holds it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = bounds(space, Ms, F_q, F_cl)
+        assert len(caught) == (F_q > F_cl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scalars = [bounds(space, M, F_q, F_cl) for M in Ms]
+        for field in ("q_lower", "q_upper", "cl_lower", "mga", "mpa"):
+            column = getattr(grid, field)
+            assert column.dtype == np.float64 and column.shape == (len(Ms),)
+            assert all(same_bits(g, getattr(one, field)) for g, one in zip(column.tolist(), scalars))
+
+    def test_scalar_call_gives_floats(self):
+        rep = bounds(ImageSpace.uniform(6), 10, 0.3, 0.6)
+        assert all(type(v) is float for v in (rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa))
+
+    @pytest.mark.parametrize("Ms", [[5, 0, 3], [1, -2]])
+    def test_grid_entry_below_one_raises(self, Ms):
+        with pytest.raises(ValueError, match=f"got {min(Ms)}$"):
+            bounds(ImageSpace.uniform(6), Ms, 0.3, 0.6)
+
+
 # any float outside [0, 1], infinities and NaN included
 outside = st.one_of(
     st.floats(max_value=0.0, exclude_max=True),

@@ -544,3 +544,19 @@ class TestTemperature:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 temperature_of(1e308, 1e-3)
+
+    @pytest.mark.parametrize("nbar", [math.nan, -math.inf, -0.0, [2.0, math.nan, 0.0]])
+    def test_occupation_that_is_not_positive_is_named(self, nbar):
+        # NaN once passed the positivity check and was blamed on overflow
+        with pytest.raises(ValueError, match=r"^occupation must be positive, got (nan|-inf|-0\.0)$"):
+            temperature_of(nbar, 1e-3)
+
+    def test_array_names_first_overflowing_occupation(self):
+        with pytest.raises(ValueError, match=r"overflows double precision: occupation 1e\+308,"):
+            temperature_of([18.0, 1e308, 2e308 / 3], 1e-3)
+
+    @given(st.lists(st.floats(1e-300, 1e280), min_size=1, max_size=300))
+    def test_array_entries_are_the_scalar_calls(self, nbars):
+        temps = temperature_of(nbars, 1e-3)
+        assert temps.shape == (len(nbars),)
+        assert [t.hex() for t in temps.tolist()] == [float(temperature_of(nb, 1e-3)).hex() for nb in nbars]

@@ -265,7 +265,7 @@ class TestBoundsCommand:
     def test_repeated_warning_printed_once(self, capsys, monkeypatch):
         import qthermal.cli as cli
 
-        # F_q above F_cl: bounds() warns once per probe copy number
+        # F_q above F_cl: bounds() warns once for the grid
         monkeypatch.setattr(cli, "fidelity_choi_inf", lambda pair: 1.0)
         code, out, err = run(
             ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02",
@@ -481,10 +481,10 @@ class TestSimulateCommand:
         ids=["no_trials", "empty_evaluation"],
     )
     def test_empty_estimate_is_usage_error_before_training(self, capsys, monkeypatch, argv, message):
-        import qthermal.cli as cli
+        import qthermal.cnn as cnn
 
         trained = []
-        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        monkeypatch.setattr(cnn, "train", lambda *args: trained.append(args))
         code, out, err = run(
             [*self.BASE, "--M", "10,40", "--classifier", "cnn", "--epochs", "1", *argv], capsys
         )
@@ -664,6 +664,54 @@ def test_benchmark_tracer_hooks_every_entry_point(capsys):
     assert code == 0
     names = {span[2] for span in tracer.spans}
     assert {"cnn.train", "cnn.loss_and_grad", "cnn.predict_labels", "classify.estimate_error"} <= names
+
+
+LAZY_CNN_SCRIPT = """
+import sys
+
+sys.path.insert(0, sys.argv[1])  # bench/, as for bench/job.py run as a script
+import qthermal
+from qthermal import cli
+
+thermal = ["--kind", "thermal", "--tau", "0.99", "--epsB", "18.5", "--epsT", "20.2"]
+for argv in (
+    ["fidelity", *thermal, "--a", "0.5,2.5"],
+    ["bounds", *thermal, "--m", "784", "--space", "cpf", "--k", "150", "--M", "100,200"],
+    ["temp", "--eps", "18.5,20.2"],
+):
+    assert cli.main(argv) == 0, argv
+module = sys.modules["qthermal.cnn"]
+assert qthermal.cnn is module
+assert "train" not in object.__getattribute__(module, "__dict__"), "cnn body ran"
+
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+try:
+    code = cli.main([
+        "simulate", "--classifier", "cnn", "--kind", "additive", "--nuT", "0.01",
+        "--nuB", "0.02", "--T", "40", "--eval-size", "10", "--trials", "1",
+        "--M", "10", "--epochs", "1",
+    ])
+finally:
+    tracer.restore()
+assert code == 0
+names = {span[2] for span in tracer.spans}
+assert {"cnn.train", "cnn.loss_and_grad", "cnn.predict_labels"} <= names, names
+"""
+
+
+def test_analytic_commands_leave_cnn_unrun_and_tracer_hooks_it():
+    """``fidelity``, ``bounds`` and ``temp`` run in an interpreter that
+    imports as ``bench/job.py`` does leave ``qthermal.cnn`` registered with
+    its body unrun; the benchmark's tracer, installed afterwards, still
+    wraps the CNN entry points of a ``simulate --classifier cnn`` run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_CNN_SCRIPT, str(BENCH.HERE)],
+        env=BENCH._child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 MICRO_CASES = {
