@@ -287,8 +287,11 @@ def temperature_of(nbar, wavelength: float):
         raise ValueError(f"occupation must be positive, got {nbar[bad][0]}")
     if not 0 < wavelength < math.inf:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    with np.errstate(divide="ignore", over="ignore"):
-        t = _h_planck * _c_light / (_k_boltzmann * wavelength * np.log1p(1.0 / nbar))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / nbar
+        # below ~1e-308 1/nbar overflows; ln(1/nbar + 1) = log1p(nbar) - log(nbar)
+        ln = np.where(np.isinf(inv), np.log1p(nbar) - np.log(nbar), np.log1p(inv))
+        t = _h_planck * _c_light / (_k_boltzmann * wavelength * ln)
     bad = ~np.isfinite(t)
     if bad.any():
         raise ValueError(

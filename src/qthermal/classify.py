@@ -1,5 +1,5 @@
-"""Pixel-noise sampling, nearest-neighbour classification and Monte Carlo
-error estimation.
+"""Pixel-noise sampling, nearest-neighbour classification, Monte Carlo error
+estimation, and ``TrainConfig``, the settings of every CNN training.
 
 Sensor imperfection is modelled as independent symmetric pixel flips whose
 probability comes from the single-pixel error bounds.  Each trial flips the
@@ -61,6 +61,27 @@ class NoiseModel:
         p = self.flip_probability
         if not 0.0 <= p <= 0.5:
             raise ValueError(f"flip probability must lie in [0, 1/2], got {p}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """SGD settings; the package's only CNN training defaults."""
+
+    learning_rate: float = 0.05
+    batch_size: int = 64
+    epochs: int = 3
+    seed: int = 0
+    holdout_fraction: float = 0.1
+
+    def __post_init__(self):
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 <= self.holdout_fraction < 1.0:  # NaN fails too
+            raise ValueError(f"holdout fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
 def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, NoiseModel]:

@@ -12,12 +12,13 @@ exit code as it is.  Every fidelity comes from the closed forms of
 extended precision.  Probe copy (``--M``) and target count (``--k``) grids
 must hold integers, and an empty ``--M``, ``--k``, ``--a``, ``--nbar`` or
 ``--eps`` grid is a usage error.  ``fidelity``, ``bounds`` and ``temp`` each
-make one array call per grid.  Output is deterministic: identical flags,
-input files and seeds produce byte-identical CSVs.
+make one array call per grid.  Every CSV cell is a Python int or float
+written with ``repr``, which round-trips it.  Output is deterministic:
+identical flags, input files and seeds produce byte-identical CSVs.
 
-:mod:`qthermal.cnn` is imported lazily: its body runs only when
-``simulate``'s flags are registered, that is, when ``simulate`` is parsed
-(or no subcommand is named, as with ``--help``).
+:mod:`qthermal.cnn` is imported lazily: its body runs only for
+``simulate --classifier cnn``.  The CNN flags' defaults come from
+``TrainConfig``, which lives in :mod:`qthermal.classify`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import time
 import warnings
 from functools import partial
 
-import numpy as np
-
 from . import __version__
 from .bounds import ImageSpace, bounds, min_rel_probe_uniform
 from .channels import (
@@ -42,7 +41,7 @@ from .channels import (
     fidelity_finite,
     temperature_of,
 )
-from .classify import advantage_regions
+from .classify import TrainConfig, advantage_regions
 from .data import DEFAULT_THRESHOLD, dataset_dir, load_idx_split, synthetic_digits
 from .errors import IdxFormatError, NonFiniteLossError
 
@@ -72,21 +71,11 @@ def _lazy_import(name: str):
 cnn = _lazy_import(f"{__package__}.cnn")
 
 
-def _fmt(x) -> str:
-    """Round-trip decimal formatting for CSV cells."""
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return repr(float(x))
-    return str(x)
-
-
-def _row(*values) -> str:
-    return ",".join(_fmt(v) for v in values)
-
-
-def _rows(*columns) -> list[str]:
-    """One CSV row per entry of equal-length columns of Python ints and
-    floats, as ``.tolist()`` gives them; on those ``repr`` is ``_fmt``."""
-    return [",".join(map(repr, row)) for row in zip(*columns)]
+def _rows(rows) -> list[str]:
+    """One CSV line per row of Python ints and floats, as ``.tolist()`` gives
+    them: ``repr`` round-trips each, where numpy 2 would print an
+    ``np.float64`` as ``np.float64(...)``."""
+    return [",".join(map(repr, row)) for row in rows]
 
 
 def _emit(rows: list[str], manifest: list[str], out_path: str | None) -> None:
@@ -168,9 +157,9 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> None:
 def cmd_fidelity(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     grid = sorted(set(_grid(args.a, "squeezing")) | {0.5})
-    rows = ["a,F", *_rows(grid, fidelity_finite(pair, grid).tolist())]
-    rows.append(_row("inf", fidelity_choi_inf(pair)))
-    return rows, {}
+    # the last row, a = inf (``repr`` writes "inf"), is the infinitely squeezed limit
+    fids = [*fidelity_finite(pair, grid).tolist(), fidelity_choi_inf(pair)]
+    return ["a,F", *_rows(zip([*grid, math.inf], fids))], {}
 
 
 def cmd_bounds(args) -> tuple[list[str], dict]:
@@ -195,8 +184,8 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
         f_q = fidelity_choi_inf(pair)
     rep = bounds(space, M_grid, f_q, f_cl)
     columns = (rep.q_lower, rep.q_upper, rep.cl_lower, rep.mga, rep.mpa)
-    rows = ["M,q_lower,q_upper,cl_lower,mga,mpa", *_rows(M_grid, *(c.tolist() for c in columns))]
-    rows.append(f"# mbar_adv = {_fmt(min_rel_probe_uniform(f_q, f_cl))}")
+    rows = ["M,q_lower,q_upper,cl_lower,mga,mpa", *_rows(zip(M_grid, *(c.tolist() for c in columns)))]
+    rows.append(f"# mbar_adv = {min_rel_probe_uniform(f_q, f_cl)!r}")
     return rows, {"F_q": f_q, "F_cl": f_cl}
 
 
@@ -221,9 +210,11 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
 
     predictor_factory = None
     if args.classifier == "cnn":
+        # the first access to the lazy cnn module, on the main thread before
+        # advantage_regions starts its pool
         net = cnn.NetworkSpec(input_shape=(training.height, training.width),
                               classes=max(training.num_classes, evaluation.num_classes))
-        config = cnn.TrainConfig(
+        config = TrainConfig(
             learning_rate=args.lr,
             batch_size=args.batch_size,
             epochs=args.epochs,
@@ -244,12 +235,10 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
         predictor_factory=predictor_factory,
         p_override=args.p_override,
     )
-    rows = ["M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"]
-    for r in table:
-        ps = [m.flip_probability for m in r.models.values()]
-        es = [e.mean for e in r.errors.values()]
-        rows.append(_row(r.M, *ps, *es, r.de_min, r.de_max, r.stderr_max))
-    return rows, {"input_digests": training.provenance.get("source", {})}
+    header = "M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"
+    cells = ((r.M, *(m.flip_probability for m in r.models.values()), *(e.mean for e in r.errors.values()),
+              r.de_min, r.de_max, r.stderr_max) for r in table)
+    return [header, *_rows(cells)], {"input_digests": training.provenance.get("source", {})}
 
 
 def cmd_temp(args) -> tuple[list[str], dict]:
@@ -260,7 +249,7 @@ def cmd_temp(args) -> tuple[list[str], dict]:
     else:
         nbars = _grid(args.nbar, "occupation")
     temps = temperature_of(nbars, args.wavelength)
-    return ["nbar,T_K,T_C", *_rows(nbars, temps.tolist(), (temps - 273.15).tolist())], {}
+    return ["nbar,T_K,T_C", *_rows(zip(nbars, temps.tolist(), (temps - 273.15).tolist()))], {}
 
 
 def _preparse(argv: list[str]) -> list[str]:
@@ -300,82 +289,63 @@ def _preparse(argv: list[str]) -> list[str]:
     return argv[:1] + pre + argv[1:]
 
 
-def _fidelity_flags(p: argparse.ArgumentParser) -> None:
-    _add_channel_flags(p)
-    p.add_argument("--a", default="0.5,2.5,10,100", help="squeezing grid (list or start:stop:step)")
-    p.set_defaults(func=cmd_fidelity)
-
-
-def _bounds_flags(p: argparse.ArgumentParser) -> None:
-    _add_channel_flags(p)
-    p.add_argument("--space", choices=("uniform", "cpf", "bcpf"), default="uniform")
-    p.add_argument("--m", type=int, required=True, help="pixel count")
-    p.add_argument("--k", help="target count (cpf) or comma list (bcpf)")
-    p.add_argument("--M", required=True, help="probe copies grid (list or start:stop:step)")
-    p.add_argument("--energy", choices=("asymptotic", "classical", "finite"), default="asymptotic")
-    p.add_argument("--a", type=float, default=10.0, help="squeezing for --energy finite")
-    p.set_defaults(func=cmd_bounds)
-
-
-def _simulate_flags(p: argparse.ArgumentParser) -> None:
-    _add_channel_flags(p)
-    p.add_argument("--classifier", choices=("nn", "cnn"), default="nn")
-    p.add_argument("--M", required=True, help="probe copies grid")
-    p.add_argument("--T", type=int, default=10000, help="training set size")
-    p.add_argument("--eval-size", type=int, default=250, dest="eval_size")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD, help="binarisation threshold")
-    p.add_argument("--data-dir", dest="data_dir", help="IDX dataset directory (or set QTHERMAL_DATASET_DIR)")
-    p.add_argument("--p-override", dest="p_override", type=float, help="force one flip probability")
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrent (M, endpoint) jobs; with N > 1 set OPENBLAS_NUM_THREADS=1, "
-                   "or each job's BLAS calls start their own threads and oversubscribe the cores")
-    # the first access to the lazy cnn module, on the main thread
-    p.add_argument("--epochs", type=int, default=cnn.TrainConfig.epochs, help="cnn training epochs")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=cnn.TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=cnn.TrainConfig.learning_rate, help="cnn learning rate")
-    p.set_defaults(func=cmd_simulate)
-
-
-def _temp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--wavelength", type=float, default=1e-3, help="probe wavelength in meters")
-    p.add_argument("--nbar", help="occupation list")
-    p.add_argument("--eps", help="thermal parameter list (nbar + 1/2)")
-    p.set_defaults(func=cmd_temp)
-
-
-# subcommand -> (help, function registering its flags)
-_SUBCOMMANDS = {
-    "fidelity": ("probe-state fidelity against squeezing", _fidelity_flags),
-    "bounds": ("error-probability bounds over a probe grid", _bounds_flags),
-    "simulate": ("classifier error regions on noisy images", _simulate_flags),
-    "temp": ("occupation to temperature table", _temp_flags),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qthermal`` parser with every subcommand.  Flags are registered
-    for ``command`` alone when it names a subcommand, and for all of them
-    otherwise (no argument, or ``--help`` before any subcommand): only
-    ``simulate``'s flags read :mod:`qthermal.cnn`."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``qthermal`` parser with every subcommand and its flags."""
     parser = argparse.ArgumentParser(
         prog="qthermal",
         description="bounds and simulations for thermal-image channel discrimination",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command not in _SUBCOMMANDS or command == name:
-            add_flags(p)
-            p.add_argument("--out", help="CSV output path (manifest written alongside)")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--config", help="key=value defaults file; flags take precedence")
+
+    fid = sub.add_parser("fidelity", help="probe-state fidelity against squeezing")
+    _add_channel_flags(fid)
+    fid.add_argument("--a", default="0.5,2.5,10,100", help="squeezing grid (list or start:stop:step)")
+    fid.set_defaults(func=cmd_fidelity)
+
+    bnd = sub.add_parser("bounds", help="error-probability bounds over a probe grid")
+    _add_channel_flags(bnd)
+    bnd.add_argument("--space", choices=("uniform", "cpf", "bcpf"), default="uniform")
+    bnd.add_argument("--m", type=int, required=True, help="pixel count")
+    bnd.add_argument("--k", help="target count (cpf) or comma list (bcpf)")
+    bnd.add_argument("--M", required=True, help="probe copies grid (list or start:stop:step)")
+    bnd.add_argument("--energy", choices=("asymptotic", "classical", "finite"), default="asymptotic")
+    bnd.add_argument("--a", type=float, default=10.0, help="squeezing for --energy finite")
+    bnd.set_defaults(func=cmd_bounds)
+
+    sim = sub.add_parser("simulate", help="classifier error regions on noisy images")
+    _add_channel_flags(sim)
+    sim.add_argument("--classifier", choices=("nn", "cnn"), default="nn")
+    sim.add_argument("--M", required=True, help="probe copies grid")
+    sim.add_argument("--T", type=int, default=10000, help="training set size")
+    sim.add_argument("--eval-size", type=int, default=250, dest="eval_size")
+    sim.add_argument("--trials", type=int, default=20)
+    sim.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD, help="binarisation threshold")
+    sim.add_argument("--data-dir", dest="data_dir", help="IDX dataset directory (or set QTHERMAL_DATASET_DIR)")
+    sim.add_argument("--p-override", dest="p_override", type=float, help="force one flip probability")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="concurrent (M, endpoint) jobs; with N > 1 set OPENBLAS_NUM_THREADS=1, "
+                     "or each job's BLAS calls start their own threads and oversubscribe the cores")
+    sim.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="cnn training epochs")
+    sim.add_argument("--batch-size", dest="batch_size", type=int, default=TrainConfig.batch_size)
+    sim.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="cnn learning rate")
+    sim.set_defaults(func=cmd_simulate)
+
+    tmp = sub.add_parser("temp", help="occupation to temperature table")
+    tmp.add_argument("--wavelength", type=float, default=1e-3, help="probe wavelength in meters")
+    tmp.add_argument("--nbar", help="occupation list")
+    tmp.add_argument("--eps", help="thermal parameter list (nbar + 1/2)")
+    tmp.set_defaults(func=cmd_temp)
+
+    for p in (fid, bnd, sim, tmp):
+        p.add_argument("--out", help="CSV output path (manifest written alongside)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", help="key=value defaults file; flags take precedence")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     try:
         argv = _preparse(argv)
     except (OSError, UnicodeDecodeError) as exc:

@@ -7,7 +7,9 @@ trainer divides by the batch size when updating.
 
 The compute dtype follows the parameters.  ``init_params`` returns float64,
 which the gradient checks use; ``train`` casts to float32, so training and
-prediction run in float32.
+prediction run in float32.  Its settings, ``TrainConfig``, live in
+:mod:`qthermal.classify` (re-exported here), so of the command line only
+``simulate --classifier cnn`` runs this module.
 
 Every activation is feature-major with the batch last: (C, H, W, B) for
 conv layers, (features, B) for dense ones, so every layer is one GEMM
@@ -24,7 +26,7 @@ layer's input gradient over that input once dW has read it, scattering a
 conv layer's onto the activation below; that activation's mask is taken
 first, since ``max(z, 0) > 0`` equals ``z > 0`` for every z, -0.0 and NaN
 included.  A ``train`` call owns one workspace for its SGD steps and
-holdout predictions; any other ``predict_labels`` call makes its own and
+holdout predictions; any other call makes its own, and ``predict_labels``
 runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
 between threads: a predictor, ``partial(predict_labels, net, params)``,
 holds none, because it may be shared across the job threads of
@@ -39,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .classify import ErrorEstimate, NoiseModel, estimate_error, sample_noisy
+from .classify import ErrorEstimate, NoiseModel, TrainConfig, estimate_error, sample_noisy
 from .data import BinaryImageDataset, trial_stream
 from .errors import EmptyTrainingSetError, NonFiniteLossError, ShapeMismatchError
 
@@ -97,27 +99,6 @@ class NetworkSpec:
         return shapes
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """SGD settings; the package's only CNN training defaults."""
-
-    learning_rate: float = 0.05
-    batch_size: int = 64
-    epochs: int = 3
-    seed: int = 0
-    holdout_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.holdout_fraction < 1.0:  # NaN fails too
-            raise ValueError(f"holdout fraction must lie in [0, 1), got {self.holdout_fraction}")
-
-
 def init_params(net: NetworkSpec, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """He-style uniform initialisation from a counter-based stream."""
     rng = trial_stream(seed, 0xC0)
@@ -141,12 +122,10 @@ def _check_params(net: NetworkSpec, params) -> None:
             raise ShapeMismatchError(f"parameter shape {W.shape}/{b.shape} != {ws}/{bs}")
 
 
-def _buffer(workspace: dict | None, key, shape, dtype) -> np.ndarray:
-    """Uninitialised array of ``shape``: a fresh one without a workspace, else
-    a view of the workspace's storage for ``key``, which grows on demand, so a
-    smaller batch reuses the storage of a larger one."""
-    if workspace is None:
-        return np.empty(shape, dtype)
+def _buffer(workspace: dict, key, shape, dtype) -> np.ndarray:
+    """Uninitialised array of ``shape``, a view of the workspace's storage for
+    ``key``, which grows on demand, so a smaller batch reuses the storage of a
+    larger one."""
     size = math.prod(shape)
     store = workspace.get(key)
     if store is None or store.size < size:
@@ -190,16 +169,17 @@ def _forward_batch(
     params,
     images: np.ndarray,
     cache: list | None = None,
-    workspace: dict | None = None,
+    *,
+    workspace: dict,
 ):
     """Shared forward pass; images (B, H, W), returns (B, classes) logits in
     the params' dtype, a transposed view of the (classes, B) output.
 
     A ``cache`` list receives one (input, output) pair per layer: (C*k*k, N)
     windows or a dense layer's (features, B) input, and the (F, N) output,
-    after ReLU, N = OH*OW*B for conv, B for dense.  With a ``workspace``
-    every array, the logits included, is a view of its storage and is
-    overwritten by the next call.
+    after ReLU, N = OH*OW*B for conv, B for dense.  Every array, the logits
+    included, is a view of the ``workspace``'s storage and is overwritten by
+    the next call through it.
     """
     _check_params(net, params)
     dtype = params[0][0].dtype
@@ -236,7 +216,7 @@ def forward(net: NetworkSpec, params, image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.shape != net.input_shape:
         raise ShapeMismatchError(f"image shape {image.shape} != {net.input_shape}")
-    return _softmax(_forward_batch(net, params, image[None]))[0]
+    return _softmax(_forward_batch(net, params, image[None], workspace={}))[0]
 
 
 def predict_labels(
@@ -266,8 +246,8 @@ def loss_and_grad(
 
     Returns:
         (loss, grads) where grads mirrors the parameter list layout and dtype.
-        The gradients are fresh arrays even when a workspace holds the
-        activations.
+        The gradients are fresh arrays; the activations live in the
+        workspace, the caller's or a new one per call.
     """
     images = _as_batch(net, images)
     labels = np.asarray(labels, dtype=np.int64)
@@ -275,8 +255,9 @@ def loss_and_grad(
         raise ValueError("batch must be non-empty")
     if labels.shape != (images.shape[0],):
         raise ShapeMismatchError("labels do not match the batch size")
+    workspace = {} if _workspace is None else _workspace
     cache = []
-    logits = _forward_batch(net, params, images, cache, _workspace).T
+    logits = _forward_batch(net, params, images, cache, workspace=workspace).T
     B = logits.shape[1]
     top = logits.max(axis=0)
     e = np.exp(logits - top)
@@ -295,7 +276,7 @@ def loss_and_grad(
         if i == 0:  # the first layer's input gradient is the image's
             break
         a = cache[i - 1][1]  # the activation below: masked, then overwritten by its gradient
-        mask = np.greater(a, 0.0, out=_buffer(_workspace, "mask", a.shape, bool))
+        mask = np.greater(a, 0.0, out=_buffer(workspace, "mask", a.shape, bool))
         np.matmul(W.reshape(len(W), -1).T, dz, out=inp)  # dW has read inp
         if i < len(net.conv):  # scatter the windows' gradient onto the layer input
             _, kernel, stride = net.conv[i]

@@ -2,9 +2,9 @@
 
 Quadrature ordering is (q1, p1, ..., qN, pN) throughout, with shot noise 1/2,
 i.e. the N-mode vacuum has covariance matrix I/2.  Symplectic spectra come
-from a symmetric eigendecomposition; the fidelity is evaluated in 50-digit
-arithmetic, with the auxiliary spectrum of one- and two-mode states read from
-matrix invariants.
+from a symmetric eigendecomposition; the fidelity, of one- or two-mode
+states, is evaluated in 50-digit arithmetic, with the auxiliary spectrum read
+from matrix invariants.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonPhysicalError, NonSymmetricError
+from .errors import DimensionMismatchError, GaussianStateError, NonPhysicalError, NonSymmetricError
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-8
@@ -126,11 +126,11 @@ def _fidelity_mp(V1, V2, dps: int = _MP_DPS) -> float:
     digits; V1 and V2 are numpy arrays or ``mp.matrix`` objects.
 
     X = Omega^T (V1+V2)^-1 (Omega/4 + V2 Omega V1) Omega has eigenvalues +-i v_j.
-    For N <= 2 modes the u_j = 4 v_j^2 - 1, double eigenvalues of Y = -4 X^2 - I,
-    are the roots of u^2 - s u + p, s = tr(Y)/2, p = tr(Y)^2/8 - tr(Y^2)/4, taken
-    without cancellation (Serafini, Illuminati and De Siena, J. Phys. B 37, L21
-    (2004)); N > 2 takes an eigensolve.  Product form: Banchi, Braunstein and
-    Pirandola, PRL 115, 260501 (2015).
+    For N <= 2 modes, the only mode counts taken, the u_j = 4 v_j^2 - 1, double
+    eigenvalues of Y = -4 X^2 - I, are the roots of u^2 - s u + p, s = tr(Y)/2,
+    p = tr(Y)^2/8 - tr(Y^2)/4, taken without cancellation (Serafini, Illuminati
+    and De Siena, J. Phys. B 37, L21 (2004)).  Product form: Banchi, Braunstein
+    and Pirandola, PRL 115, 260501 (2015).
     """
     from mpmath import mp
 
@@ -139,16 +139,12 @@ def _fidelity_mp(V1, V2, dps: int = _MP_DPS) -> float:
         O = mp.matrix(symplectic_form(A1.rows // 2).tolist())
         S = A1 + A2
         X = O.T * (S ** -1) * (O / 4 + A2 * O * A1) * O
-        if A1.rows <= 4:
-            Y = -4 * X * X - mp.eye(A1.rows)
-            s = mp.fsum(Y[i, i] for i in range(A1.rows)) / 2
-            p = s * s / 2 - mp.fdot(Y, Y.T) / 4
-            t = (s + (mp.sign(s) or 1) * mp.sqrt(max(s * s - 4 * p, 0))) / 2
-            us = (t, p / t) if A1.rows == 4 and t else (s,)
-            prod = mp.fprod(mp.sqrt(1 + u) + mp.sqrt(max(u, 0)) for u in us)
-        else:
-            v = sorted(abs(x) for x in mp.eig(X)[0])[::2]
-            prod = mp.fprod(2 * x + mp.sqrt(max(4 * x * x - 1, 0)) for x in v)
+        Y = -4 * X * X - mp.eye(A1.rows)
+        s = mp.fsum(Y[i, i] for i in range(A1.rows)) / 2
+        p = s * s / 2 - mp.fdot(Y, Y.T) / 4
+        t = (s + (mp.sign(s) or 1) * mp.sqrt(max(s * s - 4 * p, 0))) / 2
+        us = (t, p / t) if A1.rows == 4 and t else (s,)
+        prod = mp.fprod(mp.sqrt(1 + u) + mp.sqrt(max(u, 0)) for u in us)
         return float(mp.sqrt(prod) / mp.det(S) ** mp.mpf(0.25))
 
 
@@ -166,8 +162,8 @@ def gaussian_fidelity(V1, V2) -> float:
     and strongly squeezed pairs lose nothing to cancellation.
 
     Args:
-        V1, V2: covariance matrices (arrays or ``CovarianceMatrix``) with the
-            same mode count; both must be bona fide.
+        V1, V2: covariance matrices (arrays or ``CovarianceMatrix``) of one or
+            two modes, the same for both; both must be bona fide.
 
     Returns:
         Fidelity in [0, 1], symmetric in its arguments.
@@ -176,4 +172,6 @@ def gaussian_fidelity(V1, V2) -> float:
     A2 = _as_matrix(V2)
     if A1.shape != A2.shape:
         raise DimensionMismatchError(f"mode mismatch: {A1.shape} vs {A2.shape}")
+    if len(A1) > 4:
+        raise GaussianStateError(f"fidelity takes one or two modes, got {len(A1) // 2}")
     return min(_fidelity_mp(A1, A2), 1.0)

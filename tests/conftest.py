@@ -359,7 +359,7 @@ def relu_margin(net, params, images) -> float:
     from qthermal.cnn import _forward_batch
 
     cache = []
-    _forward_batch(net, params, images, cache)
+    _forward_batch(net, params, images, cache, workspace={})
     margins = [
         np.min(np.abs(W.reshape(len(W), -1) @ inp + b[:, None]))
         for (inp, _), (W, b) in zip(cache[:-1], params)

@@ -555,6 +555,20 @@ class TestTemperature:
         with pytest.raises(ValueError, match=r"overflows double precision: occupation 1e\+308,"):
             temperature_of([18.0, 1e308, 2e308 / 3], 1e-3)
 
+    @given(st.lists(st.floats(min_value=5e-324), min_size=2, max_size=2))
+    @example([1e-310, 1e-300])
+    @example([5e-324, 1e-308])
+    def test_positive_and_non_decreasing_down_to_subnormals(self, nbars):
+        # below ~1e-308 1/nbar overflows, which once read 0 K
+        temps = []
+        for nbar in sorted(nbars):
+            try:
+                temps.append(temperature_of(nbar, 1e-3))
+            except ValueError as exc:
+                assert "overflows double precision" in str(exc)
+        assert all(t > 0 for t in temps)
+        assert temps == sorted(temps)
+
     @given(st.lists(st.floats(1e-300, 1e280), min_size=1, max_size=300))
     def test_array_entries_are_the_scalar_calls(self, nbars):
         temps = temperature_of(nbars, 1e-3)

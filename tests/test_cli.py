@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qthermal.channels import EnvironmentPair, fidelity_classical
+from qthermal.classify import TrainConfig
 from qthermal.cli import build_parser, main
-from qthermal.cnn import TrainConfig
 
 
 def _load_bench_runner():
@@ -678,6 +678,8 @@ for argv in (
     ["fidelity", *thermal, "--a", "0.5,2.5"],
     ["bounds", *thermal, "--m", "784", "--space", "cpf", "--k", "150", "--M", "100,200"],
     ["temp", "--eps", "18.5,20.2"],
+    ["simulate", "--classifier", "nn", *thermal, "--M", "10", "--T", "40", "--eval-size", "10",
+     "--trials", "1"],
 ):
     assert cli.main(argv) == 0, argv
 module = sys.modules["qthermal.cnn"]
@@ -703,10 +705,11 @@ assert {"cnn.train", "cnn.loss_and_grad", "cnn.predict_labels"} <= names, names
 
 
 def test_analytic_commands_leave_cnn_unrun_and_tracer_hooks_it():
-    """``fidelity``, ``bounds`` and ``temp`` run in an interpreter that
-    imports as ``bench/job.py`` does leave ``qthermal.cnn`` registered with
-    its body unrun; the benchmark's tracer, installed afterwards, still
-    wraps the CNN entry points of a ``simulate --classifier cnn`` run."""
+    """``fidelity``, ``bounds``, ``temp`` and ``simulate --classifier nn``
+    run in an interpreter that imports as ``bench/job.py`` does leave
+    ``qthermal.cnn`` registered with its body unrun; the benchmark's tracer,
+    installed afterwards, still wraps the CNN entry points of a
+    ``simulate --classifier cnn`` run."""
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_CNN_SCRIPT, str(BENCH.HERE)],
         env=BENCH._child_env(), capture_output=True, text=True, timeout=120,
@@ -739,6 +742,37 @@ def test_microbenchmarks_run(tmp_path):
 
 
 class TestManifestAndConfig:
+    MINIMAL = {
+        "fidelity": ["--kind", "additive", "--nuT", "0.01", "--nuB", "0.02"],
+        "bounds": ["--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4", "--M", "10"],
+        "simulate": ["--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--M", "10",
+                     "--T", "20", "--eval-size", "5", "--trials", "1"],
+        "temp": ["--eps", "18.5"],
+    }
+
+    def test_one_parser_reads_every_subcommand(self, capsys, tmp_path):
+        # one parser object holds every subcommand's flags; each command's
+        # manifest records exactly the parameters that parser gives it
+        parser = build_parser()
+        params = {}
+        for command, flags in self.MINIMAL.items():
+            out = tmp_path / f"{command}.csv"
+            argv = [command, *flags, "--out", str(out)]
+            args = parser.parse_args(argv)
+            assert (args.command, args.func.__name__) == (command, f"cmd_{command}")
+            assert run(argv, capsys)[0] == 0
+            params[command] = [line for line in Path(f"{out}.manifest").read_text().splitlines()
+                               if line.startswith("param ")]
+            assert params[command] == [
+                f"param {k}: {v}" for k, v in sorted(vars(args).items()) if k not in {"command", "func"}
+            ]
+        defaults = TrainConfig()
+        assert {
+            f"param epochs: {defaults.epochs}",
+            f"param batch_size: {defaults.batch_size}",
+            f"param lr: {defaults.learning_rate}",
+        } <= set(params["simulate"])
+
     def test_manifest_sidecar(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _, _ = run(

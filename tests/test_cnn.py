@@ -129,7 +129,7 @@ class TestForward:
         params = [(W, rng.normal(0.0, 0.1, b.shape)) for W, b in init_params(net, 4)]
         images = rng.random((5, *net.input_shape))
         assert_allclose(
-            _forward_batch(net, params, images), direct_conv_logits(net, params, images), rtol=1e-12
+            _forward_batch(net, params, images, workspace={}), direct_conv_logits(net, params, images), rtol=1e-12
         )
 
 
@@ -353,14 +353,14 @@ class TestWorkspace:
         reused = np.concatenate(
             [_forward_batch(net, params, chunk, workspace=workspace).copy() for chunk in chunks]
         )
-        fresh = np.concatenate([_forward_batch(net, params, chunk) for chunk in chunks])
+        fresh = np.concatenate([_forward_batch(net, params, chunk, workspace={}) for chunk in chunks])
         # reusing the workspace, for a partial last chunk too, changes no bit
         assert reused.tobytes() == fresh.tobytes()
         labels = predict_labels(net, params, images)
         assert np.array_equal(labels, np.argmax(reused, axis=1))
         # against one GEMM over the whole batch only rounding may differ:
         # BLAS can pick another kernel for another row count
-        one_shot = _forward_batch(net, params, images)
+        one_shot = _forward_batch(net, params, images, workspace={})
         atol = (1e-5 if dtype == np.float32 else 1e-13) * np.abs(one_shot).max()
         assert np.abs(reused - one_shot).max() <= atol
         top2 = np.sort(one_shot, axis=1)[:, -2:]

