@@ -2,16 +2,17 @@
 estimation, and ``TrainConfig``, the settings of every CNN training.
 
 Sensor imperfection is modelled as independent symmetric pixel flips whose
-probability comes from the single-pixel error bounds.  Each trial flips the
-whole evaluation set with one block of uniforms from a counter-based stream
-keyed on (master seed, M index, trial), shared by the four noise endpoints of
-one M; streams come from ``data.trial_stream``, which this module re-exports.
+probability comes from the single-pixel error bounds.  Each trial flips a
+copy of the whole evaluation set in place with ``data.flip_rows``, which
+draws its uniforms a few rows at a time from a counter-based stream keyed on
+(master seed, M index, trial), shared by the four noise endpoints of one M;
+streams come from ``data.trial_stream``, which this module re-exports.
 The nearest-neighbour rule scores a batch with one float64 GEMM
 against the training set packed several images per column, in integers below
-2**53, so its labels are exact.  The GEMM output is unpacked and scored in
-row blocks of ``_NN_ROWS`` queries, in buffers reused from block to block,
-with one argmin per query over scores laid out in training-index order, so
-ties go to the lowest-index nearest image.  ``estimate_error`` runs its
+2**53, so its labels are exact; it holds no training image.  The GEMM output
+is unpacked and scored in row blocks of ``_NN_ROWS`` queries, in buffers
+reused from block to block, with one argmin per query over scores laid out
+in training-index order, so ties go to the lowest-index nearest image.  ``estimate_error`` runs its
 trials in order; ``advantage_regions`` is the one place that runs work
 concurrently, its (M, flip probability) jobs, classifier training included,
 on ``threads`` workers.  Every job depends only on its own streams, so any
@@ -20,6 +21,7 @@ thread count reproduces the same numbers bit for bit.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +30,7 @@ import numpy as np
 
 from .bounds import pixel_error_bounds
 from .channels import EnvironmentPair, fidelity_choi_inf, fidelity_classical
-from .data import BinaryImageDataset, trial_stream
+from .data import BinaryImageDataset, flip_rows, trial_stream
 from .errors import (
     EmptyEvaluationSetError,
     EmptyTrainingSetError,
@@ -94,11 +96,19 @@ def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, Noise
 
 
 def sample_noisy(images: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Flip each pixel independently with the model's probability: pixel
-    flips when its uniform U < p, so one stream's flips nest as p grows."""
-    images = np.asarray(images, dtype=np.uint8)
-    flips = rng.random(images.shape) < noise.flip_probability
-    return images ^ flips.view(np.uint8)
+    """A copy of ``images`` (one image, or a batch with images along the
+    first axis) with each pixel flipped independently with the model's
+    probability: pixel flips when its uniform U < p, so one stream's flips
+    nest as p grows.  The copy is flipped in place by ``data.flip_rows``,
+    whose uniforms come row-major from ``rng`` as from one
+    ``rng.random(images.shape)`` draw."""
+    noisy = np.array(images, dtype=np.uint8)
+    if noisy.ndim < 2:
+        rows = noisy.reshape(1, -1)
+    else:  # explicit sizes, since reshape cannot infer a -1 beside a 0
+        rows = noisy.reshape(len(noisy), math.prod(noisy.shape[1:]))
+    flip_rows(rows, noise.flip_probability, rng)
+    return noisy
 
 
 def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], np.ndarray]:
@@ -115,13 +125,16 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
     every q.t.  Each product and partial sum is a non-negative integer below
     2**53, hence exact in any summation order, BLAS kernel or thread count.
     Digit k of the product, read with a shift and a mask, is q.t for block k,
-    the training images k cols ... (k + 1) cols - 1.
+    the training images k cols ... (k + 1) cols - 1.  The predictor keeps the
+    packed columns, the norms and the labels, and no reference to the images.
 
     The product is scored ``_NN_ROWS`` queries at a time: each row block's
-    digits are written into one (rows, blocks, cols) score array, so that
-    position k cols + c is training index k cols + c, and one argmin per row
-    returns the lowest-index nearest training image.  Scores lie within
-    +-2**bits, so they are int32 up to 30 bits.  Padding slots of the last
+    digits are extracted in place, the lowest first, into one (rows, blocks,
+    cols) score array, so that position k cols + c is training index
+    k cols + c, and one argmin per row returns the lowest-index nearest
+    training image.  Each masked digit 2 q.t lies below 2**(bits + 1) and
+    each score within +-2**bits, so both are held in the narrowest signed
+    integer type that holds +-2**(bits + 1).  Padding slots of the last
     block score above every real image.  A batch that is not (B, pixels)
     raises ``ShapeMismatchError``.  A pixel other than 0 or 1 could carry
     into the next digit, so such a batch raises ``ValueError``.  Both checks
@@ -130,19 +143,19 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
     if training is None or len(training) == 0:
         raise EmptyTrainingSetError("training set is empty")
     images = training.images
-    n = len(images)
+    n, pixels = images.shape
     t_norms = images.sum(axis=1, dtype=np.int64)
     bits = max(int(t_norms.max()).bit_length(), 1)
     digits = 53 // bits
     cols = -(-n // digits)
     blocks = -(-n // cols)
-    packed = np.zeros((cols, images.shape[1]))
+    packed = np.zeros((cols, pixels))
     for k in reversed(range(blocks)):
         # Horner: packed = packed * 2**bits + block k
         packed *= float(1 << bits)
         block = images[k * cols : (k + 1) * cols]
         packed[: len(block)] += block
-    score_dtype = np.int32 if bits <= 30 else np.int64
+    score_dtype = np.min_scalar_type(-(1 << (bits + 1)))
     block_norms = np.full(blocks * cols, t_norms.max() + 1, dtype=score_dtype)
     block_norms[:n] = t_norms
     block_norms = block_norms.reshape(blocks, cols)
@@ -151,9 +164,9 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
 
     def predict(batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch)
-        if batch.ndim != 2 or batch.shape[1] != images.shape[1]:
+        if batch.ndim != 2 or batch.shape[1] != pixels:
             raise ShapeMismatchError(
-                f"nearest-neighbour batch must be (B, {images.shape[1]}), got {batch.shape}"
+                f"nearest-neighbour batch must be (B, {pixels}), got {batch.shape}"
             )
         if np.any((batch != 0) & (batch != 1)):
             raise ValueError("nearest-neighbour queries must be binary (pixels 0 or 1)")
@@ -161,17 +174,17 @@ def nn_predictor(training: BinaryImageDataset | None) -> Callable[[np.ndarray], 
         nearest = np.empty(len(batch), dtype=np.int64)
         # one set of row-block buffers, reused by every block
         twice = np.empty((min(_NN_ROWS, len(batch)), cols), dtype=np.int64)
-        digit = np.empty_like(twice)
         scores = np.empty((len(twice), blocks, cols), dtype=score_dtype)
         for start in range(0, len(batch), _NN_ROWS):
             rows = min(_NN_ROWS, len(batch) - start)
-            t, d, s = twice[:rows], digit[:rows], scores[:rows]
-            # 2 q.t of block k is bits k up in t, read with a shift and a mask
+            t, s = twice[:rows], scores[:rows]
+            # 2 q.t of block k is bits k up in t: mask the lowest digit into
+            # its score slot, then shift the next one down
             np.multiply(products[start : start + rows], 2.0, out=t, casting="unsafe")
             for k in range(blocks):
-                np.right_shift(t, bits * k, out=d)
-                d &= twice_mask
-                np.subtract(block_norms[k], d, out=s[:, k], casting="unsafe")
+                np.bitwise_and(t, twice_mask, out=s[:, k], casting="unsafe")
+                np.subtract(block_norms[k], s[:, k], out=s[:, k])
+                t >>= bits
             nearest[start : start + rows] = np.argmin(s.reshape(rows, -1), axis=1)
         return t_labels[nearest]
 
@@ -192,7 +205,8 @@ class ErrorEstimate:
         return self.trials * self.evaluations
 
 
-def _check_estimate(evaluation: BinaryImageDataset, trials: int) -> None:
+def check_estimate(evaluation: BinaryImageDataset, trials: int) -> None:
+    """Raise the usage error of an estimate that could run no sample."""
     if len(evaluation) == 0:
         raise EmptyEvaluationSetError("evaluation set is empty")
     if trials < 1:
@@ -218,7 +232,7 @@ def estimate_error(
         ``ErrorEstimate`` with mean error and standard error
         sample-stddev / sqrt(trials * |evaluation|).
     """
-    _check_estimate(evaluation, trials)
+    check_estimate(evaluation, trials)
     if predictor is None:
         predictor = nn_predictor(training)
 
@@ -328,7 +342,7 @@ class AdvantageRow:
 
 
 def advantage_regions(
-    training: BinaryImageDataset,
+    training: BinaryImageDataset | None,
     evaluation: BinaryImageDataset,
     pair: EnvironmentPair,
     M_grid: Sequence[int],
@@ -346,9 +360,12 @@ def advantage_regions(
     differences, taken with common random numbers: the four estimates of one
     M share the seed drawn from the (``master_seed``, M index) stream.
     ``predictor_factory(noise)`` may supply a trained classifier per
-    endpoint (the nearest-neighbour rule is used otherwise); ``p_override``
-    forces one flip probability everywhere, for diagnostics.  Each row holds
-    its M's models and estimates keyed by endpoint tag.
+    endpoint; without one, the nearest-neighbour rule over ``training`` is
+    used.  ``training`` is read only to build that default, so a caller with
+    a factory may pass None and release its training set before the jobs
+    start.  ``p_override`` forces one flip probability everywhere, for
+    diagnostics.  Each row holds its M's models and estimates keyed by
+    endpoint tag.
 
     Each distinct (M index, flip probability) is one job: build its predictor
     (training it, with a factory), then run all its trials.  Endpoints of one
@@ -359,7 +376,7 @@ def advantage_regions(
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    _check_estimate(evaluation, trials)  # before any predictor is built
+    check_estimate(evaluation, trials)  # before any predictor is built
     nn = None if predictor_factory else nn_predictor(training)
     grid = []
     jobs: dict[tuple[int, float], tuple[NoiseModel, int]] = {}

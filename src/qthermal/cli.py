@@ -41,7 +41,7 @@ from .channels import (
     fidelity_finite,
     temperature_of,
 )
-from .classify import TrainConfig, advantage_regions
+from .classify import TrainConfig, advantage_regions, check_estimate, nn_predictor
 from .data import DEFAULT_THRESHOLD, dataset_dir, load_idx_split, synthetic_digits
 from .errors import IdxFormatError, NonFiniteLossError
 
@@ -207,8 +207,8 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     M_grid = _int_grid(args.M, "probe copy")
     training, evaluation = _load_datasets(args)
+    digests = training.provenance.get("source", {})
 
-    predictor_factory = None
     if args.classifier == "cnn":
         # the first access to the lazy cnn module, on the main thread before
         # advantage_regions starts its pool
@@ -223,6 +223,16 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
 
         def predictor_factory(noise):
             return partial(cnn.predict_labels, net, cnn.train(net, training, noise, config))
+    else:
+        check_estimate(evaluation, args.trials)  # before the predictor is built
+        nn = nn_predictor(training)
+
+        def predictor_factory(noise):
+            return nn
+
+        # the predictor holds only its packed columns, so the training images
+        # are freed here, before the jobs allocate their own
+        training = None
 
     table = advantage_regions(
         training,
@@ -238,7 +248,7 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     header = "M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"
     cells = ((r.M, *(m.flip_probability for m in r.models.values()), *(e.mean for e in r.errors.values()),
               r.de_min, r.de_max, r.stderr_max) for r in table)
-    return [header, *_rows(cells)], {"input_digests": training.provenance.get("source", {})}
+    return [header, *_rows(cells)], {"input_digests": digests}
 
 
 def cmd_temp(args) -> tuple[list[str], dict]:

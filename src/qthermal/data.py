@@ -32,14 +32,14 @@ DATASET_DIR_ENV = "QTHERMAL_DATASET_DIR"
 _MAX_ELEMENTS = 2**31
 DEFAULT_THRESHOLD = 128  # ``binarize``: pixels at or above it are target (1)
 
-# ``synthetic_digits``: largest glyph offset in pixels along each axis, the
-# probability of a speckle flip per pixel, and the images per block of
-# speckle uniforms.  The uniforms of every block are drawn into one reused
-# float64 buffer of this many images (0.8 MB at 28x28), not into an
-# (n, height, width) array; the stream, and so the output, is the same.
+# ``synthetic_digits``: largest glyph offset in pixels along each axis and
+# the probability of a speckle flip per pixel
 _MAX_SHIFT = 2
 _SPECKLE = 0.01
-_SPECKLE_ROWS = 128
+
+# ``flip_rows``: images per block of uniforms, drawn into one reused float64
+# buffer (0.2 MB at 28x28); 32 rows peaked lower than 128 on simulate-nn
+_FLIP_ROWS = 32
 
 _SPLIT_FILES = {
     "training": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -52,6 +52,21 @@ def trial_stream(master_seed: int, *path: int) -> np.random.Generator:
     random draw of the package, synthetic images included, comes from one."""
     entropy = (int(master_seed),) + tuple(int(p) for p in path)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def flip_rows(rows: np.ndarray, p: float, rng: np.random.Generator) -> None:
+    """Flip the pixels of the (n, pixels) uint8 array ``rows`` in place
+    wherever U < p, U uniform on [0, 1).
+
+    The uniforms are drawn row-major, ``_FLIP_ROWS`` rows at a time, into one
+    reused float64 buffer; the stream, and so the result, is that of one
+    ``rng.random(rows.shape)`` draw.
+    """
+    uniforms = np.empty((min(len(rows), _FLIP_ROWS), rows.shape[1]))
+    for start in range(0, len(rows), _FLIP_ROWS):
+        block = rows[start : start + _FLIP_ROWS]
+        u = rng.random(out=uniforms[: len(block)])
+        block ^= (u < p).view(np.uint8)
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -234,7 +249,8 @@ def synthetic_digits(
     """Procedural ten-class binary digit dataset.
 
     Each image is a scaled glyph placed at a random offset with a small
-    fraction of speckle flips; classes cycle so the dataset is balanced.
+    fraction of speckle flips, made in place by ``flip_rows``; classes cycle
+    so the dataset is balanced.
     Fully determined by (n, seed, split) through counter-based streams.  A
     negative ``n`` raises ``ValueError``.
     """
@@ -260,14 +276,10 @@ def synthetic_digits(
         cls, at = divmod(key, height * width)
         r0, c0 = divmod(at, width)
         template[r0 : r0 + gh, c0 : c0 + gw] = glyphs[cls]
-    images = templates[which]
-    uniforms = np.empty((min(n, _SPECKLE_ROWS), height, width))
-    for start in range(0, n, _SPECKLE_ROWS):
-        block = images[start : start + _SPECKLE_ROWS]
-        u = rng.random(out=uniforms[: len(block)])
-        block ^= (u < _SPECKLE).view(np.uint8)
+    images = templates[which].reshape(n, height * width)
+    flip_rows(images, _SPECKLE, rng)
     return BinaryImageDataset(
-        images=images.reshape(n, height * width),
+        images=images,
         labels=labels,
         height=height,
         width=width,

@@ -18,6 +18,12 @@ from .errors import DimensionMismatchError, GaussianStateError, NonPhysicalError
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-8
 
+# rounding V's entries to double moves a symplectic eigenvalue by up to
+# 0.82 eps lambda_max / lambda_min (V's eigenvalues), measured on Choi states
+# of completely positive channels at squeezing up to 1e7; the physicality
+# check allows this multiple of it
+_ROUNDING_MULTIPLE = 2.0
+
 _MP_DPS = 50
 
 # mpmath's working precision is process-global state; serialise the
@@ -37,8 +43,11 @@ class CovarianceMatrix:
     """Validated second-moment matrix of a zero-mean Gaussian state.
 
     The input is symmetrised as (V + V^T)/2 before validation; asymmetry
-    beyond ``SYMMETRY_TOL`` and symplectic eigenvalues below
-    ``1/2 - PHYSICALITY_TOL`` are rejected.  Entries must be finite: the
+    beyond ``SYMMETRY_TOL`` is rejected, and so are symplectic eigenvalues
+    below 1/2 by more than the larger of ``PHYSICALITY_TOL`` and, for a
+    positive-definite V with eigenvalues lambda_min ... lambda_max,
+    ``_ROUNDING_MULTIPLE`` eps lambda_max / lambda_min, the rounding error
+    of a strongly squeezed state.  Entries must be finite: the
     infinite-squeezing limit is always handled by extrapolation elsewhere,
     never by infinite matrix entries.
     """
@@ -58,10 +67,13 @@ class CovarianceMatrix:
         arr.setflags(write=False)
         self._matrix = arr
         self._modes = len(arr) // 2
-        nu_min = _symplectic_eigenvalues(arr).min()
-        if nu_min < 0.5 - PHYSICALITY_TOL:
+        w, nu = _spectra(arr)
+        tol = PHYSICALITY_TOL
+        if w[0] > 0:
+            tol = max(tol, _ROUNDING_MULTIPLE * np.finfo(float).eps * w[-1] / w[0])
+        if nu.min() < 0.5 - tol:
             raise NonPhysicalError(
-                f"minimal symplectic eigenvalue {nu_min:.12g} below 1/2"
+                f"minimal symplectic eigenvalue {nu.min():.12g} below 1/2"
             )
 
     @property
@@ -102,13 +114,14 @@ def _as_matrix(V) -> np.ndarray:
     return CovarianceMatrix(V).matrix
 
 
-def _symplectic_eigenvalues(arr: np.ndarray) -> np.ndarray:
+def _spectra(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, symplectic eigenvalues descending) of ``arr``."""
     # sqrt(V) Omega sqrt(V) is antisymmetric with singular values
     # {nu_1, nu_1, nu_2, nu_2, ...}; SVD of it is numerically stable.
     w, Q = np.linalg.eigh(arr)
     root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
     s = np.linalg.svd(root @ symplectic_form(len(arr) // 2) @ root, compute_uv=False)
-    return s[::2]
+    return w, s[::2]
 
 
 def symplectic_eigenvalues(V) -> np.ndarray:
@@ -116,9 +129,10 @@ def symplectic_eigenvalues(V) -> np.ndarray:
 
     Raises:
         NonSymmetricError: asymmetry above tolerance.
-        NonPhysicalError: any symplectic eigenvalue below 1/2 - 1e-8.
+        NonPhysicalError: any symplectic eigenvalue below 1/2 by more than
+            ``CovarianceMatrix`` allows.
     """
-    return _symplectic_eigenvalues(_as_matrix(V))
+    return _spectra(_as_matrix(V))[1]
 
 
 def _fidelity_mp(V1, V2, dps: int = _MP_DPS) -> float:

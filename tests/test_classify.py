@@ -22,7 +22,7 @@ from qthermal.classify import (
     trial_stream,
 )
 from qthermal.classify import _NN_ROWS, _snapp_design
-from qthermal.data import BinaryImageDataset, synthetic_digits
+from qthermal.data import _FLIP_ROWS, BinaryImageDataset, flip_rows, synthetic_digits
 from qthermal.errors import (
     EmptyEvaluationSetError,
     EmptyTrainingSetError,
@@ -76,7 +76,41 @@ class TestNoiseModel:
         assert models["quantum-upper"].flip_probability < models["classical-upper"].flip_probability
 
 
+# batch sizes around one and two blocks of uniforms, and the empty batch
+FLIP_BATCHES = [0, _FLIP_ROWS - 1, _FLIP_ROWS, _FLIP_ROWS + 1, 2 * _FLIP_ROWS + 3]
+
+
+@st.composite
+def flip_cases(draw):
+    """(images, p, seed) for one image, a (B, m) or a (B, H, W) batch.  The
+    named flip probabilities include the two smallest positive floats of
+    interest, which flip only where a uniform is exactly 0."""
+    batch = draw(st.one_of(st.integers(0, 5), st.sampled_from(FLIP_BATCHES)))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(h * w,), (batch, h * w), (batch, h, w)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    images = (np.random.default_rng(seed).random(shape) < 0.5).astype(np.uint8)
+    p = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5]), st.floats(0.0, 0.5)))
+    return images, p, seed
+
+
 class TestSampleNoisy:
+    @given(flip_cases())
+    @example((np.ones((2 * _FLIP_ROWS + 3, 7, 5), np.uint8), 0.5, 1))
+    @example((np.zeros((0, 9), np.uint8), 0.3, 2))
+    def test_matches_one_full_draw(self, case):
+        # flipping in blocks of rows consumes the stream as one
+        # images.shape draw does, so both routes equal that reference
+        images, p, seed = case
+        before = images.copy()
+        expected = images ^ (trial_stream(seed, 1).random(images.shape) < p)
+        noisy = sample_noisy(images, NoiseModel(p), trial_stream(seed, 1))
+        assert noisy.dtype == np.uint8 and np.array_equal(noisy, expected)
+        assert np.array_equal(images, before)  # the input is not flipped
+        pixels = int(np.prod(images.shape[1:])) if images.ndim > 1 else images.size
+        flip_rows(images.reshape(-1, pixels), p, trial_stream(seed, 1))
+        assert np.array_equal(images, expected)
+
     def test_zero_probability_is_identity(self):
         img = np.array([0, 1, 1, 0], np.uint8)
         out = sample_noisy(img, NoiseModel(0.0), trial_stream(1, 2))
@@ -205,7 +239,52 @@ def row_block_case(count):
     return train, train[rng.integers(0, len(train), count)]
 
 
+@st.composite
+def bit_width_cases(draw):
+    """(training, queries) whose largest training norm has exactly ``bits``
+    bits, 1 to 12: scores are int8 up to 6 bits and int16 above.  The norm
+    is the smallest or largest of its width.  Sets are tiny, and from 5 bits
+    up their last packed block often ends in padding slots; duplicated
+    training rows and queries equal to training rows force ties."""
+    bits = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([1 << (bits - 1), (1 << bits) - 1]))
+    m = top + draw(st.integers(0, 3))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = np.zeros((n, m), np.uint8)
+    for row in train:
+        row[rng.choice(m, rng.integers(0, top + 1), replace=False)] = 1
+    train[0] = np.arange(m) < top
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        train[draw(st.integers(1, n - 1))] = train[draw(st.integers(0, n - 1))]
+    queries = (rng.random((draw(st.integers(1, 8)), m)) < rng.random()).astype(np.uint8)
+    queries[: draw(st.integers(0, len(queries)))] = train[rng.integers(0, n)]
+    assert int(train.sum(axis=1).max()).bit_length() == bits
+    return train, queries
+
+
+def padded_top_norm_case(top):
+    """Nine images, the first of norm ``top``, so 53 // bits images per
+    column leave padding slots that must score above every real image, the
+    largest padding score being top + 1; queries copy the first image."""
+    rng = np.random.default_rng(top)
+    train = (rng.random((9, top)) < 0.5).astype(np.uint8)
+    train[0] = 1
+    return train, np.vstack([train[0], train[0], rng.random((2, top)) < 0.5]).astype(np.uint8)
+
+
 class TestNNPredictor:
+    @given(bit_width_cases())
+    # largest norms of 6 and 7 bits, on either side of the int8/int16 switch
+    @example(padded_top_norm_case(63))
+    @example(padded_top_norm_case(127))
+    def test_matches_hamming_argmin_at_every_bit_width(self, case):
+        train, queries = case
+        predict = nn_predictor(make_dataset(train, np.arange(len(train))))
+        distances = np.count_nonzero(queries[:, None, :] != train[None, :, :], axis=2)
+        # argmin takes the lowest index on ties, as nn_predictor must
+        assert np.array_equal(predict(queries), np.argmin(distances, axis=1))
+
     @given(nn_cases())
     # every norm 0: the 1-bit floor, 53 images per column
     @example((np.zeros((60, 5), np.uint8), np.array([[0, 0, 0, 0, 0], [1, 1, 0, 1, 0]], np.uint8)))

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism and exit codes."""
 
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +309,29 @@ class TestSimulateCommand:
             defaults.batch_size,
             defaults.learning_rate,
         )
+
+    def test_nn_training_set_is_freed_before_the_jobs(self, capsys, monkeypatch):
+        import qthermal.cli as cli
+
+        datasets, alive = [], []
+
+        def digits(*args, **kwargs):
+            ds = cli_digits(*args, **kwargs)
+            datasets.append(weakref.ref(ds.images))
+            return ds
+
+        def regions(*args, **kwargs):
+            gc.collect()
+            alive.extend(ref() is not None for ref in datasets)
+            return cli_regions(*args, **kwargs)
+
+        cli_digits, cli_regions = cli.synthetic_digits, cli.advantage_regions
+        monkeypatch.setattr(cli, "synthetic_digits", digits)
+        monkeypatch.setattr(cli, "advantage_regions", regions)
+        code, out, _ = run([*self.BASE, "--classifier", "nn"], capsys)
+        assert code == 0 and len(out.splitlines()) == 2
+        # the training images are gone; the evaluation images are still used
+        assert alive == [False, True]
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run([*self.BASE, "--seed", "3"], capsys)

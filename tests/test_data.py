@@ -9,7 +9,7 @@ import pytest
 
 from qthermal.data import (
     _GLYPHS,
-    _SPECKLE_ROWS,
+    _FLIP_ROWS,
     DATASET_DIR_ENV,
     BinaryImageDataset,
     binarize,
@@ -202,7 +202,7 @@ class TestSyntheticDigits:
 
     def test_output_pinned_across_speckle_blocks(self):
         # digests from before the speckle uniforms were drawn in row blocks;
-        # n = 2500 spans three blocks, so a block boundary that skipped or
+        # n = 2500 spans 79 blocks, so a block boundary that skipped or
         # repeated part of the stream shows here
         ds = synthetic_digits(2500, seed=11, split="evaluation")
         assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
@@ -214,8 +214,8 @@ class TestSyntheticDigits:
 
     @pytest.mark.parametrize("height, width", [(23, 17), (24, 18)])
     def test_matches_reference_where_offsets_clip(self, height, width):
-        # n spans three speckle blocks, the last one partial
-        n = 2 * _SPECKLE_ROWS + 37
+        # n spans four blocks of uniforms, the last one partial
+        n = 2 * _FLIP_ROWS + 37
         ds = synthetic_digits(n, seed=4, split="evaluation", height=height, width=width)
         images, labels, clipped = reference_digits(n, 4, "evaluation", height, width)
         assert clipped

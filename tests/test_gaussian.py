@@ -74,6 +74,49 @@ class TestCovarianceMatrix:
                 CovarianceMatrix(bad)
 
 
+class TestRoundingTolerance:
+    """Rounding the entries of a strongly squeezed matrix to double moves its
+    symplectic eigenvalues by about eps lambda_max / lambda_min, far beyond
+    ``PHYSICALITY_TOL``; physicality is judged to that precision."""
+
+    @staticmethod
+    def tolerance(V):
+        w = np.linalg.eigvalsh(V)
+        spread = gaussian._ROUNDING_MULTIPLE * np.finfo(float).eps * w[-1] / w[0]
+        return max(gaussian.PHYSICALITY_TOL, spread)
+
+    @pytest.mark.parametrize(
+        "channel, a",
+        [(ChannelSpec.additive(0.0), 1e5), (ChannelSpec(0.99, 0.005), 1e6)],
+        ids=["additive-1e5", "loss-1e6"],
+    )
+    def test_squeezed_choi_states_construct(self, channel, a):
+        # both raised NonPhysicalError under the absolute 1e-8 tolerance
+        assert choi_cm(channel, a).modes == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 100.0)),
+        st.sampled_from([0.0, 1e-9, 0.01, 1.0]),
+        st.floats(-0.31, 7.0),
+    )
+    def test_completely_positive_choi_states_construct(self, tau, excess, log_a):
+        # the channel's noise at (or just above) the complete-positivity
+        # floor: the purest, most ill-conditioned Choi states
+        channel = ChannelSpec(tau, abs(1.0 - tau) / 2.0 + excess)
+        assert choi_cm(channel, max(0.5, 10.0**log_a)).modes == 2
+
+    @pytest.mark.parametrize("a", [0.5, 10.0, 1e3, 1e4, 1e5])
+    def test_pushed_below_half_still_raises(self, a):
+        tol = self.tolerance(tmsv_cm(a).matrix)
+        nu = 0.5 - 100 * tol
+        c = np.sqrt(a * a - nu * nu)
+        Z = np.diag([1.0, -1.0])
+        V = np.block([[a * np.eye(2), c * Z], [c * Z, a * np.eye(2)]])
+        with pytest.raises(NonPhysicalError):
+            CovarianceMatrix(V)
+
+
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
         assert_allclose(symplectic_eigenvalues(vacuum_cm(1)), [0.5], atol=1e-12)

@@ -1,8 +1,11 @@
-"""Traced peak memory of the two largest transient allocations of a
-nearest-neighbour simulation, scoring one batch and building the digits, and
-the size of a CNN training step's workspace."""
+"""Traced peak memory of the largest transient allocations of a
+nearest-neighbour simulation (scoring one batch, flipping one noisy batch and
+building the digits), the lifetime of the training images behind a built
+predictor, and the size of a CNN training step's workspace."""
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -10,7 +13,7 @@ import numpy as np
 
 from qthermal.classify import NoiseModel, nn_predictor, sample_noisy
 from qthermal.cnn import NetworkSpec, init_params, loss_and_grad
-from qthermal.data import synthetic_digits, trial_stream
+from qthermal.data import _FLIP_ROWS, synthetic_digits, trial_stream
 
 MB = 1e6
 
@@ -32,14 +35,34 @@ def training():
 
 def test_nn_batch_peaks_below_batch_plus_product(training):
     # synthetic norms stay below 256, so 8-bit digits pack 6 images per
-    # column and the GEMM output is 250 x ceil(10 000 / 6) float64
+    # column and the GEMM output is 250 x ceil(10 000 / 6) float64; the
+    # float64 batch is freed before the row-block scoring buffers, which are
+    # smaller, are allocated
     assert training.images.sum(axis=1).max() < 256
     predict = nn_predictor(training)
     batch = sample_noisy(synthetic_digits(250, seed=2, split="evaluation").images,
                          NoiseModel(0.2), trial_stream(3, 0))
     peak, labels = traced_peak(predict, batch)
     assert len(labels) == 250
-    assert peak < 250 * 784 * 8 + 250 * 1667 * 8 + 2 * MB
+    assert peak < 250 * 784 * 8 + 250 * 1667 * 8 + 0.5 * MB
+
+
+def test_sample_noisy_peaks_below_output_plus_one_block():
+    images = synthetic_digits(250, seed=2, split="evaluation").images
+    sample_noisy(images, NoiseModel(0.2), trial_stream(3, 0))  # one-time setup
+    peak, noisy = traced_peak(sample_noisy, images, NoiseModel(0.2), trial_stream(3, 0))
+    assert noisy.shape == (250, 784)
+    assert peak < noisy.nbytes + _FLIP_ROWS * 784 * 8 + 0.1 * MB
+
+
+def test_nn_predictor_releases_training_images():
+    ds = synthetic_digits(500, seed=4)
+    images = weakref.ref(ds.images)
+    predict = nn_predictor(ds)
+    del ds
+    gc.collect()
+    assert images() is None
+    assert len(predict(np.zeros((3, 784), np.uint8))) == 3
 
 
 def test_synthetic_digits_peaks_below_images_plus_3mb():
