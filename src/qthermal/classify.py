@@ -16,13 +16,15 @@ in training-index order, so ties go to the lowest-index nearest image.  ``estima
 trials in order; ``advantage_regions`` is the one place that runs work
 concurrently, its (M, flip probability) jobs, classifier training included,
 on ``threads`` workers.  Every job depends only on its own streams, so any
-thread count reproduces the same numbers bit for bit.
+thread count reproduces the same numbers bit for bit.  Its thread pool,
+``concurrent.futures`` with the ``logging`` and ``queue`` modules under it,
+is imported on first use, on the calling thread before any worker starts,
+so the analytic commands never load it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -394,6 +396,8 @@ def advantage_regions(
         model, seed = job
         predictor = predictor_factory(model) if predictor_factory else nn
         return estimate_error(training, evaluation, model, trials, seed, predictor=predictor)
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         estimates = dict(zip(jobs, pool.map(run_job, jobs.values())))

@@ -115,8 +115,11 @@ def _grid(text: str, name: str) -> list[float]:
             raise ValueError(f"grid range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
+        steps = (stop - start) / step
+        if not math.isfinite(steps):
+            raise ValueError(f"{name} grid range {text!r} spans too many steps")
         # index the points instead of accumulating step, which drifts
-        count = math.floor((stop - start) / step + 1e-9) + 1
+        count = math.floor(steps + 1e-9) + 1
         grid = [start + i * step for i in range(max(count, 0))]
     else:
         grid = [float(p) for p in text.split(",") if p]

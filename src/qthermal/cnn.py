@@ -18,19 +18,23 @@ A conv layer's X is its windows, copied into a (C, k, k, OH, OW, B) buffer
 one strided slice per kernel tap, in the weights' K order; the last conv
 output, read as (C*H*W, B), is the first dense input, in the (C, H, W)
 order of the first dense layer's weight columns.  Window copies and their
-gradient's scatter move contiguous runs of B.  A pass owns its input, each
-conv layer's windows, each layer's output (ReLU runs in place) and, in
+gradient's scatter move contiguous runs of B.  A pass owns its input, one
+window buffer that every conv layer fills in turn, sized for the widest
+before the first fills it, each layer's output (ReLU runs in place) and, in
 training, one ReLU mask, all in a workspace: a dict of buffers keyed by
 layer and role that smaller batches reuse.  The backward pass writes a
 layer's input gradient over that input once dW has read it, scattering a
 conv layer's onto the activation below; that activation's mask is taken
 first, since ``max(z, 0) > 0`` equals ``z > 0`` for every z, -0.0 and NaN
-included.  A ``train`` call owns one workspace for its SGD steps and
-holdout predictions; any other call makes its own, and ``predict_labels``
-runs in chunks of ``_PREDICT_CHUNK`` images.  No workspace is shared
-between threads: a predictor, ``partial(predict_labels, net, params)``,
-holds none, because it may be shared across the job threads of
-``advantage_regions``, as its one nearest-neighbour predictor is.
+included.  Each conv layer below the last gets its windows back, copied
+from its input just before its dW, so every GEMM reads the bytes it would
+read from windows of its own.  A ``train`` call owns one workspace for its
+SGD steps and holdout predictions; any other call makes its own, and
+``predict_labels`` runs in chunks of ``_PREDICT_CHUNK`` images.  No
+workspace is shared between threads: a predictor,
+``partial(predict_labels, net, params)``, holds none, because it may be
+shared across the job threads of ``advantage_regions``, as its one
+nearest-neighbour predictor is.
 """
 
 from __future__ import annotations
@@ -175,22 +179,30 @@ def _forward_batch(
     """Shared forward pass; images (B, H, W), returns (B, classes) logits in
     the params' dtype, a transposed view of the (classes, B) output.
 
-    A ``cache`` list receives one (input, output) pair per layer: (C*k*k, N)
-    windows or a dense layer's (features, B) input, and the (F, N) output,
-    after ReLU, N = OH*OW*B for conv, B for dense.  Every array, the logits
-    included, is a view of the ``workspace``'s storage and is overwritten by
-    the next call through it.
+    A ``cache`` list receives one (x, inp, z) triple per layer: its input x,
+    (C, H, W, B) after the image or a conv layer, else (features, B); the
+    GEMM input inp, (C*k*k, N) windows or x as (features, B); and the (F, N)
+    output z, after ReLU, N = OH*OW*B for conv, B for dense.  The windows of
+    every conv layer are views of one buffer, so after the pass only the
+    last conv layer's are intact.  Every array, the logits included, is a
+    view of the ``workspace``'s storage and is overwritten by the next call
+    through it.
     """
     _check_params(net, params)
     dtype = params[0][0].dtype
     B = len(images)
     shapes = net.feature_shapes()
+    # one window buffer for every conv layer, at its widest before the first
+    # fills it: grown during the pass, it would leave both sizes alive
+    widest = max((W[0].size * math.prod(shapes[i + 1][1:])
+                  for i, (W, _) in enumerate(params[: len(net.conv)])), default=0)
+    _buffer(workspace, "cols", (widest * B,), dtype)
     x = _buffer(workspace, "input", (*shapes[0], B), dtype)
     x[0] = images.transpose(1, 2, 0)
     for i, (W, b) in enumerate(params):
         if i < len(net.conv):  # windows in the K order (C, k, k) of W
             _, kernel, stride = net.conv[i]
-            cols = _buffer(workspace, ("cols", i), (*W.shape[1:], *shapes[i + 1][1:], B), dtype)
+            cols = _buffer(workspace, "cols", (*W.shape[1:], *shapes[i + 1][1:], B), dtype)
             inp = _windows(x, kernel, stride, cols).reshape(W[0].size, -1)
         else:  # a conv output (C, H, W, B) is the dense input in (C, H, W) order
             inp = x.reshape(-1, B)
@@ -200,7 +212,7 @@ def _forward_batch(
         if i < len(params) - 1:  # the output layer has no ReLU
             np.maximum(z, 0.0, out=z)
         if cache is not None:
-            cache.append((inp, z))
+            cache.append((x, inp, z))
         x = z.reshape(*shapes[i + 1], B) if i < len(net.conv) else z
     return z.T
 
@@ -248,6 +260,12 @@ def loss_and_grad(
         (loss, grads) where grads mirrors the parameter list layout and dtype.
         The gradients are fresh arrays; the activations live in the
         workspace, the caller's or a new one per call.
+
+    The forward pass leaves only the last conv layer's windows in the shared
+    window buffer.  Going down, each lower conv layer's windows are copied
+    again from its input, the image or the activation below, before its dW
+    reads them: by then the gradients above have overwritten this layer's
+    output, and its input is overwritten only after its dW.
     """
     images = _as_batch(net, images)
     labels = np.asarray(labels, dtype=np.int64)
@@ -270,18 +288,24 @@ def loss_and_grad(
     dz = e / e.sum(axis=0)
     dz[labels, np.arange(B)] -= 1.0
     for i in reversed(range(len(params))):
-        inp, _ = cache[i]
+        x, inp, _ = cache[i]
         W, _ = params[i]
+        if i < len(net.conv):
+            _, kernel, stride = net.conv[i]
+            windows = inp.reshape(*W.shape[1:], *shapes[i + 1][1:], B)
+            if i < len(net.conv) - 1:
+                # the layers above refilled the shared window buffer: rebuild
+                # this layer's windows from x, the image or the activation
+                # below, which no gradient has overwritten yet
+                _windows(x, kernel, stride, windows)
         grads[i] = ((dz @ inp.T).reshape(W.shape), dz.sum(axis=1))
         if i == 0:  # the first layer's input gradient is the image's
             break
-        a = cache[i - 1][1]  # the activation below: masked, then overwritten by its gradient
+        a = cache[i - 1][2]  # the activation below: masked, then overwritten by its gradient
         mask = np.greater(a, 0.0, out=_buffer(workspace, "mask", a.shape, bool))
         np.matmul(W.reshape(len(W), -1).T, dz, out=inp)  # dW has read inp
-        if i < len(net.conv):  # scatter the windows' gradient onto the layer input
-            _, kernel, stride = net.conv[i]
-            dcols = inp.reshape(*W.shape[1:], *shapes[i + 1][1:], B)
-            _col2im(dcols, a.reshape(*shapes[i], B), kernel, stride)
+        if i < len(net.conv):  # scatter the windows' gradient onto x, a view of a
+            _col2im(windows, x, kernel, stride)
         dz = np.multiply(a, mask, out=a)
     return loss, grads
 

@@ -6,12 +6,14 @@ handwritten-digit files: a 4-byte magic (0x00000803 for uint8 images with 3
 dimensions, 0x00000801 for uint8 labels with 1 dimension), one big-endian
 uint32 per dimension, then the raw payload.  Files are referenced by SHA-256
 digest in dataset provenance.
+
+``hashlib`` (which loads OpenSSL) and ``gzip`` are imported on first use, by
+``load_idx`` and ``synthetic_digits``, so that importing the package, as
+every command does, loads neither.
 """
 
 from __future__ import annotations
 
-import gzip
-import hashlib
 import os
 import struct
 from dataclasses import dataclass, field
@@ -110,6 +112,9 @@ def parse_idx(data: bytes) -> np.ndarray:
 
 def load_idx(path: str) -> tuple[np.ndarray, str]:
     """Read an IDX file (gzip transparently) and return (array, sha256 hex)."""
+    import gzip
+    import hashlib
+
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -256,6 +261,8 @@ def synthetic_digits(
     """
     if n < 0:
         raise ValueError(f"image count must be >= 0, got {n}")
+    import hashlib
+
     split_tag = int.from_bytes(hashlib.sha256(split.encode()).digest()[:4], "big")
     rng = trial_stream(seed, split_tag)
     scale = max(1, min((height - 2) // 7, (width - 2) // 5))

@@ -327,15 +327,18 @@ def digits_small():
     return train, evaluation
 
 
-def direct_conv_logits(net, params, images) -> np.ndarray:
-    """CNN logits by direct convolution, independent of the library's im2col.
+def direct_preactivations(net, params, images) -> list[np.ndarray]:
+    """Every layer's pre-activation, (B, F, OH, OW) for conv and (B, F) for
+    dense, by direct convolution, independent of the library's im2col.
 
     Activations are (B, C, H, W); each output position is an explicit loop
-    iteration over its k x k window.  Conv stages end in a ReLU, and the
+    iteration over its k x k window.  Hidden layers end in a ReLU, and the
     dense layers read the last conv output flattened in (C, H, W) order,
-    the order of the first dense layer's weight columns.
+    the order of the first dense layer's weight columns.  The last entry is
+    the logits.
     """
     x = np.asarray(images, dtype=float)[:, None]
+    zs = []
     for (W, b), (filters, kernel, stride) in zip(params, net.conv):
         B, _, h, w = x.shape
         oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
@@ -344,26 +347,18 @@ def direct_conv_logits(net, params, images) -> np.ndarray:
             for c in range(ow):
                 window = x[:, :, r * stride : r * stride + kernel, c * stride : c * stride + kernel]
                 z[:, :, r, c] = np.einsum("bcij,fcij->bf", window, W) + b
+        zs.append(z)
         x = np.maximum(z, 0.0)
     a = x.reshape(len(x), -1)
-    dense = params[len(net.conv) :]
-    for W, b in dense[:-1]:
-        a = np.maximum(a @ W.T + b, 0.0)
-    W, b = dense[-1]
-    return a @ W.T + b
+    for W, b in params[len(net.conv) :]:
+        zs.append(a @ W.T + b)
+        a = np.maximum(zs[-1], 0.0)
+    return zs
 
 
 def relu_margin(net, params, images) -> float:
-    """Smallest |pre-activation| over all hidden units of the batch, recomputed
-    from the cached layer inputs (the cache holds post-ReLU outputs)."""
-    from qthermal.cnn import _forward_batch
-
-    cache = []
-    _forward_batch(net, params, images, cache, workspace={})
-    margins = [
-        np.min(np.abs(W.reshape(len(W), -1) @ inp + b[:, None]))
-        for (inp, _), (W, b) in zip(cache[:-1], params)
-    ]
+    """Smallest |pre-activation| over all hidden units of the batch."""
+    margins = [np.min(np.abs(z)) for z in direct_preactivations(net, params, images)[:-1]]
     return float(min(margins)) if margins else float("inf")
 
 

@@ -604,6 +604,28 @@ def test_non_finite_range_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:1e300:1e-300"],
+         "squeezing"),
+        (["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
+          "--M", "1:1e308:1e-308"], "probe copy"),
+        (["temp", "--eps", "0.6:1e300:1e-300"], "thermal parameter"),
+        (["temp", "--nbar", "-1e308:1e308:1"], "occupation"),
+        (["temp", "--nbar", "1e308:-1e308:1"], "occupation"),
+    ],
+    ids=["fidelity", "bounds", "temp-eps", "temp-nbar-overflowing-span", "temp-nbar-descending"],
+)
+def test_range_of_uncountable_steps_is_usage_error(capsys, argv, name):
+    # a finite range whose step count overflows a float names its grid
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} grid range {argv[-1]!r} spans too many steps" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["temp", "--nbar", "inf,1"], "grid values must be finite, got 'inf,1'"),
@@ -703,10 +725,13 @@ for argv in (
     ["fidelity", *thermal, "--a", "0.5,2.5"],
     ["bounds", *thermal, "--m", "784", "--space", "cpf", "--k", "150", "--M", "100,200"],
     ["temp", "--eps", "18.5,20.2"],
-    ["simulate", "--classifier", "nn", *thermal, "--M", "10", "--T", "40", "--eval-size", "10",
-     "--trials", "1"],
 ):
     assert cli.main(argv) == 0, argv
+loaded = {"_hashlib", "gzip", "concurrent.futures"} & set(sys.modules)
+assert not loaded, f"analytic commands loaded {sorted(loaded)}"
+assert cli.main(["simulate", "--classifier", "nn", *thermal, "--M", "10", "--T", "40",
+                 "--eval-size", "10", "--trials", "1"]) == 0
+assert {"_hashlib", "concurrent.futures"} <= set(sys.modules)
 module = sys.modules["qthermal.cnn"]
 assert qthermal.cnn is module
 assert "train" not in object.__getattribute__(module, "__dict__"), "cnn body ran"
@@ -732,9 +757,10 @@ assert {"cnn.train", "cnn.loss_and_grad", "cnn.predict_labels"} <= names, names
 def test_analytic_commands_leave_cnn_unrun_and_tracer_hooks_it():
     """``fidelity``, ``bounds``, ``temp`` and ``simulate --classifier nn``
     run in an interpreter that imports as ``bench/job.py`` does leave
-    ``qthermal.cnn`` registered with its body unrun; the benchmark's tracer,
-    installed afterwards, still wraps the CNN entry points of a
-    ``simulate --classifier cnn`` run."""
+    ``qthermal.cnn`` registered with its body unrun; the three analytic
+    commands load neither OpenSSL, gzip nor the thread pool, which the NN
+    run loads.  The benchmark's tracer, installed afterwards, still wraps
+    the CNN entry points of a ``simulate --classifier cnn`` run."""
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_CNN_SCRIPT, str(BENCH.HERE)],
         env=BENCH._child_env(), capture_output=True, text=True, timeout=120,
@@ -984,6 +1010,10 @@ def command_lines(draw) -> list[str]:
 @example(["bounds", "--kind", "additive", "--nuT", "1e160", "--nuB", "2e160", "--m", "6", "--M", "1"])
 @example(["bounds", "--kind", "additive", "--nuT", "0.02", "--nuB", "0.02", "--m", "6", "--M", "1e308"])
 @example(["temp", "--eps", "1e308"])
+@example(["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:1e300:1e-300"])
+@example(["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
+          "--M", "1:1e308:1e-308"])
+@example(["temp", "--eps", "0.6:1e300:1e-300"])
 def test_cli_contract(argv):
     """Every argument list exits 0, 2, 3 or 4 without a traceback, and a run
     that exits 0 raises no RuntimeWarning and prints only finite numbers,

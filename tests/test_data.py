@@ -1,5 +1,6 @@
 """IDX parsing, binarisation and dataset handling."""
 
+import gzip
 import hashlib
 import os
 import struct
@@ -7,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from qthermal.cli import main
 from qthermal.data import (
     _GLYPHS,
     _FLIP_ROWS,
@@ -176,6 +178,51 @@ class TestDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_idx_split(str(tmp_path), "evaluation")
+
+
+class TestGzipIdx:
+    """Both splits written as plain IDX files in one directory and as
+    ``.gz`` files in another."""
+
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        rng = np.random.default_rng(6)
+        plain, packed = tmp_path / "plain", tmp_path / "gz"
+        plain.mkdir()
+        packed.mkdir()
+        for split, n in (("train", 40), ("t10k", 12)):
+            imgs = rng.integers(0, 256, size=(n, 6, 5), dtype=np.uint8)
+            labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+            for name, raw in ((f"{split}-images-idx3-ubyte", idx_images(imgs.tobytes(), imgs.shape)),
+                              (f"{split}-labels-idx1-ubyte", idx_labels(labels.tobytes()))):
+                (plain / name).write_bytes(raw)
+                (packed / f"{name}.gz").write_bytes(gzip.compress(raw, mtime=0))
+        return plain, packed
+
+    @staticmethod
+    def gz_digests(directory, split):
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(directory.glob(f"{split}-*.gz"))}
+
+    @pytest.mark.parametrize("split, prefix", [("training", "train"), ("evaluation", "t10k")])
+    def test_gz_split_matches_plain_and_digests_gz_bytes(self, dirs, split, prefix):
+        plain, packed = dirs
+        ds = load_idx_split(str(packed), split)
+        ref = load_idx_split(str(plain), split)
+        assert np.array_equal(ds.images, ref.images)
+        assert np.array_equal(ds.labels, ref.labels)
+        assert ds.provenance["source"] == self.gz_digests(packed, prefix)
+        assert len(ds.provenance["source"]) == 2
+
+    def test_simulate_reads_gz_files(self, dirs, tmp_path, capsys):
+        _, packed = dirs
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--M", "10",
+                     "--T", "40", "--eval-size", "12", "--trials", "1", "--data-dir", str(packed),
+                     "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        manifest = (tmp_path / "sim.csv.manifest").read_text().splitlines()
+        assert f"input_digests: {self.gz_digests(packed, 'train')}" in manifest
 
 
 class TestSyntheticDigits:

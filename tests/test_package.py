@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qthermal
 
 
@@ -30,3 +32,11 @@ def test_import_does_not_load_mpmath():
 
 def test_import_does_not_load_json():
     assert loaded_by_import("json") == "[]"
+
+
+@pytest.mark.parametrize("package", ["hashlib", "_hashlib", "gzip", "concurrent"])
+def test_import_does_not_load_first_use_modules(package):
+    # OpenSSL (through hashlib), gzip and the thread pool load in the
+    # functions that use them: IDX loading, the synthetic digits and
+    # advantage_regions
+    assert loaded_by_import(package) == "[]"
