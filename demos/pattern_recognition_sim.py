@@ -17,7 +17,14 @@ import sys
 
 import numpy as np
 
-from qthermal import EnvironmentPair, NoiseModel, advantage_regions, estimate_error, snapp_fit
+from qthermal import (
+    EnvironmentPair,
+    NoiseModel,
+    advantage_regions,
+    estimate_error,
+    nn_predictor,
+    snapp_fit,
+)
 from qthermal.classify import _snapp_design
 from qthermal.data import dataset_dir, load_idx_split, synthetic_digits
 
@@ -41,7 +48,10 @@ def error_regions(train, evaluation) -> None:
     pair = EnvironmentPair.additive(0.02, 0.01)
     print("\nadditive-noise sensing, nu = (0.02, 0.01), NN classifier")
     print("      M   E_cl in [L, U]          E_q in [L, U]           dE_min")
-    for row in advantage_regions(train, evaluation, pair, [5, 10, 20, 40], trials=10, master_seed=7, threads=4):
+    nn = nn_predictor(train)  # one classifier for every noise endpoint
+    for row in advantage_regions(
+        lambda noise: nn, evaluation, pair, [5, 10, 20, 40], trials=10, master_seed=7, threads=4
+    ):
         cl_low, cl_up, q_low, q_up = (e.mean for e in row.errors.values())
         print(
             f"  {row.M:5d}   [{cl_low:7.4f}, {cl_up:7.4f}]"

@@ -57,23 +57,6 @@ class ChannelSpec:
                 f"induced noise {self.nu} below complete-positivity floor {floor}"
             )
 
-    @property
-    def kind(self) -> str:
-        if self.tau == 1.0:
-            return "additive"
-        return "loss" if self.tau < 1.0 else "amplifier"
-
-    @property
-    def epsilon(self) -> float:
-        """Environmental thermal parameter nu/|1-tau| = nbar + 1/2."""
-        if self.tau == 1.0:
-            raise ValueError("epsilon is undefined for additive channels (tau = 1)")
-        return self.nu / abs(1.0 - self.tau)
-
-    @property
-    def env_nbar(self) -> float:
-        return self.epsilon - 0.5
-
     @classmethod
     def additive(cls, nu: float) -> "ChannelSpec":
         return cls(1.0, nu)
@@ -102,10 +85,6 @@ class EnvironmentPair:
     @property
     def tau(self) -> float:
         return self.background.tau
-
-    @property
-    def kind(self) -> str:
-        return self.background.kind
 
     @classmethod
     def additive(cls, nu_background: float, nu_target: float) -> "EnvironmentPair":

@@ -105,11 +105,9 @@ def sample_noisy(images: np.ndarray, noise: NoiseModel, rng: np.random.Generator
     whose uniforms come row-major from ``rng`` as from one
     ``rng.random(images.shape)`` draw."""
     noisy = np.array(images, dtype=np.uint8)
-    if noisy.ndim < 2:
-        rows = noisy.reshape(1, -1)
-    else:  # explicit sizes, since reshape cannot infer a -1 beside a 0
-        rows = noisy.reshape(len(noisy), math.prod(noisy.shape[1:]))
-    flip_rows(rows, noise.flip_probability, rng)
+    # explicit sizes, since reshape cannot infer a -1 beside a 0; one image
+    # becomes a column of one-pixel rows, which draws the same uniforms
+    flip_rows(noisy.reshape(len(noisy), math.prod(noisy.shape[1:])), noise.flip_probability, rng)
     return noisy
 
 
@@ -207,7 +205,7 @@ class ErrorEstimate:
         return self.trials * self.evaluations
 
 
-def check_estimate(evaluation: BinaryImageDataset, trials: int) -> None:
+def _check_estimate(evaluation: BinaryImageDataset, trials: int) -> None:
     """Raise the usage error of an estimate that could run no sample."""
     if len(evaluation) == 0:
         raise EmptyEvaluationSetError("evaluation set is empty")
@@ -234,7 +232,7 @@ def estimate_error(
         ``ErrorEstimate`` with mean error and standard error
         sample-stddev / sqrt(trials * |evaluation|).
     """
-    check_estimate(evaluation, trials)
+    _check_estimate(evaluation, trials)
     if predictor is None:
         predictor = nn_predictor(training)
 
@@ -344,14 +342,13 @@ class AdvantageRow:
 
 
 def advantage_regions(
-    training: BinaryImageDataset | None,
+    predictor_factory: Callable[[NoiseModel], Callable[[np.ndarray], np.ndarray]],
     evaluation: BinaryImageDataset,
     pair: EnvironmentPair,
     M_grid: Sequence[int],
     trials: int,
     master_seed: int,
     threads: int = 1,
-    predictor_factory: Callable[[NoiseModel], Callable] | None = None,
     p_override: float | None = None,
 ) -> list[AdvantageRow]:
     """Classifier error regions across the four pixel-noise endpoints.
@@ -361,25 +358,23 @@ def advantage_regions(
     each, and the guaranteed/potential error advantages are their
     differences, taken with common random numbers: the four estimates of one
     M share the seed drawn from the (``master_seed``, M index) stream.
-    ``predictor_factory(noise)`` may supply a trained classifier per
-    endpoint; without one, the nearest-neighbour rule over ``training`` is
-    used.  ``training`` is read only to build that default, so a caller with
-    a factory may pass None and release its training set before the jobs
-    start.  ``p_override`` forces one flip probability everywhere, for
-    diagnostics.  Each row holds its M's models and estimates keyed by
-    endpoint tag.
+    ``predictor_factory(noise)`` supplies the classifier of each endpoint,
+    trained for it or shared by all.  ``p_override`` forces one flip
+    probability everywhere, for diagnostics.  Each row holds its M's models
+    and estimates keyed by endpoint tag.
 
     Each distinct (M index, flip probability) is one job: build its predictor
-    (training it, with a factory), then run all its trials.  Endpoints of one
-    M with the same flip probability, as all four are under ``p_override``,
-    share one job and its estimate; the factory sees the first of their
-    models.  ``threads`` workers run the jobs of the whole grid concurrently;
-    the rows are bit-identical for any thread count.
+    with the factory, then run all its trials.  Endpoints of one M with the
+    same flip probability, as all four are under ``p_override``, share one
+    job and its estimate; the factory sees the first of their models.
+    ``threads`` workers run the jobs of the whole grid concurrently; the rows
+    are bit-identical for any thread count.  A thread count below one, an
+    empty evaluation set or fewer than one trial raises before the factory
+    is first called.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    check_estimate(evaluation, trials)  # before any predictor is built
-    nn = None if predictor_factory else nn_predictor(training)
+    _check_estimate(evaluation, trials)
     grid = []
     jobs: dict[tuple[int, float], tuple[NoiseModel, int]] = {}
     for mi, M in enumerate(M_grid):
@@ -394,8 +389,7 @@ def advantage_regions(
 
     def run_job(job: tuple[NoiseModel, int]) -> ErrorEstimate:
         model, seed = job
-        predictor = predictor_factory(model) if predictor_factory else nn
-        return estimate_error(training, evaluation, model, trials, seed, predictor=predictor)
+        return estimate_error(None, evaluation, model, trials, seed, predictor=predictor_factory(model))
 
     from concurrent.futures import ThreadPoolExecutor
 

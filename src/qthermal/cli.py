@@ -41,13 +41,16 @@ from .channels import (
     fidelity_finite,
     temperature_of,
 )
-from .classify import TrainConfig, advantage_regions, check_estimate, nn_predictor
-from .data import DEFAULT_THRESHOLD, dataset_dir, load_idx_split, synthetic_digits
+from .classify import TrainConfig, advantage_regions, nn_predictor
+from .data import DEFAULT_THRESHOLD, check_threshold, dataset_dir, load_idx_split, synthetic_digits
 from .errors import IdxFormatError, NonFiniteLossError
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NONCONVERGENCE = 4
+
+# ``_grid``: a range grid of this many steps or more is a usage error
+_MAX_GRID_POINTS = 10**6
 
 
 def _lazy_import(name: str):
@@ -108,7 +111,8 @@ def _manifest(args: argparse.Namespace, extra: dict) -> list[str]:
 
 def _grid(text: str, name: str) -> list[float]:
     """Comma list `a,b,c` or range `start:stop:step` (inclusive stop) of the
-    ``name`` grid; an empty grid is an error."""
+    ``name`` grid; an empty grid, or a range of ``_MAX_GRID_POINTS`` steps or
+    more, is an error, raised before any point is built."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
         if not all(map(math.isfinite, (start, stop, step))):
@@ -116,7 +120,7 @@ def _grid(text: str, name: str) -> list[float]:
         if step <= 0:
             raise ValueError("grid step must be positive")
         steps = (stop - start) / step
-        if not math.isfinite(steps):
+        if not (math.isfinite(steps) and steps < _MAX_GRID_POINTS):
             raise ValueError(f"{name} grid range {text!r} spans too many steps")
         # index the points instead of accumulating step, which drifts
         count = math.floor(steps + 1e-9) + 1
@@ -193,6 +197,7 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
 
 
 def _load_datasets(args):
+    check_threshold(args.threshold)  # the synthetic set does not binarise
     directory = dataset_dir(args.data_dir)
     if directory:
         training = load_idx_split(directory, "training", args.threshold, limit=args.T)
@@ -227,7 +232,6 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
         def predictor_factory(noise):
             return partial(cnn.predict_labels, net, cnn.train(net, training, noise, config))
     else:
-        check_estimate(evaluation, args.trials)  # before the predictor is built
         nn = nn_predictor(training)
 
         def predictor_factory(noise):
@@ -238,14 +242,13 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
         training = None
 
     table = advantage_regions(
-        training,
+        predictor_factory,
         evaluation,
         pair,
         M_grid,
         trials=args.trials,
         master_seed=args.seed,
         threads=args.threads,
-        predictor_factory=predictor_factory,
         p_override=args.p_override,
     )
     header = "M,p_cl_low,p_cl_up,p_q_low,p_q_up,E_cl_L,E_cl_U,E_q_L,E_q_U,dE_min,dE_max,stderr_max"
@@ -386,7 +389,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"warning: {w.category.__name__}: {w.message}\n" for w in caught
             ):
                 sys.stderr.write(line)
-    _emit(rows, _manifest(args, extras), args.out)
+    try:
+        _emit(rows, _manifest(args, extras), args.out)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return EXIT_USAGE
     return 0
 
 

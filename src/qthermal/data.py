@@ -123,11 +123,16 @@ def load_idx(path: str) -> tuple[np.ndarray, str]:
     return parse_idx(raw), digest
 
 
+def check_threshold(threshold: int) -> None:
+    """Raise ``ValueError`` unless ``binarize`` takes ``threshold``."""
+    if not 1 <= threshold <= 255:
+        raise ValueError(f"threshold must lie in [1, 255], got {threshold}")
+
+
 def binarize(images: np.ndarray, threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
     """Threshold uint8 pixels: >= threshold becomes target (1), else
     background (0)."""
-    if not 1 <= threshold <= 255:
-        raise ValueError(f"threshold must lie in [1, 255], got {threshold}")
+    check_threshold(threshold)
     return (np.asarray(images) >= threshold).astype(np.uint8)
 
 

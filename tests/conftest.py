@@ -11,6 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from qthermal.classify import nn_predictor
 from qthermal.data import synthetic_digits
 from qthermal.errors import DimensionMismatchError, GaussianStateError
 from qthermal.gaussian import CovarianceMatrix
@@ -129,6 +130,14 @@ def exact_nn_error(patterns, p: float) -> float:
     wrong = decode[codes[:, None] ^ words[None, :]] != np.arange(n)[:, None]
     weights = float(p) ** pop * (1.0 - float(p)) ** (m - pop)
     return float((wrong * weights).sum() / n)
+
+
+def nn_factory(training):
+    """An ``advantage_regions`` factory giving every endpoint one
+    nearest-neighbour predictor over ``training``, as ``simulate
+    --classifier nn`` does."""
+    nn = nn_predictor(training)
+    return lambda noise: nn
 
 
 def random_symplectic(modes: int, rng: np.random.Generator) -> np.ndarray:

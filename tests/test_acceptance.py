@@ -36,6 +36,7 @@ from conftest import (
     fock_fidelity_oracle,
     max_fd_error,
     min_rel_probe_additive,
+    nn_factory,
     pair_sum,
     printed_choi_additive,
     printed_classical_additive,
@@ -206,9 +207,10 @@ def test_criterion_6_simulator_ground_truths():
     sigma = math.sqrt(0.9 * 0.1 / est_half.total_samples)
 
     pair = EnvironmentPair.additive(0.02, 0.01)
+    factory = nn_factory(train)
     kwargs = dict(M_grid=[10, 40], trials=8, master_seed=3)
-    single = advantage_regions(train, evaluation, pair, threads=1, **kwargs)
-    eight = advantage_regions(train, evaluation, pair, threads=8, **kwargs)
+    single = advantage_regions(factory, evaluation, pair, threads=1, **kwargs)
+    eight = advantage_regions(factory, evaluation, pair, threads=8, **kwargs)
 
     ok = (
         exact_zero.mean == 0.0
@@ -246,7 +248,7 @@ def test_criterion_8_simulation_directions():
 
     pair_add = EnvironmentPair.additive(0.02, 0.01)
     rows = advantage_regions(
-        train, evaluation, pair_add, [10, 40], trials=20, master_seed=7, threads=4
+        nn_factory(train), evaluation, pair_add, [10, 40], trials=20, master_seed=7, threads=4
     )
     print()
     for r in rows:
@@ -260,7 +262,7 @@ def test_criterion_8_simulation_directions():
 
     pair_th = EnvironmentPair.thermal(0.99, 18.5, 20.2)
     row = advantage_regions(
-        train, evaluation, pair_th, [2500], trials=20, master_seed=8, threads=4
+        nn_factory(train), evaluation, pair_th, [2500], trials=20, master_seed=8, threads=4
     )[0]
     cl_low, cl_up, q_low, q_up = (e.mean for e in row.errors.values())
     print(

@@ -33,23 +33,12 @@ from conftest import (
 
 
 class TestChannelSpec:
-    def test_kinds(self):
-        assert ChannelSpec(0.7, 0.3).kind == "loss"
-        assert ChannelSpec(1.0, 0.1).kind == "additive"
-        assert ChannelSpec(1.5, 0.25).kind == "amplifier"
-
     def test_identity_channel_allowed(self):
-        assert ChannelSpec(1.0, 0.0).kind == "additive"
+        ChannelSpec(1.0, 0.0)
 
     def test_epsilon_roundtrip(self):
         ch = ChannelSpec.from_epsilon(0.99, 18.5)
         assert ch.nu == pytest.approx(0.185)
-        assert ch.epsilon == pytest.approx(18.5)
-        assert ch.env_nbar == pytest.approx(18.0)
-
-    def test_epsilon_undefined_for_additive(self):
-        with pytest.raises(ValueError):
-            _ = ChannelSpec.additive(0.1).epsilon
 
     def test_rejects_subphysical_noise(self):
         with pytest.raises(NonPhysicalChannelError):
@@ -412,7 +401,7 @@ class TestEndpointAccuracy:
         F = fidelity_choi_inf(pair)
         assert isinstance(F, float)
         nus = (pair.target.nu, pair.background.nu)
-        if pair.kind == "additive" and min(nus) == 0.0 < max(nus):
+        if pair.tau == 1.0 and min(nus) == 0.0 < max(nus):
             # a noiseless channel against a noisy one: the limit is 0
             assert F == 0.0
         else:

@@ -31,7 +31,7 @@ from qthermal.errors import (
 )
 from qthermal.spaces import ImageSpace
 
-from conftest import exact_nn_error, space_patterns
+from conftest import exact_nn_error, nn_factory, space_patterns
 
 
 def make_dataset(images, labels, width=None):
@@ -110,6 +110,20 @@ class TestSampleNoisy:
         pixels = int(np.prod(images.shape[1:])) if images.ndim > 1 else images.size
         flip_rows(images.reshape(-1, pixels), p, trial_stream(seed, 1))
         assert np.array_equal(images, expected)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-300, 0.01, 0.5]),
+        st.one_of(st.integers(1, 3 * _FLIP_ROWS + 5), st.just(784)),
+    )
+    def test_one_image_flips_as_a_one_row_batch(self, seed, p, pixels):
+        # one image is flipped as a column of one-pixel rows, whose uniforms
+        # are those of the one-row batch, drawn from the same stream
+        image = (np.random.default_rng(seed).random(pixels) < 0.5).astype(np.uint8)
+        single = sample_noisy(image, NoiseModel(p), trial_stream(seed, 4))
+        batch = sample_noisy(image[None, :], NoiseModel(p), trial_stream(seed, 4))
+        assert single.shape == image.shape
+        assert np.array_equal(single, batch[0])
 
     def test_zero_probability_is_identity(self):
         img = np.array([0, 1, 1, 0], np.uint8)
@@ -441,10 +455,10 @@ class TestAdvantageRegions:
 
         monkeypatch.setattr(classify, "fidelity_choi_inf", no_work)
         monkeypatch.setattr(classify, "estimate_error", no_work)
-        train, evaluation = digits_small
+        _, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.01)
         with pytest.raises(ValueError, match="threads"):
-            advantage_regions(train, evaluation, pair, [10], trials=1, master_seed=0, threads=threads)
+            advantage_regions(no_work, evaluation, pair, [10], trials=1, master_seed=0, threads=threads)
 
     @pytest.mark.parametrize(
         "trials, n_eval, error, message",
@@ -467,15 +481,15 @@ class TestAdvantageRegions:
         pair = EnvironmentPair.additive(0.02, 0.01)
         with pytest.raises(error, match=message):
             advantage_regions(
-                train, evaluation.subset(np.arange(n_eval)), pair, [10, 40], trials=trials,
-                master_seed=0, threads=2, predictor_factory=factory,
+                factory, evaluation.subset(np.arange(n_eval)), pair, [10, 40], trials=trials,
+                master_seed=0, threads=2,
             )
         assert built == []
 
     def test_identical_channels_no_advantage(self, digits_small):
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.02)
-        rows = advantage_regions(train, evaluation, pair, [5], trials=4, master_seed=8)
+        rows = advantage_regions(nn_factory(train), evaluation, pair, [5], trials=4, master_seed=8)
         row = rows[0]
         means = [e.mean for e in row.errors.values()]
         assert max(means) - min(means) <= 4 * row.stderr_max + 0.05
@@ -486,7 +500,7 @@ class TestAdvantageRegions:
         subset = train.subset(np.arange(30))
         pair = EnvironmentPair.additive(0.02, 0.01)
         rows = advantage_regions(
-            train, subset, pair, [10], trials=2, master_seed=1, p_override=0.0
+            nn_factory(train), subset, pair, [10], trials=2, master_seed=1, p_override=0.0
         )
         row = rows[0]
         assert row.errors["classical-lower"].mean == row.errors["quantum-upper"].mean == 0.0
@@ -498,7 +512,7 @@ class TestAdvantageRegions:
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.01)
         row = advantage_regions(
-            train, evaluation, pair, [10], trials=3, master_seed=2, p_override=0.2
+            nn_factory(train), evaluation, pair, [10], trials=3, master_seed=2, p_override=0.2
         )[0]
         assert row.errors["classical-lower"].mean > 0.0
         assert list(row.errors.values()) == [row.errors["classical-lower"]] * 4
@@ -516,8 +530,8 @@ class TestAdvantageRegions:
             return nn
 
         rows = advantage_regions(
-            train, evaluation, pair, [10, 40], trials=3, master_seed=6,
-            threads=2, predictor_factory=factory, p_override=0.2,
+            factory, evaluation, pair, [10, 40], trials=3, master_seed=6,
+            threads=2, p_override=0.2,
         )
         assert built == [NoiseModel(0.2)] * 2
         for mi, row in enumerate(rows):
@@ -526,7 +540,7 @@ class TestAdvantageRegions:
             assert expected.mean > 0.0
             assert list(row.errors.values()) == [expected] * 4
         assert rows == advantage_regions(
-            train, evaluation, pair, [10, 40], trials=3, master_seed=6, p_override=0.2
+            nn_factory(train), evaluation, pair, [10, 40], trials=3, master_seed=6, p_override=0.2
         )
 
     @pytest.mark.parametrize("p_override", [None, 0.2])
@@ -534,7 +548,8 @@ class TestAdvantageRegions:
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.01)
         rows = advantage_regions(
-            train, evaluation, pair, [10, 40], trials=2, master_seed=1, p_override=p_override
+            nn_factory(train), evaluation, pair, [10, 40], trials=2, master_seed=1,
+            p_override=p_override,
         )
         for row in rows:
             assert tuple(row.models) == tuple(row.errors) == NOISE_DERIVATIONS
@@ -546,7 +561,7 @@ class TestAdvantageRegions:
     def test_pixel_probabilities_recorded(self, digits_small):
         train, evaluation = digits_small
         pair = EnvironmentPair.additive(0.02, 0.01)
-        rows = advantage_regions(train, evaluation, pair, [10, 40], trials=2, master_seed=1)
+        rows = advantage_regions(nn_factory(train), evaluation, pair, [10, 40], trials=2, master_seed=1)
         for row, M in zip(rows, (10, 40)):
             assert row.M == M
             p = {tag: model.flip_probability for tag, model in row.models.items()}
@@ -562,7 +577,9 @@ class TestAdvantageRegions:
         patterns = space_patterns(ImageSpace.cpf(8, 3))
         ds = make_dataset(patterns, np.arange(len(patterns)))
         pair = EnvironmentPair.thermal(0.99, 18.5, 20.2)
-        rows = advantage_regions(ds, ds, pair, [1000, 2500], trials=200, master_seed=3, threads=2)
+        rows = advantage_regions(
+            nn_factory(ds), ds, pair, [1000, 2500], trials=200, master_seed=3, threads=2
+        )
         for row in rows:
             for tag, est in row.errors.items():
                 p = row.models[tag].flip_probability
@@ -584,8 +601,7 @@ class TestAdvantageRegions:
                 return nn
 
             rows = advantage_regions(
-                train, evaluation, pair, [10, 40], trials=3, master_seed=6,
-                threads=threads, predictor_factory=factory,
+                factory, evaluation, pair, [10, 40], trials=3, master_seed=6, threads=threads
             )
             return rows, built
 

@@ -412,6 +412,24 @@ class TestSimulateCommand:
         assert f"must be >= 0, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "256"])
+    def test_threshold_out_of_range_is_usage_error_on_the_synthetic_set(
+        self, capsys, monkeypatch, value
+    ):
+        # the synthetic set is never binarised, so the range is checked
+        # before either loader runs
+        import qthermal.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before the threshold was checked")
+
+        monkeypatch.delenv("QTHERMAL_DATASET_DIR", raising=False)
+        monkeypatch.setattr(cli, "synthetic_digits", no_load)
+        code, out, err = run([*self.BASE, "--threshold", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: threshold must lie in [1, 255], got {value}" in err.splitlines()
+
     def test_thermal_figure_parameters(self, capsys):
         code, out, _ = run(
             [
@@ -622,6 +640,61 @@ def test_range_of_uncountable_steps_is_usage_error(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert f"error: {name} grid range {argv[-1]!r} spans too many steps" in err
+    assert "Traceback" not in err
+
+
+def test_range_grid_point_cap_boundary(capsys, monkeypatch):
+    import qthermal.cli as cli
+
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
+    code, out, _ = run(["temp", "--nbar", "1:5:1"], capsys)  # 4 steps, 5 points
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 5
+    code, out, err = run(["temp", "--nbar", "1:6:1"], capsys)  # 5 steps
+    assert code == 2
+    assert out == ""
+    assert "error: occupation grid range '1:6:1' spans too many steps" in err.splitlines()
+
+
+HUGE_GRID_SCRIPT = """
+import resource
+import sys
+
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from qthermal.cli import main
+
+sys.exit(main(["temp", "--eps", "0.6:1e12:1"]))
+"""
+
+
+def test_huge_finite_range_is_usage_error_before_any_point():
+    """A range of ~1e12 points exits 2 before it builds a point.  The child
+    runs under a 1 GiB address-space limit, so a grid that is built anyway
+    ends in a ``MemoryError`` there, not in the memory of the machine."""
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_GRID_SCRIPT],
+        env=BENCH._child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr == (
+        "error: thermal parameter grid range '0.6:1e12:1' spans too many steps\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory", "manifest_directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, target):
+    out = tmp_path / "table.csv"
+    if target == "missing_directory":
+        out = tmp_path / "missing" / "table.csv"
+    elif target == "directory":
+        out.mkdir()
+    else:
+        Path(f"{out}.manifest").mkdir()
+    code, stdout, err = run(["temp", "--eps", "18.5", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write output: ")
     assert "Traceback" not in err
 
 

@@ -424,8 +424,8 @@ class TestEvaluate:
         predictor = partial(predict_labels, net, params)
         rows = [
             advantage_regions(
-                ds, evaluation, EnvironmentPair.additive(0.02, 0.01), [10], trials=6,
-                master_seed=4, threads=t, predictor_factory=lambda noise: predictor,
+                lambda noise: predictor, evaluation, EnvironmentPair.additive(0.02, 0.01), [10],
+                trials=6, master_seed=4, threads=t,
             )
             for t in (1, 4)
         ]
