@@ -10,7 +10,9 @@ with classical and quantum sensors shows the advantage surviving the full
 classification pipeline.
 
 Uses the bundled synthetic digit set unless QTHERMAL_DATASET_DIR points at
-IDX files.  Run:  python demos/pattern_recognition_sim.py [--cnn]
+IDX files; ``qthermal.data.load_splits`` picks the sets, so on IDX data the
+demo prints the names of the files read, not the directory.
+Run:  python demos/pattern_recognition_sim.py [--cnn]
 """
 
 import sys
@@ -26,22 +28,17 @@ from qthermal import (
     snapp_fit,
 )
 from qthermal.classify import _snapp_design
-from qthermal.data import dataset_dir, load_idx_split, synthetic_digits
+from qthermal.data import load_splits, synthetic_digits
 
 
 def load_data(T: int, n_eval: int):
-    directory = dataset_dir()
-    if directory:
-        print(f"using IDX dataset from {directory}")
-        return (
-            load_idx_split(directory, "training", limit=T),
-            load_idx_split(directory, "evaluation", limit=n_eval),
-        )
-    print("using the synthetic digit set (set QTHERMAL_DATASET_DIR for IDX files)")
-    return (
-        synthetic_digits(T, seed=100, split="training"),
-        synthetic_digits(n_eval, seed=101, split="evaluation"),
-    )
+    train, evaluation = load_splits(T, n_eval, seed=100)
+    if train.provenance["kind"] == "idx":
+        files = [*train.provenance["source"], *evaluation.provenance["source"]]
+        print(f"using IDX files {', '.join(files)}")
+    else:
+        print("using the synthetic digit set (set QTHERMAL_DATASET_DIR for IDX files)")
+    return train, evaluation
 
 
 def error_regions(train, evaluation) -> None:

@@ -3,8 +3,9 @@ simulations and temperature tables, all emitted as CSV with a manifest
 sidecar.
 
 Each ``cmd_*`` returns its CSV rows and extra manifest fields; ``main``
-runs it, writes the output and picks the exit code: 0 success, 2 usage
-error, 3 data error, 4 numeric non-convergence (CNN training whose loss or
+checks that ``--out`` can be written, runs it, writes the output and picks
+the exit code: 0 success, 2 usage error (an unwritable ``--out`` among
+them), 3 data error, 4 numeric non-convergence (CNN training whose loss or
 parameters are not finite).  Every distinct warning raised during a command
 goes to stderr once, as ``warning: <Category>: <message>``, and leaves the
 exit code as it is.  Every fidelity comes from the closed forms of
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import math
+import os
 import re
 import sys
 import time
@@ -42,7 +44,7 @@ from .channels import (
     temperature_of,
 )
 from .classify import TrainConfig, advantage_regions, nn_predictor
-from .data import DEFAULT_THRESHOLD, check_threshold, dataset_dir, load_idx_split, synthetic_digits
+from .data import DEFAULT_THRESHOLD, load_splits
 from .errors import IdxFormatError, NonFiniteLossError
 
 EXIT_USAGE = 2
@@ -79,6 +81,16 @@ def _rows(rows) -> list[str]:
     them: ``repr`` round-trips each, where numpy 2 would print an
     ``np.float64`` as ``np.float64(...)``."""
     return [",".join(map(repr, row)) for row in rows]
+
+
+def _probe_out(out_path: str) -> None:
+    """Raise ``OSError`` unless the CSV and its manifest can both be written;
+    append mode truncates nothing, and a file it creates is removed again."""
+    for path in (out_path, out_path + ".manifest"):
+        existed = os.path.lexists(path)
+        open(path, "ab").close()
+        if not existed:
+            os.remove(path)
 
 
 def _emit(rows: list[str], manifest: list[str], out_path: str | None) -> None:
@@ -196,26 +208,13 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
     return rows, {"F_q": f_q, "F_cl": f_cl}
 
 
-def _load_datasets(args):
-    check_threshold(args.threshold)  # the synthetic set does not binarise
-    directory = dataset_dir(args.data_dir)
-    if directory:
-        training = load_idx_split(directory, "training", args.threshold, limit=args.T)
-        evaluation = load_idx_split(directory, "evaluation", args.threshold, limit=args.eval_size)
-        return training, evaluation
-    training = synthetic_digits(args.T, args.seed, split="training")
-    evaluation = synthetic_digits(args.eval_size, args.seed + 1, split="evaluation")
-    sys.stderr.write(
-        "note: no dataset directory given, using the synthetic digit set\n"
-    )
-    return training, evaluation
-
-
 def cmd_simulate(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     M_grid = _int_grid(args.M, "probe copy")
-    training, evaluation = _load_datasets(args)
-    digests = training.provenance.get("source", {})
+    training, evaluation = load_splits(args.T, args.eval_size, args.seed, args.data_dir, args.threshold)
+    if training.provenance["kind"] == "synthetic":
+        sys.stderr.write("note: no dataset directory given, using the synthetic digit set\n")
+    digests = {**training.provenance.get("source", {}), **evaluation.provenance.get("source", {})}
 
     if args.classifier == "cnn":
         # the first access to the lazy cnn module, on the main thread before
@@ -368,6 +367,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(EXIT_USAGE, f"error: cannot read config file: {exc}\n")
     args = parser.parse_args(argv)
     args._t0 = time.time()
+    try:
+        if args.out:
+            _probe_out(args.out)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return EXIT_USAGE
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -1,5 +1,7 @@
-"""Binary image datasets (IDX ingestion, binarisation, synthetic digits) and
-``trial_stream``, the one constructor of the package's random generators.
+"""Binary image datasets (IDX ingestion, binarisation, synthetic digits),
+``load_splits``, the one rule that picks a run's training and evaluation
+sets, and ``trial_stream``, the one constructor of the package's random
+generators.
 
 The IDX container is the big-endian binary layout used by the classic
 handwritten-digit files: a 4-byte magic (0x00000803 for uint8 images with 3
@@ -123,7 +125,7 @@ def load_idx(path: str) -> tuple[np.ndarray, str]:
     return parse_idx(raw), digest
 
 
-def check_threshold(threshold: int) -> None:
+def _check_threshold(threshold: int) -> None:
     """Raise ``ValueError`` unless ``binarize`` takes ``threshold``."""
     if not 1 <= threshold <= 255:
         raise ValueError(f"threshold must lie in [1, 255], got {threshold}")
@@ -132,7 +134,7 @@ def check_threshold(threshold: int) -> None:
 def binarize(images: np.ndarray, threshold: int = DEFAULT_THRESHOLD) -> np.ndarray:
     """Threshold uint8 pixels: >= threshold becomes target (1), else
     background (0)."""
-    check_threshold(threshold)
+    _check_threshold(threshold)
     return (np.asarray(images) >= threshold).astype(np.uint8)
 
 
@@ -177,11 +179,6 @@ class BinaryImageDataset:
             width=self.width,
             provenance=dict(self.provenance),
         )
-
-
-def dataset_dir(flag_value: str | None = None) -> str | None:
-    """Dataset directory from the flag if given, else the environment."""
-    return flag_value or os.environ.get(DATASET_DIR_ENV)
 
 
 def load_idx_split(
@@ -296,4 +293,29 @@ def synthetic_digits(
         height=height,
         width=width,
         provenance={"kind": "synthetic", "seed": seed, "speckle": _SPECKLE},
+    )
+
+
+def load_splits(
+    T: int,
+    n_eval: int,
+    seed: int,
+    directory: str | None = None,
+    threshold: int = DEFAULT_THRESHOLD,
+) -> tuple[BinaryImageDataset, BinaryImageDataset]:
+    """A run's training and evaluation sets, of at most ``T`` and ``n_eval``
+    images: the IDX splits under ``directory``, else under
+    ``$QTHERMAL_DATASET_DIR``, else synthetic digits of seeds ``seed`` and
+    ``seed + 1``.  ``threshold`` is checked first, on both paths, although
+    the synthetic set is never binarised."""
+    _check_threshold(threshold)
+    directory = directory or os.environ.get(DATASET_DIR_ENV)
+    if directory:
+        return (
+            load_idx_split(directory, "training", threshold, limit=T),
+            load_idx_split(directory, "evaluation", threshold, limit=n_eval),
+        )
+    return (
+        synthetic_digits(T, seed, split="training"),
+        synthetic_digits(n_eval, seed + 1, split="evaluation"),
     )

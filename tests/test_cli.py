@@ -312,11 +312,12 @@ class TestSimulateCommand:
 
     def test_nn_training_set_is_freed_before_the_jobs(self, capsys, monkeypatch):
         import qthermal.cli as cli
+        import qthermal.data as data
 
         datasets, alive = [], []
 
         def digits(*args, **kwargs):
-            ds = cli_digits(*args, **kwargs)
+            ds = data_digits(*args, **kwargs)
             datasets.append(weakref.ref(ds.images))
             return ds
 
@@ -325,8 +326,8 @@ class TestSimulateCommand:
             alive.extend(ref() is not None for ref in datasets)
             return cli_regions(*args, **kwargs)
 
-        cli_digits, cli_regions = cli.synthetic_digits, cli.advantage_regions
-        monkeypatch.setattr(cli, "synthetic_digits", digits)
+        data_digits, cli_regions = data.synthetic_digits, cli.advantage_regions
+        monkeypatch.setattr(data, "synthetic_digits", digits)
         monkeypatch.setattr(cli, "advantage_regions", regions)
         code, out, _ = run([*self.BASE, "--classifier", "nn"], capsys)
         assert code == 0 and len(out.splitlines()) == 2
@@ -418,13 +419,13 @@ class TestSimulateCommand:
     ):
         # the synthetic set is never binarised, so the range is checked
         # before either loader runs
-        import qthermal.cli as cli
+        import qthermal.data as data
 
         def no_load(*args, **kwargs):
             raise AssertionError("a dataset was loaded before the threshold was checked")
 
         monkeypatch.delenv("QTHERMAL_DATASET_DIR", raising=False)
-        monkeypatch.setattr(cli, "synthetic_digits", no_load)
+        monkeypatch.setattr(data, "synthetic_digits", no_load)
         code, out, err = run([*self.BASE, "--threshold", value], capsys)
         assert code == 2
         assert out == ""
@@ -683,7 +684,13 @@ def test_huge_finite_range_is_usage_error_before_any_point():
 
 
 @pytest.mark.parametrize("target", ["missing_directory", "directory", "manifest_directory"])
-def test_unwritable_out_is_usage_error(capsys, tmp_path, target):
+def test_unwritable_out_is_usage_error(capsys, tmp_path, monkeypatch, target):
+    import qthermal.cli as cli
+
+    def no_run(args):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "cmd_temp", no_run)
     out = tmp_path / "table.csv"
     if target == "missing_directory":
         out = tmp_path / "missing" / "table.csv"
@@ -696,6 +703,7 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, target):
     assert stdout == ""
     assert err.startswith("error: cannot write output: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "table.csv").is_file()
 
 
 @pytest.mark.parametrize(

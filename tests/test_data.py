@@ -8,6 +8,10 @@ import struct
 import numpy as np
 import pytest
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import qthermal.data as data
 from qthermal.cli import main
 from qthermal.data import (
     _GLYPHS,
@@ -15,9 +19,9 @@ from qthermal.data import (
     DATASET_DIR_ENV,
     BinaryImageDataset,
     binarize,
-    dataset_dir,
     load_idx,
     load_idx_split,
+    load_splits,
     parse_idx,
     synthetic_digits,
     trial_stream,
@@ -94,7 +98,7 @@ class TestParseIdx:
             parse_idx(data)
 
     def test_real_training_file(self):
-        directory = dataset_dir()
+        directory = os.environ.get(DATASET_DIR_ENV)
         if not directory:
             pytest.skip(f"{DATASET_DIR_ENV} not set")
         path = os.path.join(directory, "train-images-idx3-ubyte")
@@ -222,7 +226,55 @@ class TestGzipIdx:
                      "--out", str(out)])
         assert code == 0, capsys.readouterr().err
         manifest = (tmp_path / "sim.csv.manifest").read_text().splitlines()
-        assert f"input_digests: {self.gz_digests(packed, 'train')}" in manifest
+        digests = {**self.gz_digests(packed, "train"), **self.gz_digests(packed, "t10k")}
+        assert f"input_digests: {digests}" in manifest
+
+    def test_load_splits_reads_the_environment_directory(self, dirs, monkeypatch):
+        _, packed = dirs
+        monkeypatch.setenv(DATASET_DIR_ENV, str(packed))
+        training, evaluation = load_splits(30, 5, seed=0)
+        assert (len(training), len(evaluation)) == (30, 5)
+        for ds, split, prefix in ((training, "training", "train"), (evaluation, "evaluation", "t10k")):
+            ref = load_idx_split(str(packed), split, limit=len(ds))
+            assert np.array_equal(ds.images, ref.images)
+            assert np.array_equal(ds.labels, ref.labels)
+            assert ds.provenance["source"] == self.gz_digests(packed, prefix)
+
+    def test_load_splits_directory_wins_over_the_environment(self, dirs, monkeypatch, tmp_path):
+        # the variable names a directory that does not exist
+        _, packed = dirs
+        monkeypatch.setenv(DATASET_DIR_ENV, str(tmp_path / "missing"))
+        training, evaluation = load_splits(40, 12, seed=0, directory=str(packed))
+        assert training.provenance["source"] == self.gz_digests(packed, "train")
+        assert evaluation.provenance["source"] == self.gz_digests(packed, "t10k")
+
+
+class TestLoadSplits:
+    @given(st.integers(0, 25), st.integers(0, 25), st.integers(0, 2**32 - 1))
+    @example(0, 0, 0)
+    def test_synthetic_sets_are_digits_of_seeds_s_and_s_plus_one(self, T, n_eval, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv(DATASET_DIR_ENV, raising=False)
+            training, evaluation = load_splits(T, n_eval, seed)
+        expected = (
+            synthetic_digits(T, seed, "training"),
+            synthetic_digits(n_eval, seed + 1, "evaluation"),
+        )
+        for ds, ref in zip((training, evaluation), expected):
+            assert ds.images.tobytes() == ref.images.tobytes()
+            assert ds.labels.tobytes() == ref.labels.tobytes()
+            assert (ds.height, ds.width, ds.provenance) == (ref.height, ref.width, ref.provenance)
+
+    @pytest.mark.parametrize("idx", [False, True], ids=["synthetic", "idx"])
+    def test_threshold_is_checked_before_any_loader(self, monkeypatch, tmp_path, idx):
+        def no_load(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before the threshold was checked")
+
+        monkeypatch.delenv(DATASET_DIR_ENV, raising=False)
+        monkeypatch.setattr(data, "load_idx_split", no_load)
+        monkeypatch.setattr(data, "synthetic_digits", no_load)
+        with pytest.raises(ValueError, match=r"threshold must lie in \[1, 255\], got 0"):
+            load_splits(5, 5, seed=0, directory=str(tmp_path) if idx else None, threshold=0)
 
 
 class TestSyntheticDigits:

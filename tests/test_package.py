@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,13 @@ def test_import_does_not_load_first_use_modules(package):
     # functions that use them: IDX loading, the synthetic digits and
     # advantage_regions
     assert loaded_by_import(package) == "[]"
+
+
+def test_all_lists_exactly_the_root_names():
+    # the import block and ``__all__`` list the same names, once each, so
+    # neither list can gain a name the other lacks and every name resolves
+    public = [
+        name for name, value in vars(qthermal).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(qthermal.__all__) == sorted(public)
