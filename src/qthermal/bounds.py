@@ -44,6 +44,13 @@ class BoundReport:
         return self.cl_lower - self.q_lower
 
 
+def check_copies(Ms) -> None:
+    """Raise ``ValueError`` naming the first probe copy number below 1."""
+    bad = next((v for v in Ms if v < 1), None)
+    if bad is not None:
+        raise ValueError(f"probe copy number must be >= 1, got {bad}")
+
+
 def bounds(space: ImageSpace, M, F_q: float, F_cl: float) -> BoundReport:
     """Error-probability bounds for discriminating patterns of ``space`` with
     M probe copies per pixel.
@@ -62,9 +69,7 @@ def bounds(space: ImageSpace, M, F_q: float, F_cl: float) -> BoundReport:
     """
     scalar = np.ndim(M) == 0
     Ms = [M] if scalar else list(M)
-    bad = next((v for v in Ms if v < 1), None)
-    if bad is not None:
-        raise ValueError(f"probe copy number must be >= 1, got {bad}")
+    check_copies(Ms)
     log_fq, log_fcl = log_pow(F_q), log_pow(F_cl)  # validated before the warning
     if F_q > F_cl:
         warnings.warn(
@@ -122,8 +127,7 @@ def pixel_error_bounds(F: float, M: int) -> tuple[float, float]:
 
         (1 - sqrt(1 - F^(2M))) / 2  <=  p  <=  F^M / 2.
     """
-    if M < 1:
-        raise ValueError(f"probe copy number must be >= 1, got {M}")
+    check_copies([M])
     # 1 - sqrt(1-x) = x / (1 + sqrt(1-x)) avoids cancellation at small x
     x = math.exp(log_pow(F, 2.0 * M))
     return 0.5 * x / (1.0 + math.sqrt(1.0 - x)), 0.5 * math.exp(log_pow(F, float(M)))

@@ -112,7 +112,9 @@ def choi_cm(channel: ChannelSpec, a: float) -> CovarianceMatrix:
     One half of a two-mode squeezed vacuum with diagonal parameter
     a = n_s + 1/2 is sent through the channel.  Mode 1 is the retained
     idler (variance a), mode 2 the channel output (variance a*tau + nu),
-    with q/p correlations +-sqrt(tau*(a^2 - 1/4)).
+    with q/p correlations +-sqrt(tau*(a^2 - 1/4)).  Beyond a = 1e7 a near-noiseless
+    channel's V can round to a singular matrix and raise ``NonPhysicalError``
+    (the identity channel's does from a = 4e7 on); ``fidelity_finite`` takes any a.
     """
     if a < 0.5:
         raise ValueError(f"squeezing parameter a must be >= 1/2, got {a}")

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import pixel_error_bounds
+from .bounds import check_copies, pixel_error_bounds
 from .channels import EnvironmentPair, fidelity_choi_inf, fidelity_classical
 from .data import BinaryImageDataset, flip_rows, trial_stream
 from .errors import (
@@ -200,10 +200,6 @@ class ErrorEstimate:
     trials: int
     evaluations: int
 
-    @property
-    def total_samples(self) -> int:
-        return self.trials * self.evaluations
-
 
 def _check_estimate(evaluation: BinaryImageDataset, trials: int) -> None:
     """Raise the usage error of an estimate that could run no sample."""
@@ -341,6 +337,15 @@ class AdvantageRow:
         return max(e.stderr for e in self.errors.values())
 
 
+def check_regions(M_grid: Sequence[int], threads: int, p_override: float | None = None) -> None:
+    """Raise the usage errors of ``advantage_regions`` that need no dataset."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_copies(M_grid)
+    if p_override is not None:
+        NoiseModel(p_override)
+
+
 def advantage_regions(
     predictor_factory: Callable[[NoiseModel], Callable[[np.ndarray], np.ndarray]],
     evaluation: BinaryImageDataset,
@@ -368,12 +373,11 @@ def advantage_regions(
     same flip probability, as all four are under ``p_override``, share one
     job and its estimate; the factory sees the first of their models.
     ``threads`` workers run the jobs of the whole grid concurrently; the rows
-    are bit-identical for any thread count.  A thread count below one, an
-    empty evaluation set or fewer than one trial raises before the factory
+    are bit-identical for any thread count.  The errors of ``check_regions``,
+    an empty evaluation set or fewer than one trial raise before the factory
     is first called.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_regions(M_grid, threads, p_override)
     _check_estimate(evaluation, trials)
     grid = []
     jobs: dict[tuple[int, float], tuple[NoiseModel, int]] = {}

@@ -43,7 +43,7 @@ from .channels import (
     fidelity_finite,
     temperature_of,
 )
-from .classify import TrainConfig, advantage_regions, nn_predictor
+from .classify import TrainConfig, advantage_regions, check_regions, nn_predictor
 from .data import DEFAULT_THRESHOLD, load_splits
 from .errors import IdxFormatError, NonFiniteLossError
 
@@ -211,6 +211,10 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
 def cmd_simulate(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     M_grid = _int_grid(args.M, "probe copy")
+    # flags that advantage_regions or TrainConfig rejects fail before a dataset is read
+    check_regions(M_grid, args.threads, args.p_override)
+    if args.classifier == "cnn":
+        config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     training, evaluation = load_splits(args.T, args.eval_size, args.seed, args.data_dir, args.threshold)
     if training.provenance["kind"] == "synthetic":
         sys.stderr.write("note: no dataset directory given, using the synthetic digit set\n")
@@ -221,12 +225,6 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
         # advantage_regions starts its pool
         net = cnn.NetworkSpec(input_shape=(training.height, training.width),
                               classes=max(training.num_classes, evaluation.num_classes))
-        config = TrainConfig(
-            learning_rate=args.lr,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            seed=args.seed,
-        )
 
         def predictor_factory(noise):
             return partial(cnn.predict_labels, net, cnn.train(net, training, noise, config))

@@ -313,7 +313,7 @@ def loss_and_grad(
 def train(
     net: NetworkSpec,
     training: BinaryImageDataset,
-    noise: NoiseModel | None,
+    noise: NoiseModel,
     config: TrainConfig,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Plain float32 SGD training with a held-out slice for best-epoch
@@ -321,11 +321,11 @@ def train(
 
     The holdout is min(max(1, round(holdout_fraction * n)), n - 1) of the n
     images, disjoint from the rest, which are fitted; only n = 1 leaves it
-    empty.  With a noise model each image receives a fresh noise sample every
-    epoch, drawn from (seed, epoch, batch) streams; everything is
-    deterministic for a fixed config.  An empty set raises ``EmptyTrainingSetError``;
-    a loss, or after any epoch a parameter, that is not finite raises
-    ``NonFiniteLossError``.
+    empty.  Unless its flip probability is 0, ``noise`` gives each image a
+    fresh noise sample every epoch, drawn from (seed, epoch, batch) streams;
+    everything is deterministic for a fixed config.  An empty set raises
+    ``EmptyTrainingSetError``; a loss, or after any epoch a parameter, that
+    is not finite raises ``NonFiniteLossError``.
     """
     n = len(training)
     if n == 0:
@@ -342,7 +342,7 @@ def train(
               for W, b in init_params(net, config.seed)]
     best_acc = -1.0
     workspace: dict = {}
-    apply_noise = noise is not None and noise.flip_probability > 0
+    apply_noise = noise.flip_probability > 0
 
     for epoch in range(config.epochs):
         order = trial_stream(config.seed, 0x5E, epoch).permutation(len(fit_idx))

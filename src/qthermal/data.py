@@ -9,8 +9,8 @@ dimensions, 0x00000801 for uint8 labels with 1 dimension), one big-endian
 uint32 per dimension, then the raw payload.  Files are referenced by SHA-256
 digest in dataset provenance.
 
-``hashlib`` (which loads OpenSSL) and ``gzip`` are imported on first use, by
-``load_idx`` and ``synthetic_digits``, so that importing the package, as
+``hashlib`` (which loads OpenSSL), for the IDX digests, and ``gzip`` are
+imported on first use, by ``load_idx``, so that importing the package, as
 every command does, loads neither.
 """
 
@@ -45,10 +45,17 @@ _SPECKLE = 0.01
 # buffer (0.2 MB at 28x28); 32 rows peaked lower than 128 on simulate-nn
 _FLIP_ROWS = 32
 
-_SPLIT_FILES = {
-    "training": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "evaluation": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+# per split: IDX image and label file names, synthetic stream tag (SHA-256 prefix of the name)
+_SPLITS = {
+    "training": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte", 0xC2FB788C),
+    "evaluation": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", 0xEFE77B20),
 }
+
+
+def _split(split: str) -> tuple[str, str, int]:
+    if split not in _SPLITS:
+        raise ValueError(f"split must be one of {sorted(_SPLITS)}, got {split!r}")
+    return _SPLITS[split]
 
 
 def trial_stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -171,15 +178,6 @@ class BinaryImageDataset:
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self) else 0
 
-    def subset(self, indices) -> "BinaryImageDataset":
-        return BinaryImageDataset(
-            images=self.images[indices],
-            labels=self.labels[indices],
-            height=self.height,
-            width=self.width,
-            provenance=dict(self.provenance),
-        )
-
 
 def load_idx_split(
     directory: str,
@@ -190,16 +188,14 @@ def load_idx_split(
     """Load and binarise one IDX split from a directory.
 
     Looks for the conventional file names (``train-images-idx3-ubyte`` etc.),
-    optionally with a ``.gz`` suffix.  A negative ``limit`` raises
-    ``ValueError``; a split left with no images after ``limit`` raises
-    ``IdxFormatError``.
+    optionally with a ``.gz`` suffix.  A negative ``limit`` or an unknown
+    ``split`` raises ``ValueError``; a split left with no images after
+    ``limit`` raises ``IdxFormatError``.
     """
-    if split not in _SPLIT_FILES:
-        raise ValueError(f"split must be one of {sorted(_SPLIT_FILES)}, got {split!r}")
     if limit is not None and limit < 0:
         raise ValueError(f"image limit must be >= 0, got {limit}")
     arrays, digests = [], {}
-    for name in _SPLIT_FILES[split]:
+    for name in _split(split)[:2]:
         path = os.path.join(directory, name)
         if not os.path.exists(path) and os.path.exists(path + ".gz"):
             path += ".gz"
@@ -259,14 +255,11 @@ def synthetic_digits(
     fraction of speckle flips, made in place by ``flip_rows``; classes cycle
     so the dataset is balanced.
     Fully determined by (n, seed, split) through counter-based streams.  A
-    negative ``n`` raises ``ValueError``.
+    negative ``n`` or an unknown ``split`` raises ``ValueError``.
     """
     if n < 0:
         raise ValueError(f"image count must be >= 0, got {n}")
-    import hashlib
-
-    split_tag = int.from_bytes(hashlib.sha256(split.encode()).digest()[:4], "big")
-    rng = trial_stream(seed, split_tag)
+    rng = trial_stream(seed, _split(split)[2])
     scale = max(1, min((height - 2) // 7, (width - 2) // 5))
     glyphs = [_glyph_array(c, scale) for c in range(10)]
     if glyphs[0].shape[0] > height or glyphs[0].shape[1] > width:

@@ -31,8 +31,6 @@ _MP_DPS = 50
 # concurrent callers
 MP_LOCK = threading.Lock()
 
-Z2 = np.diag([1.0, -1.0])
-
 
 def symplectic_form(modes: int) -> np.ndarray:
     """Standard symplectic form, a direct sum of [[0, 1], [-1, 0]] blocks."""
@@ -52,7 +50,7 @@ class CovarianceMatrix:
     never by infinite matrix entries.
     """
 
-    __slots__ = ("_matrix", "_modes")
+    __slots__ = ("_matrix",)
 
     def __init__(self, matrix) -> None:
         arr = np.array(matrix, dtype=float)
@@ -66,7 +64,6 @@ class CovarianceMatrix:
         arr = 0.5 * (arr + arr.T)
         arr.setflags(write=False)
         self._matrix = arr
-        self._modes = len(arr) // 2
         w, nu = _spectra(arr)
         tol = PHYSICALITY_TOL
         if w[0] > 0:
@@ -79,33 +76,6 @@ class CovarianceMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
-
-    @property
-    def modes(self) -> int:
-        return self._modes
-
-    def __repr__(self) -> str:
-        return f"CovarianceMatrix(modes={self._modes})"
-
-
-def vacuum_cm(modes: int = 1) -> CovarianceMatrix:
-    return CovarianceMatrix(0.5 * np.eye(2 * modes))
-
-
-def thermal_cm(nbar: float) -> CovarianceMatrix:
-    """Single-mode thermal state with mean photon number ``nbar``."""
-    if nbar < 0:
-        raise NonPhysicalError(f"thermal occupation must be >= 0, got {nbar}")
-    return CovarianceMatrix((nbar + 0.5) * np.eye(2))
-
-
-def tmsv_cm(a: float) -> CovarianceMatrix:
-    """Two-mode squeezed vacuum with diagonal blocks a*I, a = n_s + 1/2."""
-    if a < 0.5:
-        raise NonPhysicalError(f"squeezing parameter a must be >= 1/2, got {a}")
-    c = np.sqrt(a * a - 0.25)
-    V = np.block([[a * np.eye(2), c * Z2], [c * Z2, a * np.eye(2)]])
-    return CovarianceMatrix(V)
 
 
 def _as_matrix(V) -> np.ndarray:
@@ -122,17 +92,6 @@ def _spectra(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
     s = np.linalg.svd(root @ symplectic_form(len(arr) // 2) @ root, compute_uv=False)
     return w, s[::2]
-
-
-def symplectic_eigenvalues(V) -> np.ndarray:
-    """Symplectic spectrum of a bona fide covariance matrix, descending.
-
-    Raises:
-        NonSymmetricError: asymmetry above tolerance.
-        NonPhysicalError: any symplectic eigenvalue below 1/2 by more than
-            ``CovarianceMatrix`` allows.
-    """
-    return _spectra(_as_matrix(V))[1]
 
 
 def _fidelity_mp(V1, V2, dps: int = _MP_DPS) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +15,7 @@ from mpmath import mp
 from qthermal.classify import nn_predictor
 from qthermal.data import synthetic_digits
 from qthermal.errors import DimensionMismatchError, GaussianStateError
-from qthermal.gaussian import CovarianceMatrix
+from qthermal.gaussian import CovarianceMatrix, _as_matrix, _spectra
 from qthermal.spaces import (
     ImageSpace,
     log_distance_counts,
@@ -132,12 +133,45 @@ def exact_nn_error(patterns, p: float) -> float:
     return float((wrong * weights).sum() / n)
 
 
+def head(dataset, n: int):
+    """A dataset of the first ``n`` images of ``dataset``."""
+    return replace(dataset, images=dataset.images[:n], labels=dataset.labels[:n])
+
+
 def nn_factory(training):
     """An ``advantage_regions`` factory giving every endpoint one
     nearest-neighbour predictor over ``training``, as ``simulate
     --classifier nn`` does."""
     nn = nn_predictor(training)
     return lambda noise: nn
+
+
+# Gaussian test states, in the library's conventions: shot noise 1/2,
+# quadratures ordered (q1, p1, ..., qN, pN)
+
+Z2 = np.diag([1.0, -1.0])
+
+
+def vacuum_cm(modes: int = 1) -> CovarianceMatrix:
+    return CovarianceMatrix(0.5 * np.eye(2 * modes))
+
+
+def thermal_cm(nbar: float) -> CovarianceMatrix:
+    """Single-mode thermal state with mean photon number ``nbar``."""
+    return CovarianceMatrix((nbar + 0.5) * np.eye(2))
+
+
+def tmsv_cm(a: float) -> CovarianceMatrix:
+    """Two-mode squeezed vacuum with diagonal blocks a*I, a = n_s + 1/2."""
+    c = np.sqrt(a * a - 0.25)
+    return CovarianceMatrix(np.block([[a * np.eye(2), c * Z2], [c * Z2, a * np.eye(2)]]))
+
+
+def symplectic_eigenvalues(V) -> np.ndarray:
+    """Symplectic spectrum, descending, of a covariance matrix (an array or a
+    ``CovarianceMatrix``), as ``CovarianceMatrix`` computes it to judge
+    physicality."""
+    return _spectra(_as_matrix(V))[1]
 
 
 def random_symplectic(modes: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,7 +25,7 @@ from qthermal.classify import (
 )
 from qthermal.cnn import NetworkSpec
 from qthermal.data import synthetic_digits
-from qthermal.gaussian import gaussian_fidelity, thermal_cm
+from qthermal.gaussian import gaussian_fidelity
 from qthermal.spaces import ImageSpace, bcpf_functional
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     brute_cross,
     brute_uniform,
     fock_fidelity_oracle,
+    head,
     max_fd_error,
     min_rel_probe_additive,
     nn_factory,
@@ -41,6 +42,7 @@ from conftest import (
     printed_choi_additive,
     printed_classical_additive,
     smooth_configuration,
+    thermal_cm,
 )
 
 F_GRID = (0.0, 0.1, 0.5, 0.9, 1.0)
@@ -200,11 +202,11 @@ def test_criterion_6_simulator_ground_truths():
     train = synthetic_digits(1000, seed=60, split="training")
     evaluation = synthetic_digits(300, seed=61, split="evaluation")
 
-    subset = train.subset(np.arange(100))
+    subset = head(train, 100)
     exact_zero = estimate_error(train, subset, NoiseModel(0.0), trials=3, master_seed=1)
 
     est_half = estimate_error(train, evaluation, NoiseModel(0.5), trials=20, master_seed=2)
-    sigma = math.sqrt(0.9 * 0.1 / est_half.total_samples)
+    sigma = math.sqrt(0.9 * 0.1 / (est_half.trials * est_half.evaluations))
 
     pair = EnvironmentPair.additive(0.02, 0.01)
     factory = nn_factory(train)

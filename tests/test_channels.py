@@ -23,12 +23,14 @@ from qthermal.channels import (
 )
 from qthermal.channels import _mp_choi_fidelity
 from qthermal.errors import NonPhysicalChannelError
-from qthermal.gaussian import CovarianceMatrix, gaussian_fidelity, thermal_cm, tmsv_cm
+from qthermal.gaussian import CovarianceMatrix, gaussian_fidelity
 
 from conftest import (
     choi_reference_fidelity,
     printed_choi_thermal,
     printed_classical_additive,
+    thermal_cm,
+    tmsv_cm,
 )
 
 

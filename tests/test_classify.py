@@ -31,7 +31,7 @@ from qthermal.errors import (
 )
 from qthermal.spaces import ImageSpace
 
-from conftest import exact_nn_error, nn_factory, space_patterns
+from conftest import exact_nn_error, head, nn_factory, space_patterns
 
 
 def make_dataset(images, labels, width=None):
@@ -339,7 +339,7 @@ class TestNNPredictor:
 class TestEstimateError:
     def test_noiseless_subset_is_exact_zero(self, digits_small):
         train, _ = digits_small
-        subset = train.subset(np.arange(40))
+        subset = head(train, 40)
         est = estimate_error(train, subset, NoiseModel(0.0), trials=3, master_seed=1)
         assert est.mean == 0.0
 
@@ -347,7 +347,7 @@ class TestEstimateError:
         train, evaluation = digits_small
         est = estimate_error(train, evaluation, NoiseModel(0.5), trials=20, master_seed=2)
         sigma = max(est.stderr, 1e-9)
-        assert abs(est.mean - 0.9) < 3.5 * np.sqrt(0.9 * 0.1 / est.total_samples) + 3 * sigma
+        assert abs(est.mean - 0.9) < 3.5 * np.sqrt(0.9 * 0.1 / (est.trials * est.evaluations)) + 3 * sigma
 
     def test_monotone_in_training_size(self):
         evaluation = synthetic_digits(150, seed=21, split="evaluation")
@@ -370,7 +370,7 @@ class TestEstimateError:
 
     def test_empty_sets(self, digits_small):
         train, evaluation = digits_small
-        empty = train.subset(np.array([], dtype=int))
+        empty = head(train, 0)
         with pytest.raises(EmptyTrainingSetError):
             estimate_error(empty, evaluation, NoiseModel(0.1), 1, 0)
         with pytest.raises(EmptyEvaluationSetError):
@@ -481,7 +481,7 @@ class TestAdvantageRegions:
         pair = EnvironmentPair.additive(0.02, 0.01)
         with pytest.raises(error, match=message):
             advantage_regions(
-                factory, evaluation.subset(np.arange(n_eval)), pair, [10, 40], trials=trials,
+                factory, head(evaluation, n_eval), pair, [10, 40], trials=trials,
                 master_seed=0, threads=2,
             )
         assert built == []
@@ -497,7 +497,7 @@ class TestAdvantageRegions:
 
     def test_p_override_zero_on_subset(self, digits_small):
         train, _ = digits_small
-        subset = train.subset(np.arange(30))
+        subset = head(train, 30)
         pair = EnvironmentPair.additive(0.02, 0.01)
         rows = advantage_regions(
             nn_factory(train), subset, pair, [10], trials=2, master_seed=1, p_override=0.0
@@ -585,7 +585,7 @@ class TestAdvantageRegions:
                 p = row.models[tag].flip_probability
                 exact = exact_nn_error(patterns, p)
                 assert 0.01 < exact < 0.99, (row.M, p, exact)
-                sigma = np.sqrt(exact * (1.0 - exact) / est.total_samples)
+                sigma = np.sqrt(exact * (1.0 - exact) / (est.trials * est.evaluations))
                 assert abs(est.mean - exact) <= 4 * sigma, (row.M, p, est.mean, exact)
 
     def test_one_predictor_per_endpoint_and_thread_invariance(self, digits_small):

@@ -431,6 +431,32 @@ class TestSimulateCommand:
         assert out == ""
         assert f"error: threshold must lie in [1, 255], got {value}" in err.splitlines()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--M", "0"], "probe copy number must be >= 1, got 0"),
+            (["--M", "0", "--p-override", "0.1"], "probe copy number must be >= 1, got 0"),
+            (["--p-override", "0.7"], "flip probability must lie in [0, 1/2], got 0.7"),
+            (["--p-override", "nan"], "flip probability must lie in [0, 1/2], got nan"),
+            (["--threads", "0"], "threads must be >= 1, got 0"),
+            (["--classifier", "cnn", "--epochs", "0"], "epochs must be >= 1, got 0"),
+            (["--classifier", "cnn", "--batch-size", "0"], "batch size must be >= 1"),
+            (["--classifier", "cnn", "--lr", "nan"], "learning rate must be finite and >= 0, got nan"),
+        ],
+        ids=["M", "M_with_override", "p_override", "p_override_nan", "threads", "epochs", "batch_size", "lr"],
+    )
+    def test_flag_errors_come_before_any_dataset(self, capsys, monkeypatch, flags, message):
+        import qthermal.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_splits", no_load)
+        code, out, err = run([*self.BASE, *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_thermal_figure_parameters(self, capsys):
         code, out, _ = run(
             [

@@ -195,7 +195,7 @@ def test_train_rejects_overflowed_parameters():
     net = NetworkSpec(input_shape=(12, 12), conv=((4, 3, 1),), dense=(8,), classes=10)
     config = TrainConfig(learning_rate=1e300, batch_size=4, epochs=1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError):
-        train(net, ds, None, config)
+        train(net, ds, NoiseModel(0.0), config)
 
 
 def toy_separable_dataset():
@@ -214,7 +214,7 @@ class TestTrain:
         ds = toy_separable_dataset()
         net = NetworkSpec(input_shape=(4, 4), conv=((2, 2, 1),), dense=(4,), classes=2)
         config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=50, seed=1, holdout_fraction=0.25)
-        params = train(net, ds, None, config)
+        params = train(net, ds, NoiseModel(0.0), config)
         preds = predict_labels(net, params, ds.images.reshape(-1, 4, 4).astype(float))
         assert np.array_equal(preds, ds.labels)
 
@@ -222,7 +222,7 @@ class TestTrain:
         ds = toy_separable_dataset()
         net = NetworkSpec(input_shape=(4, 4), conv=(), dense=(3,), classes=2)
         config = TrainConfig(learning_rate=0.0, batch_size=4, epochs=2, seed=2)
-        params = train(net, ds, None, config)
+        params = train(net, ds, NoiseModel(0.0), config)
         for (W, b), (W0, b0) in zip(params, init_params(net, 2)):
             assert_allclose(W, W0)
             assert_allclose(b, b0)
@@ -232,7 +232,7 @@ class TestTrain:
             images=np.zeros((0, 16)), labels=np.zeros(0), height=4, width=4
         )
         with pytest.raises(EmptyTrainingSetError, match="training set is empty"):
-            train(TOY, empty, None, TrainConfig(epochs=1))
+            train(TOY, empty, NoiseModel(0.0), TrainConfig(epochs=1))
 
     @given(st.integers(2, 30), st.floats(0.0, 1.0, exclude_max=True))
     @example(2, 0.75)
@@ -256,7 +256,7 @@ class TestTrain:
         config = TrainConfig(batch_size=4, epochs=2, holdout_fraction=fraction)
         with mock.patch.object(cnn, "loss_and_grad", recording("fit", cnn.loss_and_grad)), \
                 mock.patch.object(cnn, "predict_labels", recording("holdout", cnn.predict_labels)):
-            train(TOY, ds, None, config)
+            train(TOY, ds, NoiseModel(0.0), config)
         assert seen["fit"] and seen["holdout"]
         assert seen["fit"].isdisjoint(seen["holdout"])
         assert seen["fit"] | seen["holdout"] == set(range(n))
@@ -409,7 +409,7 @@ class TestEvaluate:
         ds = toy_separable_dataset()
         net = NetworkSpec(input_shape=(4, 4), conv=((2, 2, 1),), dense=(4,), classes=2)
         config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=50, seed=1, holdout_fraction=0.25)
-        params = train(net, ds, None, config)
+        params = train(net, ds, NoiseModel(0.0), config)
         est = evaluate(net, params, ds, NoiseModel(0.0), trials=2, master_seed=0)
         assert est.mean == 0.0
 

@@ -277,6 +277,17 @@ class TestLoadSplits:
             load_splits(5, 5, seed=0, directory=str(tmp_path) if idx else None, threshold=0)
 
 
+@pytest.mark.parametrize(
+    "load",
+    [lambda directory: load_idx_split(directory, "train"), lambda _: synthetic_digits(3, 0, split="train")],
+    ids=["load_idx_split", "synthetic_digits"],
+)
+def test_unknown_split_rejected(tmp_path, load):
+    # an unknown name must not draw a synthetic data set of its own
+    with pytest.raises(ValueError, match=r"split must be one of \['evaluation', 'training'\], got 'train'"):
+        load(str(tmp_path))
+
+
 class TestSyntheticDigits:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="count must be >= 0, got -3"):

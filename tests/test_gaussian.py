@@ -20,17 +20,10 @@ from qthermal.errors import (
     NonPhysicalError,
     NonSymmetricError,
 )
-from qthermal.gaussian import (
-    CovarianceMatrix,
-    _fidelity_mp,
-    gaussian_fidelity,
-    symplectic_eigenvalues,
-    thermal_cm,
-    tmsv_cm,
-    vacuum_cm,
-)
+from qthermal.gaussian import CovarianceMatrix, _fidelity_mp, gaussian_fidelity
 
 from conftest import (
+    Z2,
     CutoffTooSmallError,
     UnsupportedStateError,
     eig_fidelity_oracle,
@@ -38,6 +31,10 @@ from conftest import (
     printed_choi_thermal,
     random_cm,
     random_symplectic,
+    symplectic_eigenvalues,
+    thermal_cm,
+    tmsv_cm,
+    vacuum_cm,
 )
 
 
@@ -92,7 +89,7 @@ class TestRoundingTolerance:
     )
     def test_squeezed_choi_states_construct(self, channel, a):
         # both raised NonPhysicalError under the absolute 1e-8 tolerance
-        assert choi_cm(channel, a).modes == 2
+        assert choi_cm(channel, a).matrix.shape == (4, 4)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -104,15 +101,14 @@ class TestRoundingTolerance:
         # the channel's noise at (or just above) the complete-positivity
         # floor: the purest, most ill-conditioned Choi states
         channel = ChannelSpec(tau, abs(1.0 - tau) / 2.0 + excess)
-        assert choi_cm(channel, max(0.5, 10.0**log_a)).modes == 2
+        assert choi_cm(channel, max(0.5, 10.0**log_a)).matrix.shape == (4, 4)
 
     @pytest.mark.parametrize("a", [0.5, 10.0, 1e3, 1e4, 1e5])
     def test_pushed_below_half_still_raises(self, a):
         tol = self.tolerance(tmsv_cm(a).matrix)
         nu = 0.5 - 100 * tol
         c = np.sqrt(a * a - nu * nu)
-        Z = np.diag([1.0, -1.0])
-        V = np.block([[a * np.eye(2), c * Z], [c * Z, a * np.eye(2)]])
+        V = np.block([[a * np.eye(2), c * Z2], [c * Z2, a * np.eye(2)]])
         with pytest.raises(NonPhysicalError):
             CovarianceMatrix(V)
 
