@@ -201,9 +201,9 @@ class ErrorEstimate:
     evaluations: int
 
 
-def _check_estimate(evaluation: BinaryImageDataset, trials: int) -> None:
-    """Raise the usage error of an estimate that could run no sample."""
-    if len(evaluation) == 0:
+def _check_estimate(n_eval: int, trials: int) -> None:
+    """Raise the usage error of an estimate of ``n_eval`` images that could run no sample."""
+    if n_eval == 0:
         raise EmptyEvaluationSetError("evaluation set is empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -228,7 +228,7 @@ def estimate_error(
         ``ErrorEstimate`` with mean error and standard error
         sample-stddev / sqrt(trials * |evaluation|).
     """
-    _check_estimate(evaluation, trials)
+    _check_estimate(len(evaluation), trials)
     if predictor is None:
         predictor = nn_predictor(training)
 
@@ -337,13 +337,17 @@ class AdvantageRow:
         return max(e.stderr for e in self.errors.values())
 
 
-def check_regions(M_grid: Sequence[int], threads: int, p_override: float | None = None) -> None:
-    """Raise the usage errors of ``advantage_regions`` that need no dataset."""
+def check_regions(
+    M_grid: Sequence[int], threads: int, trials: int, n_eval: int, p_override: float | None = None
+) -> None:
+    """Raise the usage errors of ``advantage_regions`` that need no dataset,
+    only the size ``n_eval`` of the evaluation set."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     check_copies(M_grid)
     if p_override is not None:
         NoiseModel(p_override)
+    _check_estimate(n_eval, trials)
 
 
 def advantage_regions(
@@ -374,11 +378,10 @@ def advantage_regions(
     job and its estimate; the factory sees the first of their models.
     ``threads`` workers run the jobs of the whole grid concurrently; the rows
     are bit-identical for any thread count.  The errors of ``check_regions``,
-    an empty evaluation set or fewer than one trial raise before the factory
-    is first called.
+    an empty evaluation set or fewer than one trial among them, raise before
+    the factory is first called.
     """
-    check_regions(M_grid, threads, p_override)
-    _check_estimate(evaluation, trials)
+    check_regions(M_grid, threads, trials, len(evaluation), p_override)
     grid = []
     jobs: dict[tuple[int, float], tuple[NoiseModel, int]] = {}
     for mi, M in enumerate(M_grid):

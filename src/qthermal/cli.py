@@ -45,7 +45,7 @@ from .channels import (
 )
 from .classify import TrainConfig, advantage_regions, check_regions, nn_predictor
 from .data import DEFAULT_THRESHOLD, load_splits
-from .errors import IdxFormatError, NonFiniteLossError
+from .errors import EmptyTrainingSetError, IdxFormatError, NonFiniteLossError
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -211,10 +211,12 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
 def cmd_simulate(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     M_grid = _int_grid(args.M, "probe copy")
-    # flags that advantage_regions or TrainConfig rejects fail before a dataset is read
-    check_regions(M_grid, args.threads, args.p_override)
+    # every flag error, a count of 0 among them, fails before a dataset is read
+    check_regions(M_grid, args.threads, args.trials, args.eval_size, args.p_override)
     if args.classifier == "cnn":
         config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
+    if args.T == 0:
+        raise EmptyTrainingSetError("training set is empty")
     training, evaluation = load_splits(args.T, args.eval_size, args.seed, args.data_dir, args.threshold)
     if training.provenance["kind"] == "synthetic":
         sys.stderr.write("note: no dataset directory given, using the synthetic digit set\n")

@@ -14,11 +14,11 @@ prediction run in float32.  Its settings, ``TrainConfig``, live in
 Every activation is feature-major with the batch last: (C, H, W, B) for
 conv layers, (features, B) for dense ones, so every layer is one GEMM
 ``z = W @ X`` and its backward pass ``dW = dz @ X.T``, ``dX = W.T @ dz``.
-A conv layer's X is its windows, copied into a (C, k, k, OH, OW, B) buffer
-one strided slice per kernel tap, in the weights' K order; the last conv
+A conv layer's X is its windows, one copy of a strided (C, k, k, OH, OW, B)
+view of its input in the weights' K order, and its input gradient is added
+through that same view tap by tap, in contiguous runs of B; the last conv
 output, read as (C*H*W, B), is the first dense input, in the (C, H, W)
-order of the first dense layer's weight columns.  Window copies and their
-gradient's scatter move contiguous runs of B.  A pass owns its input, one
+order of the first dense layer's weight columns.  A pass owns its input, one
 window buffer that every conv layer fills in turn, sized for the widest
 before the first fills it, each layer's output (ReLU runs in place) and, in
 training, one ReLU mask, all in a workspace: a dict of buffers keyed by
@@ -137,22 +137,25 @@ def _buffer(workspace: dict, key, shape, dtype) -> np.ndarray:
     return store[:size].reshape(shape)
 
 
+def _window_view(x: np.ndarray, kernel: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    # x (C, H, W, B) as (C, k, k, OH, OW, B): [c, i, j, r, s] is x[c, i + stride*r, j + stride*s]
+    c, h, w, b = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (len(x), kernel, kernel, oh, ow, x.shape[3]), (c, h, w, stride * h, stride * w, b))
+
+
 def _windows(x: np.ndarray, kernel: int, stride: int, out: np.ndarray) -> np.ndarray:
-    # x: (C, H, W, B) -> out (C, k, k, OH, OW, B), one strided copy per tap
-    oh, ow = out.shape[3:5]
-    for i in range(kernel):
-        for j in range(kernel):
-            out[:, i, j] = x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    # x: (C, H, W, B) -> out (C, k, k, OH, OW, B), one copy of the window view
+    np.copyto(out, _window_view(x, kernel, stride, *out.shape[3:5]))
     return out
 
 
 def _col2im(dcols: np.ndarray, dx: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    # dcols: (C, k, k, OH, OW, B) scattered back onto dx (C, H, W, B)
-    oh, ow = dcols.shape[3:5]
+    # dcols (C, k, k, OH, OW, B) onto dx (C, H, W, B), tap by tap, as taps overlap
+    taps = _window_view(dx, kernel, stride, *dcols.shape[3:5])
     dx.fill(0)
-    for i in range(kernel):
-        for j in range(kernel):
-            dx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
+    for i, j in np.ndindex(kernel, kernel):
+        taps[:, i, j] += dcols[:, i, j]
     return dx
 
 
@@ -293,10 +296,7 @@ def loss_and_grad(
         if i < len(net.conv):
             _, kernel, stride = net.conv[i]
             windows = inp.reshape(*W.shape[1:], *shapes[i + 1][1:], B)
-            if i < len(net.conv) - 1:
-                # the layers above refilled the shared window buffer: rebuild
-                # this layer's windows from x, the image or the activation
-                # below, which no gradient has overwritten yet
+            if i < len(net.conv) - 1:  # the layers above refilled the window buffer
                 _windows(x, kernel, stride, windows)
         grads[i] = ((dz @ inp.T).reshape(W.shape), dz.sum(axis=1))
         if i == 0:  # the first layer's input gradient is the image's

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from qthermal.classify import nn_predictor
-from qthermal.data import synthetic_digits
+from qthermal.data import _MAX_SHIFT, _SPECKLE, _glyph_array, synthetic_digits
 from qthermal.errors import DimensionMismatchError, GaussianStateError
 from qthermal.gaussian import CovarianceMatrix, _as_matrix, _spectra
 from qthermal.spaces import (
@@ -131,6 +132,80 @@ def exact_nn_error(patterns, p: float) -> float:
     wrong = decode[codes[:, None] ^ words[None, :]] != np.arange(n)[:, None]
     weights = float(p) ** pop * (1.0 - float(p)) ** (m - pop)
     return float((wrong * weights).sum() / n)
+
+
+def bayes_error(images, templates, labels, weights, q: float) -> np.ndarray:
+    """Exact Bayes posterior error 1 - max_c P(c | y) of each binary image y
+    of ``images`` (n, m), when an image is template s of ``templates`` (S, m),
+    of class ``labels[s]``, with probability ``weights[s]``, and each pixel
+    then flips with probability q in (0, 1).
+
+    P(y | s) = q^d (1 - q)^(m - d), d the Hamming distance from y to template
+    s, all from one template-distance product.  The factor (1 - q)^m is the
+    same for every s, so the class sums are taken in log space as
+    log sum_{s in c} w_s (q / (1 - q))^d, which at q = 1/2 ties every class
+    with equal weight exactly.  The error is the other classes' posterior
+    mass, summed without cancellation.
+    """
+    y = np.asarray(images, dtype=np.float64)
+    t = np.asarray(templates, dtype=np.float64)
+    labels = np.asarray(labels)
+    d = y.sum(axis=1)[:, None] + t.sum(axis=1)[None, :] - 2.0 * (y @ t.T)
+    log_joint = np.log(weights)[None, :] + d * math.log(q / (1.0 - q))
+    classes = np.unique(labels)
+    log_class = np.empty((len(y), len(classes)))
+    for k, c in enumerate(classes):
+        part = log_joint[:, labels == c]
+        top = part.max(axis=1)
+        log_class[:, k] = top + np.log(np.exp(part - top[:, None]).sum(axis=1))
+    rel = np.exp(log_class - log_class.max(axis=1, keepdims=True))
+    rel[np.arange(len(y)), rel.argmax(axis=1)] = 0.0
+    rest = rel.sum(axis=1)
+    return rest / (1.0 + rest)
+
+
+def block_digit_templates(height: int = 28, width: int = 28):
+    """Every placement ``synthetic_digits`` draws: each class's glyph at each
+    of its (2 * _MAX_SHIFT + 1)^2 equally likely shifts, clipped to the canvas
+    as there, as (S, m) templates and their labels; each has weight 1 / S."""
+    scale = max(1, min((height - 2) // 7, (width - 2) // 5))
+    shifts = range(-_MAX_SHIFT, _MAX_SHIFT + 1)
+    templates, labels = [], []
+    for cls in range(10):
+        glyph = _glyph_array(cls, scale)
+        gh, gw = glyph.shape
+        for dr, dc in itertools.product(shifts, shifts):
+            r = min(max((height - gh) // 2 + dr, 0), height - gh)
+            c = min(max((width - gw) // 2 + dc, 0), width - gw)
+            canvas = np.zeros((height, width), dtype=np.uint8)
+            canvas[r : r + gh, c : c + gw] = glyph
+            templates.append(canvas.ravel())
+            labels.append(cls)
+    return np.array(templates), np.array(labels)
+
+
+def block_digit_floor(images, p: float, draws: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo Bayes-optimal error, and its standard error, of block
+    digits under flip probability p: the mean posterior error of ``images``,
+    synthetic digits with their speckle, each flipped ``draws`` times by
+    uniforms of the test's own.  A pixel then differs from its template with
+    probability q = s + p - 2 s p, s the speckle probability."""
+    templates, labels = block_digit_templates()
+    q = _SPECKLE + p - 2 * _SPECKLE * p
+    rng = np.random.default_rng(seed)
+    noisy = np.concatenate([images ^ (rng.random(images.shape) < p) for _ in range(draws)])
+    errors = bayes_error(noisy, templates, labels, np.full(len(templates), 1 / len(templates)), q)
+    # correctly rounded sums, so that a constant floor has exactly its value and SE 0
+    mean = math.fsum(errors) / len(errors)
+    return mean, math.sqrt(math.fsum((errors - mean) ** 2) / (len(errors) - 1) / len(errors))
+
+
+def floor_slack(estimate, floor: float, floor_se: float) -> float:
+    """4 SE of the gap between an ``ErrorEstimate`` and a Bayes floor: the
+    estimate's SE, the floor's, and the binomial SE of an optimal classifier
+    over the same samples, so that a count of 0 passes a tiny positive floor."""
+    n = estimate.trials * estimate.evaluations
+    return 4 * math.sqrt(estimate.stderr**2 + floor_se**2 + floor * (1 - floor) / n)
 
 
 def head(dataset, n: int):

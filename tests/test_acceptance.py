@@ -29,10 +29,12 @@ from qthermal.gaussian import gaussian_fidelity
 from qthermal.spaces import ImageSpace, bcpf_functional
 
 from conftest import (
+    block_digit_floor,
     brute_bcpf,
     brute_cpf,
     brute_cross,
     brute_uniform,
+    floor_slack,
     fock_fidelity_oracle,
     head,
     max_fd_error,
@@ -273,12 +275,22 @@ def test_criterion_8_simulation_directions():
     )
     noise = 2 * max(row.stderr_max, 1e-6)
     thermal_ok = q_up <= cl_low + noise and q_up <= cl_up + noise
+
+    # no error may sit below the exact Bayes-optimal error of its endpoint
+    below = []
+    for r in (*rows, row):
+        for model, est in zip(r.models.values(), r.errors.values()):
+            p = model.flip_probability
+            floor, floor_se = block_digit_floor(evaluation.images, p, 4, 9)
+            print(f"  [recorded] M={r.M} p={p:.4f}: E={est.mean:.4f} Bayes floor={floor:.4f}")
+            if est.mean < floor - floor_slack(est, floor, floor_se):
+                below.append((r.M, p, est.mean, floor))
     report(
         8,
         "quantum-vs-classical simulation directions",
-        additive_ok and thermal_ok,
+        additive_ok and thermal_ok and not below,
         f"additive dE_min={rows[0].de_min:.4f}/{rows[1].de_min:.4f}, "
-        f"thermal quantum region below classical: {thermal_ok}",
+        f"thermal quantum region below classical: {thermal_ok}, below the Bayes floor: {below}",
     )
 
 

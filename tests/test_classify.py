@@ -2,10 +2,11 @@
 
 import itertools
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qthermal.bounds import pixel_error_bounds
@@ -31,7 +32,17 @@ from qthermal.errors import (
 )
 from qthermal.spaces import ImageSpace
 
-from conftest import exact_nn_error, head, nn_factory, space_patterns
+from conftest import (
+    all_patterns,
+    bayes_error,
+    block_digit_floor,
+    block_digit_templates,
+    exact_nn_error,
+    floor_slack,
+    head,
+    nn_factory,
+    space_patterns,
+)
 
 
 def make_dataset(images, labels, width=None):
@@ -389,6 +400,98 @@ class TestEstimateError:
         est = estimate_error(ds, ds, NoiseModel(p), trials=400, master_seed=0)
         exact = exact_nn_error(patterns, p)
         assert abs(est.mean - exact) <= 4 * est.stderr, (est.mean, est.stderr, exact)
+
+
+@st.composite
+def template_mixtures(draw):
+    """A few labelled templates of 4 to 6 pixels, their mixture weights and a
+    flip probability q."""
+    m = draw(st.integers(4, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    count = draw(st.integers(2, 6))
+    templates = rng.integers(0, 2, (count, m))
+    labels = rng.integers(0, 3, count)
+    return templates, labels, rng.dirichlet(np.ones(count)), draw(st.floats(0.02, 0.98))
+
+
+def enumerated_posterior_error(templates, labels, weights, q):
+    """1 - max_c P(c | y) for every pattern y of m pixels (indexed by its bit
+    code, as ``all_patterns`` orders them), from the joint P(c, y) built by
+    enumerating every flip pattern e of every template: y = t XOR e."""
+    m = templates.shape[1]
+    pop = all_patterns(m).sum(axis=1)
+    flip_weights = q**pop * (1 - q) ** (m - pop)
+    joint = np.zeros((labels.max() + 1, 2**m))
+    for code, c, w in zip(templates @ (1 << np.arange(m)), labels, weights):
+        joint[c, code ^ np.arange(2**m)] += w * flip_weights
+    # the mass of every class but the likeliest, summed without cancellation
+    return np.sort(joint, axis=0)[:-1].sum(axis=0) / joint.sum(axis=0)
+
+
+@pytest.fixture(scope="module")
+def floor_digits():
+    return synthetic_digits(1000, seed=10), synthetic_digits(100, seed=11, split="evaluation")
+
+
+@pytest.fixture(scope="module")
+def floor_cnn(floor_digits):
+    """A default network trained on the clean training digits; its clean error
+    is ~0.04, so it has learned."""
+    from qthermal import cnn
+
+    net = cnn.NetworkSpec(input_shape=(28, 28))
+    return net, cnn.train(net, floor_digits[0], NoiseModel(0.0), cnn.TrainConfig(seed=0))
+
+
+class TestBayesFloor:
+    """The exact Bayes-optimal error of a template mixture under pixel flips,
+    and the floor it puts under every classifier of the block digits."""
+
+    @given(template_mixtures())
+    def test_matches_enumeration(self, mixture):
+        templates, labels, weights, q = mixture
+        patterns = all_patterns(templates.shape[1])
+        oracle = bayes_error(patterns, templates, labels, weights, q)
+        exact = enumerated_posterior_error(templates, labels, weights, q)
+        np.testing.assert_allclose(oracle, exact, rtol=1e-12, atol=0)
+
+    def test_templates_are_the_synthetic_placements(self):
+        templates, labels = block_digit_templates()
+        assert templates.shape == (250, 784) and len(np.unique(templates, axis=0)) == 250
+        digits = synthetic_digits(500, seed=9, split="evaluation")
+        d = (digits.images[:, None, :] != templates[None, :, :]).sum(axis=2)
+        # the nearest placement is of the image's class and differs by speckle only
+        assert np.array_equal(labels[d.argmin(axis=1)], digits.labels)
+        assert d.min(axis=1).max() <= 30
+
+    def test_floor_is_nine_tenths_at_half(self):
+        # at p = 1/2 every pixel is a fair coin, so all ten classes tie
+        images = synthetic_digits(100, seed=8, split="evaluation").images
+        assert block_digit_floor(images, 0.5, 2, 0) == (0.9, 0.0)
+
+    @settings(max_examples=20)
+    @given(p=st.floats(0.0, 0.5))
+    @example(p=0.4)
+    @example(p=0.45)
+    def test_nn_error_is_above_the_floor(self, floor_digits, p):
+        train, evaluation = floor_digits
+        est = estimate_error(None, evaluation, NoiseModel(p), trials=4, master_seed=12,
+                             predictor=nn_predictor(train))
+        floor, floor_se = block_digit_floor(evaluation.images, p, 4, 13)
+        assert est.mean >= floor - floor_slack(est, floor, floor_se), (est, floor, floor_se)
+
+    @settings(max_examples=10)
+    @given(p=st.floats(0.0, 0.5))
+    @example(p=0.4)
+    def test_cnn_error_is_above_the_floor(self, floor_digits, floor_cnn, p):
+        from qthermal import cnn
+
+        net, params = floor_cnn
+        evaluation = floor_digits[1]
+        est = estimate_error(None, evaluation, NoiseModel(p), trials=2, master_seed=14,
+                             predictor=partial(cnn.predict_labels, net, params))
+        floor, floor_se = block_digit_floor(evaluation.images, p, 4, 15)
+        assert est.mean >= floor - floor_slack(est, floor, floor_se), (est, floor, floor_se)
 
 
 class TestSnappFit:

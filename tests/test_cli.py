@@ -457,6 +457,33 @@ class TestSimulateCommand:
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("idx", [True, False], ids=["idx", "synthetic"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--trials", "trials must be >= 1, got 0"),
+            ("--eval-size", "evaluation set is empty"),
+            ("--T", "training set is empty"),
+        ],
+        ids=["trials", "eval_size", "T"],
+    )
+    def test_zero_counts_are_usage_errors_before_any_dataset(
+        self, capsys, monkeypatch, tmp_path, idx, flag, message
+    ):
+        # an IDX split cut to no images would otherwise be a data error (exit 3)
+        import qthermal.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before the counts were checked")
+
+        monkeypatch.delenv("QTHERMAL_DATASET_DIR", raising=False)
+        monkeypatch.setattr(cli, "load_splits", no_load)
+        data = ["--data-dir", str(tmp_path)] if idx else []
+        code, out, err = run([*self.BASE, *data, flag, "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_thermal_figure_parameters(self, capsys):
         code, out, _ = run(
             [

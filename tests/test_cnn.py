@@ -1,5 +1,6 @@
 """Forward pass, backpropagation and training loop."""
 
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -321,27 +322,80 @@ def random_params(net, seed, dtype):
             for W, b in init_params(net, seed)]
 
 
+WINDOW_CASES = dict(
+    c=st.integers(1, 4),
+    kernel=st.integers(1, 3),
+    stride=st.integers(1, 2),
+    h=st.integers(5, 9),
+    w=st.integers(5, 9),
+    batch=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+
+
+def window_arrays(c, kernel, stride, h, w, batch, seed):
+    """A random activation x (C, H, W, B) and window gradient y (C, k, k, OH, OW, B)."""
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(c, h, w, batch)), rng.normal(size=(c, kernel, kernel, oh, ow, batch))
+
+
+def traced_window_peaks(c, kernel, stride, h, w, batch):
+    """Peak bytes traced during one ``_windows`` and one ``_col2im`` call on
+    float32 arrays, each after an untraced first call, and the window buffer's
+    size; the arrays die on return, so a failing example holds none."""
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    x, dx = np.ones((2, c, h, w, batch), np.float32)
+    y, cols = np.ones((2, c, kernel, kernel, oh, ow, batch), np.float32)
+    peaks = {}
+    for fn, args in ((_windows, (x, kernel, stride, cols)), (_col2im, (y, dx, kernel, stride))):
+        fn(*args)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peaks[fn.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks, cols.nbytes
+
+
 class TestWindows:
-    @given(
-        c=st.integers(1, 4),
-        kernel=st.integers(1, 3),
-        stride=st.integers(1, 2),
-        h=st.integers(5, 9),
-        w=st.integers(5, 9),
-        batch=st.integers(1, 5),
-        seed=st.integers(0, 2**16),
-    )
+    @given(**WINDOW_CASES)
     def test_col2im_is_the_adjoint_of_windows(self, c, kernel, stride, h, w, batch, seed):
         # <windows(x), y> == <x, col2im(y)> for every kernel/stride pair,
         # so the backward scatter sends each window gradient to its pixel
-        oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(c, h, w, batch))
-        y = rng.normal(size=(c, kernel, kernel, oh, ow, batch))
+        x, y = window_arrays(c, kernel, stride, h, w, batch, seed)
         cols = _windows(x, kernel, stride, np.empty_like(y))
         dx = _col2im(y, np.full_like(x, np.nan), kernel, stride)
         lhs, rhs = np.vdot(cols, y), np.vdot(x, dx)
         assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(y))
+
+    @given(**WINDOW_CASES)
+    def test_match_one_strided_slice_per_tap(self, c, kernel, stride, h, w, batch, seed):
+        # the window view copies, and its taps add, the same elements in the
+        # same tap order as one strided slice of x per kernel tap
+        x, y = window_arrays(c, kernel, stride, h, w, batch, seed)
+        oh, ow = y.shape[3:5]
+        cols, dx = np.empty_like(y), np.zeros_like(x)
+        for i in range(kernel):
+            for j in range(kernel):
+                pixels = np.s_[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
+                cols[:, i, j] = x[pixels]
+                dx[pixels] += y[:, i, j]
+        assert _windows(x, kernel, stride, np.full_like(y, np.nan)).tobytes() == cols.tobytes()
+        assert _col2im(y, np.full_like(x, np.nan), kernel, stride).tobytes() == dx.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(**WINDOW_CASES)
+    def test_copy_and_scatter_allocate_no_buffer(self, c, kernel, stride, h, w, batch, seed):
+        # a window view that numpy copied, in the copy or in a tap's add, would
+        # allocate at least a tap's share of the buffer, 1/9 of it or more;
+        # batches are widened until 1 % of the buffer exceeds the fixed buffers
+        # a ufunc loop may take, np.getbufsize() float32 items per operand
+        oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+        batch = -(-(100 * 3 * np.getbufsize()) // (c * kernel**2 * oh * ow))
+        peaks, nbytes = traced_window_peaks(c, kernel, stride, h, w, batch)
+        assert max(peaks.values()) < 0.01 * nbytes, peaks
 
 
 class TestWorkspace:
