@@ -88,12 +88,13 @@ class TrainConfig:
             raise ValueError(f"holdout fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
-def endpoint_noise_models(pair: EnvironmentPair, copies: int) -> dict[str, NoiseModel]:
+def endpoint_noise_models(pair: EnvironmentPair, copies: int, fidelities=None) -> dict[str, NoiseModel]:
     """The four noise models spanned by the quantum/classical error bounds,
     keyed and ordered as ``NOISE_DERIVATIONS``: the key is the one record of
-    which endpoint a flip probability came from."""
-    cl = pixel_error_bounds(fidelity_classical(pair), copies)
-    q = pixel_error_bounds(fidelity_choi_inf(pair), copies)
+    which endpoint a flip probability came from.  ``fidelities``, the pair's
+    (classical, Choi) fidelities, spares their recomputation across an M grid."""
+    f_cl, f_q = fidelities or (fidelity_classical(pair), fidelity_choi_inf(pair))
+    cl, q = pixel_error_bounds(f_cl, copies), pixel_error_bounds(f_q, copies)
     return {tag: NoiseModel(p) for tag, p in zip(NOISE_DERIVATIONS, (*cl, *q))}
 
 
@@ -384,9 +385,10 @@ def advantage_regions(
     check_regions(M_grid, threads, trials, len(evaluation), p_override)
     grid = []
     jobs: dict[tuple[int, float], tuple[NoiseModel, int]] = {}
+    fidelities = None if p_override is not None else (fidelity_classical(pair), fidelity_choi_inf(pair))
     for mi, M in enumerate(M_grid):
         if p_override is None:
-            models = endpoint_noise_models(pair, M)
+            models = endpoint_noise_models(pair, M, fidelities)
         else:
             models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override))
         grid.append((int(M), models))

@@ -18,8 +18,10 @@ from qthermal.data import _MAX_SHIFT, _SPECKLE, _glyph_array, synthetic_digits
 from qthermal.errors import DimensionMismatchError, GaussianStateError
 from qthermal.gaussian import CovarianceMatrix, _as_matrix, _spectra
 from qthermal.spaces import (
+    NEG_INF,
     ImageSpace,
     log_distance_counts,
+    log_factorials,
     log_hamming_sum,
     log_pair_counts,
     log_pow,
@@ -106,6 +108,29 @@ def brute_distance_counts(m: int, ks, ls) -> np.ndarray:
     pop = all_patterns(m).sum(axis=1)
     sub = hamming_matrix(m)[np.ix_(np.isin(pop, list(ks)), np.isin(pop, list(ls)))]
     return np.bincount(sub.ravel(), minlength=m + 1)[1:]
+
+
+def oracle_log_pair_counts(m: int, ks, ls) -> np.ndarray:
+    """log N_d, d = 1..m, summed term by term: for each count k, each pair
+    with |y| = l in ``ls`` flips a ones of x and b = a + l - k zeros, so it
+    adds the multinomial C(m, k) C(k, a) C(m - k, b) at distance a + b.  One
+    log-domain group sum per k, O(|ks| |ls| max(ks)) work; the library's
+    ``log_pair_counts`` regroups the same terms by (k - l, k + l)."""
+    lf = log_factorials(m)
+    ls = np.asarray(ls)
+    out = np.full(m + 1, NEG_INF)
+    for k in ks:
+        a = np.arange(k + 1)
+        b = a + (ls - k)[:, None]
+        ok = (b >= 0) & (b <= m - k) & (a + b > 0)
+        a, b = np.broadcast_to(a, b.shape)[ok], b[ok]
+        terms = lf[m] - lf[a] - lf[k - a] - lf[b] - lf[m - k - b]
+        top = np.full(m + 1, NEG_INF)
+        np.maximum.at(top, a + b, terms)
+        sums = np.bincount(a + b, weights=np.exp(terms - top[a + b]), minlength=m + 1)
+        with np.errstate(divide="ignore"):
+            out = np.logaddexp(out, top + np.log(sums))
+    return out[1:]
 
 
 def space_patterns(space: ImageSpace) -> np.ndarray:

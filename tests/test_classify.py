@@ -563,6 +563,25 @@ class TestAdvantageRegions:
         with pytest.raises(ValueError, match="threads"):
             advantage_regions(no_work, evaluation, pair, [10], trials=1, master_seed=0, threads=threads)
 
+    def test_fidelities_computed_once_per_grid(self, digits_small, monkeypatch):
+        import qthermal.classify as classify
+
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(pair):
+                calls[fn.__name__] += 1
+                return fn(pair)
+            return wrapper
+
+        monkeypatch.setattr(classify, "fidelity_classical", counted(fidelity_classical))
+        monkeypatch.setattr(classify, "fidelity_choi_inf", counted(fidelity_choi_inf))
+        train, evaluation = digits_small
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        rows = advantage_regions(nn_factory(train), evaluation, pair, [10, 20, 40, 80], trials=1, master_seed=2)
+        assert calls == {"fidelity_classical": 1, "fidelity_choi_inf": 1}
+        assert [row.models for row in rows] == [endpoint_noise_models(pair, M) for M in (10, 20, 40, 80)]
+
     @pytest.mark.parametrize(
         "trials, n_eval, error, message",
         [

@@ -191,6 +191,25 @@ class TestBoundsCommand:
             vals = [float(v) for v in line.split(",")]
             assert 0.0 <= vals[1] <= vals[2] <= 1.0
 
+    def test_bcpf_rows_past_double_range(self, capsys):
+        # at m = 1100 the spectrum of {0, m} has one pair distance, d = m,
+        # whose shifted binomials underflow; its rows as printed before the
+        # spectrum was regrouped by (k - l, k + l)
+        code, out, _ = run(
+            ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02",
+             "--m", "1100", "--space", "bcpf", "--k", "0,1100", "--M", "1,2"],
+            capsys,
+        )
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:3]]
+        expected = [
+            [1, 1.3494764703814683e-57, 7.347044223036835e-29, 0.038940664166088816,
+             0.038940664166088816, 0.038940664166088816],
+            [2, 7.284346976452931e-114, 5.397905881525893e-57, 0.0060655013027844555,
+             0.0060655013027844555, 0.0060655013027844555],
+        ]
+        np.testing.assert_allclose(rows, expected, rtol=1e-9, atol=0.0)
+
     def test_finite_energy_bounds(self, capsys):
         base = ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02",
                 "--space", "uniform", "--m", "4", "--M", "20"]

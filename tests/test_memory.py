@@ -1,7 +1,8 @@
 """Traced peak memory of the largest transient allocations of a
 nearest-neighbour simulation (scoring one batch, flipping one noisy batch and
-building the digits), the lifetime of the training images behind a built
-predictor, and the size of a CNN training step's workspace."""
+building the digits), of image-space sums and spectra at large m, the
+lifetime of the training images behind a built predictor, and the size of a
+CNN training step's workspace."""
 
 import gc
 import tracemalloc
@@ -14,6 +15,7 @@ import numpy as np
 from qthermal.classify import NoiseModel, nn_predictor, sample_noisy
 from qthermal.cnn import NetworkSpec, init_params, loss_and_grad
 from qthermal.data import _FLIP_ROWS, synthetic_digits, trial_stream
+from qthermal.spaces import ImageSpace, log_distance_counts, log_factorials, log_hamming_sum, log_pair_counts
 
 MB = 1e6
 
@@ -53,6 +55,26 @@ def test_sample_noisy_peaks_below_output_plus_one_block():
     peak, noisy = traced_peak(sample_noisy, images, NoiseModel(0.2), trial_stream(3, 0))
     assert noisy.shape == (250, 784)
     assert peak < noisy.nbytes + _FLIP_ROWS * 784 * 8 + 0.1 * MB
+
+
+def test_hamming_sum_blocks_by_bytes_at_large_m():
+    # 200 log f entries over a 50 000-pixel spectrum: two entries per block,
+    # 0.8 MB per temporary, where 128-entry blocks took 51 MB each
+    counts = log_distance_counts(ImageSpace.uniform(50_000))
+    log_f = np.linspace(-3.0, -1e-3, 200)
+    peak, sums = traced_peak(log_hamming_sum, counts, log_f)
+    assert sums.shape == (200,) and np.isfinite(sums).all()
+    assert peak < 4 * MB
+
+
+def test_wide_spectrum_stays_in_blocks():
+    # 600 even counts at m = 1200: each parity's (t, s) incidence would be
+    # 1199 x 1199 doubles (11.5 MB) whole; it is built in 0.8 MB blocks
+    ks = tuple(range(0, 1200, 2))
+    log_factorials(1200)  # one-time setup
+    peak, counts = traced_peak(log_pair_counts, 1200, ks, ks)
+    assert np.isfinite(counts[1::2]).all()
+    assert peak < 10 * MB
 
 
 def test_nn_predictor_releases_training_images():

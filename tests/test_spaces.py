@@ -1,7 +1,11 @@
 """Image-space sums, through the one primitive, against brute-force enumeration."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+import qthermal
 from qthermal.spaces import (
     ImageSpace,
     bcpf_functional,
@@ -24,6 +29,7 @@ from conftest import (
     brute_distance_counts,
     brute_uniform,
     image_spaces,
+    oracle_log_pair_counts,
     pair_sum,
 )
 
@@ -208,3 +214,77 @@ class TestDistanceSpectrum:
         # f = 1 counts every ordered unequal pair: 56^2 - 56
         assert log_hamming_sum(counts, 0.0) == pytest.approx(math.log(56 * 55), rel=1e-14)
         assert log_hamming_sum(log_distance_counts(ImageSpace.cpf(8, 0)), 0.0) == -np.inf
+
+
+def assert_matches_oracle(m, ks, ls, tol=1e-11):
+    """Same -inf pattern as the term-by-term oracle, and finite entries
+    within ``tol`` in log N_d."""
+    got, want = log_pair_counts(m, ks, ls), oracle_log_pair_counts(m, ks, ls)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) <= tol
+
+
+# 100 distinct counts drawn once from 0..784
+SPARSE_784 = tuple(sorted(int(k) for k in np.random.default_rng(784).choice(785, 100, replace=False)))
+
+
+class TestSeparableSpectrum:
+    """``log_pair_counts`` regroups the oracle's terms by (k - l, k + l)."""
+
+    @given(st.integers(1, 40).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.sets(st.integers(0, m), min_size=1),
+            st.sets(st.integers(0, m), min_size=1),
+        )
+    ))
+    def test_matches_oracle(self, args):
+        m, ks, ls = args
+        assert_matches_oracle(m, tuple(sorted(ks)), tuple(sorted(ls)))
+
+    @pytest.mark.parametrize("m", [784, 1100, 1500, 3000])
+    @pytest.mark.parametrize("kind", ["range", "ends", "spread", "edges"])
+    def test_paper_scale_matches_oracle(self, m, kind):
+        ks = {
+            "range": tuple(range(m // 8, m // 8 + 50)),
+            "ends": (0, m),
+            "spread": tuple(int(k) for k in np.linspace(0, m, 11)),
+            "edges": (*range(6), *range(m - 5, m + 1)),
+        }[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_oracle(m, ks, ks)
+
+    @pytest.mark.parametrize("m", [1100, 3000])
+    def test_unequal_count_sets_past_double_range(self, m):
+        # pairs (0, m) and (m, 0) reach d = m only, where the shifted
+        # binomials underflow: the row is summed over its pairs in logs
+        assert_matches_oracle(m, (0, 1, m // 2), (m - 1, m))
+        assert log_pair_counts(m, (0, m), (0, m))[-1] == math.log(2.0)
+
+    @pytest.mark.parametrize("ks", [SPARSE_784, tuple(range(100, 300))], ids=["sparse", "paper"])
+    def test_784_pixel_spaces_match_oracle(self, ks):
+        assert_matches_oracle(784, ks, ks)
+
+
+SPECTRUM_DIGEST = """
+import hashlib, sys
+from qthermal.spaces import log_pair_counts
+for ks in (range(100, 300), [k for k in range(785) if k != 392]):
+    ks = tuple(ks)
+    print(hashlib.sha256(log_pair_counts(784, ks, ks).tobytes()).hexdigest())
+"""
+
+
+def test_spectrum_does_not_depend_on_blas_threads():
+    src = str(Path(qthermal.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", SPECTRUM_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout)
+    assert len(digests[0].split()) == 2
+    assert digests[0] == digests[1]
