@@ -7,7 +7,9 @@ or target channel, the sensor's single-pixel error interval translates
 into pixel-flip noise, and a nearest-neighbour classifier (and optionally
 a small CNN) labels the noisy images.  Comparing the error regions reached
 with classical and quantum sensors shows the advantage surviving the full
-classification pipeline.
+classification pipeline.  With ``--cnn`` a CNN trained for each noise
+endpoint runs through ``advantage_regions``, the same path as
+``qthermal simulate --classifier cnn``.
 
 Uses the bundled synthetic digit set unless QTHERMAL_DATASET_DIR points at
 IDX files; ``qthermal.data.load_splits`` picks the sets, so on IDX data the
@@ -16,6 +18,7 @@ Run:  python demos/pattern_recognition_sim.py [--cnn]
 """
 
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -82,18 +85,20 @@ def finite_sample_interpolation() -> None:
 
 
 def cnn_comparison(train, evaluation) -> None:
-    from qthermal.cnn import NetworkSpec, TrainConfig, evaluate, train as train_net
+    from qthermal.cnn import NetworkSpec, TrainConfig, predict_labels, train as train_net
 
     pair = EnvironmentPair.additive(0.02, 0.01)
     M = 10
     print(f"\nCNN vs NN at M = {M} (additive pair), trained per noise endpoint:")
     net = NetworkSpec(input_shape=(train.height, train.width), classes=10)
     config = TrainConfig()
-    from qthermal.classify import endpoint_noise_models
 
-    for tag, model in endpoint_noise_models(pair, M).items():
-        params = train_net(net, train, model, config)
-        est = evaluate(net, params, evaluation, model, trials=5, master_seed=3)
+    def trained_cnn(noise):
+        return partial(predict_labels, net, train_net(net, train, noise, config))
+
+    (row,) = advantage_regions(trained_cnn, evaluation, pair, [M], trials=5, master_seed=3)
+    for tag, model in row.models.items():
+        est = row.errors[tag]
         print(f"  {tag:16s} p={model.flip_probability:.4f}  CNN error {est.mean:.4f} +- {est.stderr:.4f}")
 
 

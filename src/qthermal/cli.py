@@ -105,19 +105,17 @@ def _emit(rows: list[str], manifest: list[str], out_path: str | None) -> None:
         sys.stderr.write("\n".join(manifest) + "\n")
 
 
-def _manifest(args: argparse.Namespace, extra: dict) -> list[str]:
-    skip = {"func", "_t0"}
+def _manifest(args: argparse.Namespace, extra: dict, t0: float) -> list[str]:
     lines = [
         f"command: {args.command}",
         f"version: {__version__}",
     ]
     for key in sorted(vars(args)):
-        if key in skip or key == "command":
-            continue
-        lines.append(f"param {key}: {getattr(args, key)}")
+        if key not in ("func", "command"):
+            lines.append(f"param {key}: {getattr(args, key)}")
     for key, val in extra.items():
         lines.append(f"{key}: {val}")
-    lines.append(f"wall_time_s: {time.time() - args._t0:.3f}")
+    lines.append(f"wall_time_s: {time.time() - t0:.3f}")
     return lines
 
 
@@ -211,7 +209,10 @@ def cmd_bounds(args) -> tuple[list[str], dict]:
 def cmd_simulate(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     M_grid = _int_grid(args.M, "probe copy")
-    # every flag error, a count of 0 among them, fails before a dataset is read
+    # every flag error, a count below 1 among them, fails before a dataset is read
+    for count in (args.T, args.eval_size):
+        if count < 0:
+            raise ValueError(f"image count must be >= 0, got {count}")
     check_regions(M_grid, args.threads, args.trials, args.eval_size, args.p_override)
     if args.classifier == "cnn":
         config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
@@ -366,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         parser.exit(EXIT_USAGE, f"error: cannot read config file: {exc}\n")
     args = parser.parse_args(argv)
-    args._t0 = time.time()
+    t0 = time.time()
     try:
         if args.out:
             _probe_out(args.out)
@@ -377,15 +378,12 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         try:
             rows, extras = args.func(args)
-        except ValueError as exc:
-            if isinstance(exc, IdxFormatError):
-                sys.stderr.write(f"data error: {exc}\n")
-                return EXIT_DATA
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_USAGE
-        except FileNotFoundError as exc:
+        except (IdxFormatError, FileNotFoundError) as exc:
             sys.stderr.write(f"data error: {exc}\n")
             return EXIT_DATA
+        except ValueError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
         except NonFiniteLossError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_NONCONVERGENCE
@@ -395,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
             ):
                 sys.stderr.write(line)
     try:
-        _emit(rows, _manifest(args, extras), args.out)
+        _emit(rows, _manifest(args, extras, t0), args.out)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write output: {exc}\n")
         return EXIT_USAGE

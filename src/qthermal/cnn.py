@@ -31,21 +31,20 @@ from its input just before its dW, so every GEMM reads the bytes it would
 read from windows of its own.  A ``train`` call owns one workspace for its
 SGD steps and holdout predictions; any other call makes its own, and
 ``predict_labels`` runs in chunks of ``_PREDICT_CHUNK`` images.  No
-workspace is shared between threads: a predictor,
-``partial(predict_labels, net, params)``, holds none, because it may be
-shared across the job threads of ``advantage_regions``, as its one
-nearest-neighbour predictor is.
+workspace is shared between threads: ``estimate_error`` estimates a trained
+network's error only through ``partial(predict_labels, net, params)``, a
+predictor that holds none, as the job threads of ``advantage_regions`` may
+share it, like its one nearest-neighbour predictor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .classify import ErrorEstimate, NoiseModel, TrainConfig, estimate_error, sample_noisy
+from .classify import NoiseModel, TrainConfig, sample_noisy
 from .data import BinaryImageDataset, trial_stream
 from .errors import EmptyTrainingSetError, NonFiniteLossError, ShapeMismatchError
 
@@ -220,20 +219,6 @@ def _forward_batch(
     return z.T
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def forward(net: NetworkSpec, params, image: np.ndarray) -> np.ndarray:
-    """Class-probability vector for one image."""
-    image = np.asarray(image, dtype=float)
-    if image.shape != net.input_shape:
-        raise ShapeMismatchError(f"image shape {image.shape} != {net.input_shape}")
-    return _softmax(_forward_batch(net, params, image[None], workspace={}))[0]
-
-
 def predict_labels(
     net: NetworkSpec, params, images: np.ndarray, _workspace: dict | None = None
 ) -> np.ndarray:
@@ -371,16 +356,3 @@ def train(
             best = [(W.copy(), b.copy()) for W, b in params]
     return best
 
-
-def evaluate(
-    net: NetworkSpec,
-    params,
-    evaluation: BinaryImageDataset,
-    noise: NoiseModel,
-    trials: int,
-    master_seed: int,
-) -> ErrorEstimate:
-    """Monte Carlo misclassification of the network on noisy samples; mirrors
-    the nearest-neighbour estimator's contract."""
-    predictor = partial(predict_labels, net, params)
-    return estimate_error(None, evaluation, noise, trials, master_seed, predictor=predictor)

@@ -478,18 +478,21 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("idx", [True, False], ids=["idx", "synthetic"])
     @pytest.mark.parametrize(
-        "flag, message",
+        "flag, value, message",
         [
-            ("--trials", "trials must be >= 1, got 0"),
-            ("--eval-size", "evaluation set is empty"),
-            ("--T", "training set is empty"),
+            ("--trials", "0", "trials must be >= 1, got 0"),
+            ("--eval-size", "0", "evaluation set is empty"),
+            ("--T", "0", "training set is empty"),
+            ("--eval-size", "-1", "image count must be >= 0, got -1"),
+            ("--T", "-1", "image count must be >= 0, got -1"),
         ],
-        ids=["trials", "eval_size", "T"],
+        ids=["trials", "eval_size", "T", "eval_size_negative", "T_negative"],
     )
     def test_zero_counts_are_usage_errors_before_any_dataset(
-        self, capsys, monkeypatch, tmp_path, idx, flag, message
+        self, capsys, monkeypatch, tmp_path, idx, flag, value, message
     ):
-        # an IDX split cut to no images would otherwise be a data error (exit 3)
+        # an IDX split cut to no images would otherwise be a data error (exit 3);
+        # one message for both paths, where the readers' own checks would differ
         import qthermal.cli as cli
 
         def no_load(*args, **kwargs):
@@ -498,7 +501,7 @@ class TestSimulateCommand:
         monkeypatch.delenv("QTHERMAL_DATASET_DIR", raising=False)
         monkeypatch.setattr(cli, "load_splits", no_load)
         data = ["--data-dir", str(tmp_path)] if idx else []
-        code, out, err = run([*self.BASE, *data, flag, "0"], capsys)
+        code, out, err = run([*self.BASE, *data, flag, value], capsys)
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from qthermal import cnn
 from qthermal.channels import EnvironmentPair
-from qthermal.classify import NoiseModel, advantage_regions
+from qthermal.classify import NoiseModel, advantage_regions, estimate_error
 from qthermal.cnn import (
     _PREDICT_CHUNK,
     NetworkSpec,
@@ -20,8 +20,6 @@ from qthermal.cnn import (
     _col2im,
     _forward_batch,
     _windows,
-    evaluate,
-    forward,
     init_params,
     loss_and_grad,
     predict_labels,
@@ -77,25 +75,31 @@ class TestTrainConfig:
 
 class TestForward:
     def test_zero_parameters_give_uniform(self):
+        # every class has probability 1/3, so each image's loss is ln 3
         rng = np.random.default_rng(0)
-        image = rng.random(SMALL.input_shape)
-        probs = forward(SMALL, zero_params(SMALL), image)
-        assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
+        images = rng.random((5, *SMALL.input_shape))
+        loss, _ = loss_and_grad(SMALL, zero_params(SMALL), images, rng.integers(0, 3, 5))
+        assert loss == 5 * np.log(3)
 
     def test_probabilities_normalised(self):
+        # the output-bias gradient of one image is its softmax less the
+        # one-hot label: it sums to 0 when the probabilities sum to 1, and
+        # adding the label back leaves the probabilities, all >= 0
         rng = np.random.default_rng(1)
         params = init_params(SMALL, 3)
-        for _ in range(20):
-            probs = forward(SMALL, params, rng.random(SMALL.input_shape))
-            assert abs(probs.sum() - 1.0) <= 1e-9
+        for label in rng.integers(0, 3, 20):
+            _, grads = loss_and_grad(SMALL, params, rng.random((1, *SMALL.input_shape)), [label])
+            probs = grads[-1][1] + np.eye(3)[label]
+            assert abs(grads[-1][1].sum()) <= 1e-9
             assert np.all(probs >= 0)
 
     def test_degenerate_identity_conv(self):
         net = NetworkSpec(input_shape=(1, 1), conv=((1, 1, 1),), dense=(), classes=1)
         W = np.ones((1, 1, 1, 1))
         params_net = [(W, np.zeros(1)), (np.ones((1, 1)), np.zeros(1))]
-        probs = forward(net, params_net, np.array([[2.0]]))
-        assert probs.shape == (1,) and probs[0] == pytest.approx(1.0)
+        loss, _ = loss_and_grad(net, params_net, np.array([[[2.0]]]), [0])
+        assert loss == 0.0
+        assert predict_labels(net, params_net, np.array([[[2.0]]])).tolist() == [0]
 
     def test_relu_masks_negative_preactivations(self):
         # a conv with negative bias drives activations to zero, so the
@@ -103,13 +107,12 @@ class TestForward:
         net = NetworkSpec(input_shape=(2, 2), conv=((1, 2, 1),), dense=(), classes=2)
         W = np.ones((1, 1, 2, 2))
         params_net = [(W, np.array([-100.0])), (np.ones((2, 1)), np.array([0.0, 1.0]))]
-        probs = forward(net, params_net, np.ones((2, 2)))
-        expected = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
-        assert_allclose(probs, expected, atol=1e-12)
+        loss, _ = loss_and_grad(net, params_net, np.ones((1, 2, 2)), [0])
+        assert_allclose(loss, -np.log(np.exp(0.0) / np.exp([0.0, 1.0]).sum()), atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            forward(SMALL, init_params(SMALL, 0), np.zeros((4, 4)))
+            loss_and_grad(SMALL, init_params(SMALL, 0), np.zeros((1, 4, 4)), [0])
 
     # (3, 12) holds 36 = 6 * 6 pixels, so a reshape alone would read it as one image
     @pytest.mark.parametrize("shape", [(3, 12), (2, 35), (2, 6), (2, 6, 5), (2, 1, 6, 6)])
@@ -454,7 +457,10 @@ class TestEvaluate:
     def test_untrained_uniform_network_guesses(self):
         evaluation = synthetic_digits(200, seed=9, split="evaluation")
         net = NetworkSpec(input_shape=(28, 28), conv=((2, 5, 3),), dense=(), classes=10)
-        est = evaluate(net, zero_params(net), evaluation, NoiseModel(0.1), trials=5, master_seed=3)
+        est = estimate_error(
+            None, evaluation, NoiseModel(0.1), trials=5, master_seed=3,
+            predictor=partial(predict_labels, net, zero_params(net)),
+        )
         # argmax of a uniform output is class 0, so the error is the
         # fraction of non-zero labels
         assert abs(est.mean - 0.9) <= 3 * max(est.stderr, 0.01)
@@ -464,7 +470,10 @@ class TestEvaluate:
         net = NetworkSpec(input_shape=(4, 4), conv=((2, 2, 1),), dense=(4,), classes=2)
         config = TrainConfig(learning_rate=0.2, batch_size=4, epochs=50, seed=1, holdout_fraction=0.25)
         params = train(net, ds, NoiseModel(0.0), config)
-        est = evaluate(net, params, ds, NoiseModel(0.0), trials=2, master_seed=0)
+        est = estimate_error(
+            None, ds, NoiseModel(0.0), trials=2, master_seed=0,
+            predictor=partial(predict_labels, net, params),
+        )
         assert est.mean == 0.0
 
     def test_thread_count_does_not_change_estimate(self):
@@ -472,10 +481,10 @@ class TestEvaluate:
         evaluation = synthetic_digits(70, seed=22, split="evaluation", height=12, width=12)
         net = NetworkSpec(input_shape=(12, 12), conv=((4, 3, 1), (4, 3, 2)), dense=(8,), classes=10)
         params = train(net, ds, NoiseModel(0.05), TrainConfig(batch_size=16, epochs=1, seed=2))
-        est = evaluate(net, params, evaluation, NoiseModel(0.1), trials=6, master_seed=4)
-        assert 0.0 < est.mean < 1.0
         # one predictor shared by every job thread of advantage_regions
         predictor = partial(predict_labels, net, params)
+        est = estimate_error(None, evaluation, NoiseModel(0.1), trials=6, master_seed=4, predictor=predictor)
+        assert 0.0 < est.mean < 1.0
         rows = [
             advantage_regions(
                 lambda noise: predictor, evaluation, EnvironmentPair.additive(0.02, 0.01), [10],
@@ -489,15 +498,16 @@ class TestEvaluate:
     def test_both_classifiers_beat_uniform_guessing(self):
         # no claim about which classifier wins, only that both trained
         # classifiers clear the 10-class guessing baseline
-        from qthermal.classify import estimate_error
-
         noise = NoiseModel(0.1)
         ds = synthetic_digits(800, seed=77, split="training")
         evaluation = synthetic_digits(150, seed=78, split="evaluation")
         net = NetworkSpec(input_shape=(28, 28), classes=10)
         config = TrainConfig(learning_rate=0.05, batch_size=64, epochs=2, seed=1)
         params = train(net, ds, noise, config)
-        cnn_est = evaluate(net, params, evaluation, noise, trials=3, master_seed=5)
+        cnn_est = estimate_error(
+            None, evaluation, noise, trials=3, master_seed=5,
+            predictor=partial(predict_labels, net, params),
+        )
         nn_est = estimate_error(ds, evaluation, noise, trials=3, master_seed=5)
         assert cnn_est.mean < 0.5
         assert nn_est.mean < 0.5
