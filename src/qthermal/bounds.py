@@ -77,8 +77,8 @@ def bounds(space: ImageSpace, M, F_q: float, F_cl: float) -> BoundReport:
             stacklevel=2,
         )
     # every bound is S(f) = sum over ordered unequal pattern pairs of
-    # f^hamming, read off the space's cached distance spectrum, one
-    # log-sum per M; the scalar tails stay in math, as np.exp rounds
+    # f^hamming, read off the space's distance spectrum, one log-sum
+    # per M; the scalar tails stay in math, as np.exp rounds
     # differently from math.exp
     log_counts = log_distance_counts(space)
     log_size = space.log_pattern_count()

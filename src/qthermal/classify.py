@@ -88,13 +88,12 @@ class TrainConfig:
             raise ValueError(f"holdout fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
-def endpoint_noise_models(pair: EnvironmentPair, copies: int, fidelities=None) -> dict[str, NoiseModel]:
-    """The four noise models spanned by the quantum/classical error bounds,
-    keyed and ordered as ``NOISE_DERIVATIONS``: the key is the one record of
-    which endpoint a flip probability came from.  ``fidelities``, the pair's
-    (classical, Choi) fidelities, spares their recomputation across an M grid."""
-    f_cl, f_q = fidelities or (fidelity_classical(pair), fidelity_choi_inf(pair))
-    cl, q = pixel_error_bounds(f_cl, copies), pixel_error_bounds(f_q, copies)
+def endpoint_noise_models(F_q: float, F_cl: float, copies: int) -> dict[str, NoiseModel]:
+    """The four noise models spanned by the quantum (Choi fidelity ``F_q``)
+    and classical (vacuum-probe fidelity ``F_cl``) error bounds at ``copies``
+    probe copies, keyed and ordered as ``NOISE_DERIVATIONS``: the key is the
+    one record of which endpoint a flip probability came from."""
+    cl, q = pixel_error_bounds(F_cl, copies), pixel_error_bounds(F_q, copies)
     return {tag: NoiseModel(p) for tag, p in zip(NOISE_DERIVATIONS, (*cl, *q))}
 
 
@@ -204,7 +203,7 @@ class ErrorEstimate:
 
 def _check_estimate(n_eval: int, trials: int) -> None:
     """Raise the usage error of an estimate of ``n_eval`` images that could run no sample."""
-    if n_eval == 0:
+    if n_eval < 1:
         raise EmptyEvaluationSetError("evaluation set is empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -385,10 +384,10 @@ def advantage_regions(
     check_regions(M_grid, threads, trials, len(evaluation), p_override)
     grid = []
     jobs: dict[tuple[int, float], tuple[NoiseModel, int]] = {}
-    fidelities = None if p_override is not None else (fidelity_classical(pair), fidelity_choi_inf(pair))
+    fidelities = None if p_override is not None else (fidelity_choi_inf(pair), fidelity_classical(pair))
     for mi, M in enumerate(M_grid):
         if p_override is None:
-            models = endpoint_noise_models(pair, M, fidelities)
+            models = endpoint_noise_models(*fidelities, M)
         else:
             models = dict.fromkeys(NOISE_DERIVATIONS, NoiseModel(p_override))
         grid.append((int(M), models))

@@ -124,7 +124,10 @@ def _grid(text: str, name: str) -> list[float]:
     ``name`` grid; an empty grid, or a range of ``_MAX_GRID_POINTS`` steps or
     more, is an error, raised before any point is built."""
     if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
+        fields = text.split(":")
+        if len(fields) != 3:
+            raise ValueError(f"{name} grid range must be start:stop:step, got {text!r}")
+        start, stop, step = map(float, fields)
         if not all(map(math.isfinite, (start, stop, step))):
             raise ValueError(f"grid range must be finite, got {text!r}")
         if step <= 0:
@@ -210,13 +213,10 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     pair = _pair_from_args(args)
     M_grid = _int_grid(args.M, "probe copy")
     # every flag error, a count below 1 among them, fails before a dataset is read
-    for count in (args.T, args.eval_size):
-        if count < 0:
-            raise ValueError(f"image count must be >= 0, got {count}")
     check_regions(M_grid, args.threads, args.trials, args.eval_size, args.p_override)
     if args.classifier == "cnn":
         config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
-    if args.T == 0:
+    if args.T < 1:
         raise EmptyTrainingSetError("training set is empty")
     training, evaluation = load_splits(args.T, args.eval_size, args.seed, args.data_dir, args.threshold)
     if training.provenance["kind"] == "synthetic":

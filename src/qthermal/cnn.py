@@ -306,8 +306,8 @@ def train(
 
     The holdout is min(max(1, round(holdout_fraction * n)), n - 1) of the n
     images, disjoint from the rest, which are fitted; only n = 1 leaves it
-    empty.  Unless its flip probability is 0, ``noise`` gives each image a
-    fresh noise sample every epoch, drawn from (seed, epoch, batch) streams;
+    empty.  ``noise`` gives each image a fresh noise sample every epoch,
+    drawn from (seed, epoch, batch) streams, whatever its flip probability;
     everything is deterministic for a fixed config.  An empty set raises
     ``EmptyTrainingSetError``; a loss, or after any epoch a parameter, that
     is not finite raises ``NonFiniteLossError``.
@@ -327,15 +327,12 @@ def train(
               for W, b in init_params(net, config.seed)]
     best_acc = -1.0
     workspace: dict = {}
-    apply_noise = noise.flip_probability > 0
 
     for epoch in range(config.epochs):
         order = trial_stream(config.seed, 0x5E, epoch).permutation(len(fit_idx))
         for bi in range(0, len(order), config.batch_size):
             sel = fit_idx[order[bi : bi + config.batch_size]]
-            xb = images[sel]
-            if apply_noise:
-                xb = sample_noisy(xb, noise, trial_stream(config.seed, 0x7A, epoch, bi))
+            xb = sample_noisy(images[sel], noise, trial_stream(config.seed, 0x7A, epoch, bi))
             _, grads = loss_and_grad(net, params, xb, labels[sel], _workspace=workspace)
             lr = config.learning_rate / len(sel)
             for layer, step in zip(params, grads):
@@ -344,9 +341,7 @@ def train(
                     p -= g
         if not all(np.isfinite(p).all() for layer in params for p in layer):
             raise NonFiniteLossError(f"a parameter is not finite after epoch {epoch}")
-        x_eval = x_hold
-        if apply_noise:
-            x_eval = sample_noisy(x_hold, noise, trial_stream(config.seed, 0x40, epoch))
+        x_eval = sample_noisy(x_hold, noise, trial_stream(config.seed, 0x40, epoch))
         if len(y_hold):
             acc = float(np.mean(predict_labels(net, params, x_eval, workspace) == y_hold))
         else:

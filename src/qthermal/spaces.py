@@ -15,9 +15,9 @@ C(m - d, u), which separates in t = |x| - |y| and s = |x| + |y|.  A uniform
 space has the closed form N_d = 2^m C(m, d) at O(m) cost; any other costs
 O(m (|T| + |S|)) array work over the distinct t and s, plus one product with
 their 0/1 incidence per parity of d: ~1 ms at m = 784 for 50 counts, ~8 ms
-for 200 and ~0.1 s for 784.  The spectrum is cached per (frozen, hashable)
-space, so repeated bounds on one space pay it once.  Sums are taken in logs
-or over shifted exponentials, so pixel counts up to ~10^4 do not overflow.
+for 200 and ~0.1 s for 784.  The spectrum is built per call; each command
+builds it once.  Sums are taken in logs or over shifted exponentials, so
+pixel counts up to ~10^4 do not overflow.
 """
 
 from __future__ import annotations
@@ -157,16 +157,13 @@ def log_pair_counts(m: int, ks, ls) -> np.ndarray:
     return out[1:]
 
 
-@lru_cache(maxsize=256)
 def log_distance_counts(space: ImageSpace) -> np.ndarray:
-    """Read-only log N_d, d = 1..m, over ordered unequal pattern pairs of
-    ``space``; cached per space.  Uniform spaces use N_d = 2^m C(m, d)."""
+    """log N_d, d = 1..m, over ordered unequal pattern pairs of ``space``,
+    built per call; each command builds it once.  Uniform spaces use
+    N_d = 2^m C(m, d)."""
     if space.kind == "uniform":
-        out = space.m * LN2 + log_binomial(space.m, np.arange(1, space.m + 1))
-    else:
-        out = log_pair_counts(space.m, space.ks, space.ks)
-    out.setflags(write=False)
-    return out
+        return space.m * LN2 + log_binomial(space.m, np.arange(1, space.m + 1))
+    return log_pair_counts(space.m, space.ks, space.ks)
 
 
 def log_hamming_sum(log_counts: np.ndarray, log_f):

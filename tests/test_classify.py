@@ -65,9 +65,10 @@ class TestNoiseModel:
         # bit for bit the two intervals at the Choi and vacuum-probe fidelities
         pairs = (EnvironmentPair.additive(0.02, 0.01), EnvironmentPair.thermal(0.99, 18.5, 20.2))
         for pair, M in itertools.product(pairs, (1, 10, 1000)):
-            models = endpoint_noise_models(pair, M)
-            q_lo, q_hi = pixel_error_bounds(fidelity_choi_inf(pair), M)
-            cl_lo, cl_hi = pixel_error_bounds(fidelity_classical(pair), M)
+            F_q, F_cl = fidelity_choi_inf(pair), fidelity_classical(pair)
+            models = endpoint_noise_models(F_q, F_cl, M)
+            q_lo, q_hi = pixel_error_bounds(F_q, M)
+            cl_lo, cl_hi = pixel_error_bounds(F_cl, M)
             assert list(models) == list(NOISE_DERIVATIONS)
             assert {tag: m.flip_probability for tag, m in models.items()} == {
                 "classical-lower": cl_lo,
@@ -77,7 +78,8 @@ class TestNoiseModel:
             }
 
     def test_four_endpoints(self):
-        models = endpoint_noise_models(EnvironmentPair.additive(0.02, 0.01), 20)
+        pair = EnvironmentPair.additive(0.02, 0.01)
+        models = endpoint_noise_models(fidelity_choi_inf(pair), fidelity_classical(pair), 20)
         assert set(models) == {
             "classical-lower",
             "classical-upper",
@@ -580,7 +582,8 @@ class TestAdvantageRegions:
         pair = EnvironmentPair.additive(0.02, 0.01)
         rows = advantage_regions(nn_factory(train), evaluation, pair, [10, 20, 40, 80], trials=1, master_seed=2)
         assert calls == {"fidelity_classical": 1, "fidelity_choi_inf": 1}
-        assert [row.models for row in rows] == [endpoint_noise_models(pair, M) for M in (10, 20, 40, 80)]
+        fidelities = fidelity_choi_inf(pair), fidelity_classical(pair)
+        assert [row.models for row in rows] == [endpoint_noise_models(*fidelities, M) for M in (10, 20, 40, 80)]
 
     @pytest.mark.parametrize(
         "trials, n_eval, error, message",
@@ -676,7 +679,7 @@ class TestAdvantageRegions:
         for row in rows:
             assert tuple(row.models) == tuple(row.errors) == NOISE_DERIVATIONS
             if p_override is None:
-                assert row.models == endpoint_noise_models(pair, row.M)
+                assert row.models == endpoint_noise_models(fidelity_choi_inf(pair), fidelity_classical(pair), row.M)
             else:
                 assert set(row.models.values()) == {NoiseModel(p_override)}
 
@@ -730,7 +733,8 @@ class TestAdvantageRegions:
         rows1, built1 = run(1)
         rows4, built4 = run(4)
         # the eight endpoint models of M = 10 and 40 are distinct
-        expected = Counter(m for M in (10, 40) for m in endpoint_noise_models(pair, M).values())
+        fidelities = fidelity_choi_inf(pair), fidelity_classical(pair)
+        expected = Counter(m for M in (10, 40) for m in endpoint_noise_models(*fidelities, M).values())
         assert len(expected) == 8
         assert Counter(built1) == Counter(built4) == expected
         assert rows1 == rows4

@@ -210,6 +210,28 @@ class TestBoundsCommand:
         ]
         np.testing.assert_allclose(rows, expected, rtol=1e-9, atol=0.0)
 
+    def test_one_spectrum_per_command(self, capsys, monkeypatch):
+        # a bounds run builds its space's spectrum once, for the whole M grid,
+        # so a per-space cache would have nothing to serve within a command
+        import qthermal.spaces as spaces
+
+        calls, log_pair_counts = [], spaces.log_pair_counts
+
+        def counted(*args):
+            calls.append(args[0])
+            return log_pair_counts(*args)
+
+        monkeypatch.setattr(spaces, "log_pair_counts", counted)
+        code, out, _ = run(
+            ["bounds", "--kind", "thermal", "--tau", "0.99", "--epsB", "18.5", "--epsT", "20.2",
+             "--m", "784", "--space", "bcpf", "--k", ",".join(map(str, range(100, 150))),
+             "--M", "100:20000:100"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 202
+        assert calls == [784]
+
     def test_finite_energy_bounds(self, capsys):
         base = ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02",
                 "--space", "uniform", "--m", "4", "--M", "20"]
@@ -429,7 +451,9 @@ class TestSimulateCommand:
         code, out, err = run([*self.BASE, *data, flag, value], capsys)
         assert code == 2
         assert out == ""
-        assert f"must be >= 0, got {value}" in err
+        # a count below 1 gets its set's one message, as 0 does
+        message = {"--T": "training set is empty", "--eval-size": "evaluation set is empty"}[flag]
+        assert f"error: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["0", "256"])
@@ -483,8 +507,8 @@ class TestSimulateCommand:
             ("--trials", "0", "trials must be >= 1, got 0"),
             ("--eval-size", "0", "evaluation set is empty"),
             ("--T", "0", "training set is empty"),
-            ("--eval-size", "-1", "image count must be >= 0, got -1"),
-            ("--T", "-1", "image count must be >= 0, got -1"),
+            ("--eval-size", "-1", "evaluation set is empty"),
+            ("--T", "-1", "training set is empty"),
         ],
         ids=["trials", "eval_size", "T", "eval_size_negative", "T_negative"],
     )
@@ -695,6 +719,24 @@ def test_non_finite_range_is_usage_error(capsys, argv):
     assert out == ""
     assert f"error: grid range must be finite, got {argv[-1]!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4", "--M", "1:2"],
+         "probe copy"),
+        (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "1:2:3:4"], "squeezing"),
+        (["temp", "--eps", ":"], "thermal parameter"),
+    ],
+    ids=["bounds-two-fields", "fidelity-four-fields", "temp-colon-only"],
+)
+def test_malformed_range_is_usage_error(capsys, argv, name):
+    # not Python's own "not enough values to unpack" message
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {name} grid range must be start:stop:step, got {argv[-1]!r}"]
 
 
 @pytest.mark.parametrize(

@@ -276,6 +276,19 @@ class TestTrain:
             assert np.array_equal(W1, W2)
             assert np.array_equal(b1, b2)
 
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_zero_flip_network_is_the_small_p_network(self, seed):
+        # every p draws the same uniforms, and none is below the smallest
+        # subnormal, so p = 0 trains the network of p -> 0
+        ds = synthetic_digits(40, seed=seed, height=8, width=8)
+        net = NetworkSpec(input_shape=(8, 8), conv=((2, 3, 2),), dense=(6,), classes=10)
+        config = TrainConfig(learning_rate=0.1, batch_size=8, epochs=2, seed=seed)
+        t0 = train(net, ds, NoiseModel(0.0), config)
+        tiny = train(net, ds, NoiseModel(5e-324), config)
+        for (W0, b0), (W1, b1) in zip(t0, tiny):
+            assert np.array_equal(W0, W1)
+            assert np.array_equal(b0, b1)
+
 
 def as_dtype(params, dtype):
     return [(W.astype(dtype), b.astype(dtype)) for W, b in params]

@@ -11,32 +11,36 @@ import pytest
 import qthermal
 
 
-def loaded_by_import(package: str) -> str:
-    """Modules of ``package`` that ``import qthermal.cli``, which every command
-    runs and which includes ``import qthermal``, loads in a fresh
-    interpreter: this process may already hold them."""
+@pytest.fixture(scope="module")
+def loaded_by_import():
+    """``loaded_by_import(package)``: the sorted modules of ``package`` that
+    ``import qthermal.cli``, which every command runs and which includes
+    ``import qthermal``, loads in a fresh interpreter, as a list's ``str``:
+    this process may already hold them.  One interpreter lists every module
+    once for all the checks."""
     src = str(Path(qthermal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, qthermal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    code = "import sys, qthermal.cli; print(*sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return result.stdout.strip()
+    modules = result.stdout.split()
+    return lambda package: str(sorted(m for m in modules if m.split(".")[0] == package))
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(loaded_by_import):
     assert loaded_by_import("scipy") == "[]"
 
 
-def test_import_does_not_load_mpmath():
+def test_import_does_not_load_mpmath(loaded_by_import):
     # only the extended-precision references, which no command calls, import it
     assert loaded_by_import("mpmath") == "[]"
 
 
-def test_import_does_not_load_json():
+def test_import_does_not_load_json(loaded_by_import):
     assert loaded_by_import("json") == "[]"
 
 
 @pytest.mark.parametrize("package", ["hashlib", "_hashlib", "gzip", "concurrent"])
-def test_import_does_not_load_first_use_modules(package):
+def test_import_does_not_load_first_use_modules(loaded_by_import, package):
     # OpenSSL (through hashlib), gzip and the thread pool load in the
     # functions that use them: IDX loading, the synthetic digits and
     # advantage_regions

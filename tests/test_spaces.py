@@ -54,7 +54,7 @@ class TestImageSpace:
         assert ImageSpace.bcpf(m, range(m + 1)) == ImageSpace.uniform(m)
         k = min(ks)
         assert ImageSpace.cpf(m, k) == ImageSpace.bcpf(m, [k])
-        assert log_distance_counts(ImageSpace.cpf(m, k)) is log_distance_counts(ImageSpace.bcpf(m, [k]))
+        assert np.array_equal(log_distance_counts(ImageSpace.cpf(m, k)), log_distance_counts(ImageSpace.bcpf(m, [k])))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -200,13 +200,6 @@ class TestDistanceSpectrum:
         else:
             # log(|S|^2 - |S|) = 2 log|S| + log(1 - 1/|S|)
             assert total == pytest.approx(2 * log_size + np.log1p(-np.exp(-log_size)), rel=1e-13)
-
-    def test_cached_per_space_and_read_only(self):
-        space = ImageSpace.bcpf(30, range(5, 12))
-        counts = log_distance_counts(space)
-        assert log_distance_counts(ImageSpace.bcpf(30, range(5, 12))) is counts
-        with pytest.raises(ValueError):
-            counts[0] = 0.0
 
     def test_evaluator_endpoints(self):
         counts = log_distance_counts(ImageSpace.cpf(8, 3))
