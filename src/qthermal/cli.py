@@ -121,27 +121,29 @@ def _manifest(args: argparse.Namespace, extra: dict, t0: float) -> list[str]:
 
 def _grid(text: str, name: str) -> list[float]:
     """Comma list `a,b,c` or range `start:stop:step` (inclusive stop) of the
-    ``name`` grid; an empty grid, or a range of ``_MAX_GRID_POINTS`` steps or
-    more, is an error, raised before any point is built."""
-    if ":" in text:
-        fields = text.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"{name} grid range must be start:stop:step, got {text!r}")
-        start, stop, step = map(float, fields)
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError(f"grid range must be finite, got {text!r}")
+    ``name`` grid; an empty grid, an entry that is not a finite number, or a
+    range of ``_MAX_GRID_POINTS`` steps or more, is an error naming the grid,
+    raised before any point is built."""
+    is_range = ":" in text
+    fields = text.split(":") if is_range else [p for p in text.split(",") if p]
+    if is_range and len(fields) != 3:
+        raise ValueError(f"{name} grid range must be start:stop:step, got {text!r}")
+    try:
+        grid = [float(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"{name} grid must hold numbers, got {text!r}") from None
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"{name} grid {'range' if is_range else 'values'} must be finite, got {text!r}")
+    if is_range:
+        start, stop, step = grid
         if step <= 0:
-            raise ValueError("grid step must be positive")
+            raise ValueError(f"{name} grid step must be positive, got {text!r}")
         steps = (stop - start) / step
         if not (math.isfinite(steps) and steps < _MAX_GRID_POINTS):
             raise ValueError(f"{name} grid range {text!r} spans too many steps")
         # index the points instead of accumulating step, which drifts
         count = math.floor(steps + 1e-9) + 1
         grid = [start + i * step for i in range(max(count, 0))]
-    else:
-        grid = [float(p) for p in text.split(",") if p]
-        if not all(map(math.isfinite, grid)):
-            raise ValueError(f"grid values must be finite, got {text!r}")
     if not grid:
         raise ValueError(f"empty {name} grid")
     return grid
@@ -261,7 +263,11 @@ def cmd_temp(args) -> tuple[list[str], dict]:
     if (args.nbar is None) == (args.eps is None):
         raise ValueError("give exactly one of --nbar or --eps")
     if args.eps is not None:
-        nbars = [e - 0.5 for e in _grid(args.eps, "thermal parameter")]
+        eps = _grid(args.eps, "thermal parameter")
+        bad = [e for e in eps if not e > 0.5]
+        if bad:
+            raise ValueError(f"thermal parameter must exceed 1/2, got {bad[0]}")
+        nbars = [e - 0.5 for e in eps]
     else:
         nbars = _grid(args.nbar, "occupation")
     temps = temperature_of(nbars, args.wavelength)

@@ -3,7 +3,9 @@
 Valid-padding convolutions with ReLU, dense layers, softmax cross-entropy
 and plain SGD by backpropagation, all in numpy.  ``loss_and_grad`` returns
 batch-summed quantities, so duplicated batch entries double both; the
-trainer divides by the batch size when updating.
+trainer divides by the batch size when updating.  Batches arrive as the
+dataset's (B, H*W) rows, ``train``'s and ``estimate_error``'s alike, or as
+(B, H, W) images; ``_as_batch`` is the one place a batch meets ``input_shape``.
 
 The compute dtype follows the parameters.  ``init_params`` returns float64,
 which the gradient checks use; ``train`` casts to float32, so training and
@@ -315,8 +317,7 @@ def train(
     n = len(training)
     if n == 0:
         raise EmptyTrainingSetError("training set is empty")
-    images = training.images.reshape(n, *net.input_shape)
-    labels = training.labels
+    images, labels = training.images, training.labels
 
     n_hold = min(max(1, round(config.holdout_fraction * n)), n - 1)
     perm = trial_stream(config.seed, 0x51).permutation(n)

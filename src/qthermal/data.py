@@ -236,12 +236,6 @@ _GLYPHS = [
 ]
 
 
-def _glyph_array(cls: int, scale: int = 3) -> np.ndarray:
-    rows = _GLYPHS[cls]
-    base = np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
-    return np.kron(base, np.ones((scale, scale), dtype=np.uint8))
-
-
 def synthetic_digits(
     n: int,
     seed: int,
@@ -251,9 +245,11 @@ def synthetic_digits(
 ) -> BinaryImageDataset:
     """Procedural ten-class binary digit dataset.
 
-    Each image is a scaled glyph placed at a random offset with a small
-    fraction of speckle flips, made in place by ``flip_rows``; classes cycle
-    so the dataset is balanced.
+    Each image is one entry of a bank of (class, row shift, column shift)
+    templates, the class's scaled glyph centred and shifted by up to
+    ``_MAX_SHIFT`` pixels per axis, clipped to the canvas, at a uniformly
+    drawn index, plus speckle flips made in place by ``flip_rows``; classes
+    cycle so the dataset is balanced.
     Fully determined by (n, seed, split) through counter-based streams.  A
     negative ``n`` or an unknown ``split`` raises ``ValueError``.
     """
@@ -261,24 +257,20 @@ def synthetic_digits(
         raise ValueError(f"image count must be >= 0, got {n}")
     rng = trial_stream(seed, _split(split)[2])
     scale = max(1, min((height - 2) // 7, (width - 2) // 5))
-    glyphs = [_glyph_array(c, scale) for c in range(10)]
-    if glyphs[0].shape[0] > height or glyphs[0].shape[1] > width:
+    glyphs = np.array([[list(row) for row in g] for g in _GLYPHS], np.uint8).repeat(scale, 1).repeat(scale, 2)
+    gh, gw = glyphs.shape[1:]
+    if gh > height or gw > width:
         raise ValueError(f"canvas {height}x{width} too small for the glyphs")
+    shift = np.arange(-_MAX_SHIFT, _MAX_SHIFT + 1)
+    rows = np.clip(shift + (height - gh) // 2, 0, height - gh)
+    cols = np.clip(shift + (width - gw) // 2, 0, width - gw)
+    bank = np.zeros((10, len(rows), len(cols), height, width), dtype=np.uint8)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            bank[:, i, j, r : r + gh, c : c + gw] = glyphs
     labels = np.arange(n, dtype=np.int64) % 10
-    gh, gw = glyphs[0].shape
-    base_r = (height - gh) // 2
-    base_c = (width - gw) // 2
-    shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
-    r, c = np.clip(shifts + [base_r, base_c], 0, [height - gh, width - gw]).T
-    # one template per (class, clipped offset) in use, at most 25 per class;
-    # each image is a copy of its template
-    keys, which = np.unique((labels * height + r) * width + c, return_inverse=True)
-    templates = np.zeros((len(keys), height, width), dtype=np.uint8)
-    for template, key in zip(templates, keys.tolist()):
-        cls, at = divmod(key, height * width)
-        r0, c0 = divmod(at, width)
-        template[r0 : r0 + gh, c0 : c0 + gw] = glyphs[cls]
-    images = templates[which].reshape(n, height * width)
+    shifts = rng.integers(0, len(shift), (n, 2))
+    images = bank[labels, shifts[:, 0], shifts[:, 1]].reshape(n, height * width)
     flip_rows(images, _SPECKLE, rng)
     return BinaryImageDataset(
         images=images,

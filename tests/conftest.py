@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from qthermal.classify import nn_predictor
-from qthermal.data import _MAX_SHIFT, _SPECKLE, _glyph_array, synthetic_digits
+from qthermal.data import _GLYPHS, _MAX_SHIFT, _SPECKLE, synthetic_digits
 from qthermal.errors import DimensionMismatchError, GaussianStateError
 from qthermal.gaussian import CovarianceMatrix, _as_matrix, _spectra
 from qthermal.spaces import (
@@ -192,12 +192,16 @@ def bayes_error(images, templates, labels, weights, q: float) -> np.ndarray:
 def block_digit_templates(height: int = 28, width: int = 28):
     """Every placement ``synthetic_digits`` draws: each class's glyph at each
     of its (2 * _MAX_SHIFT + 1)^2 equally likely shifts, clipped to the canvas
-    as there, as (S, m) templates and their labels; each has weight 1 / S."""
+    as there, as (S, m) templates and their labels; each has weight 1 / S.
+    Templates run over class, then row shift, then column shift, the order
+    of the bank ``synthetic_digits`` indexes; each glyph is scaled here by a
+    Kronecker product with a block of ones."""
     scale = max(1, min((height - 2) // 7, (width - 2) // 5))
     shifts = range(-_MAX_SHIFT, _MAX_SHIFT + 1)
     templates, labels = [], []
-    for cls in range(10):
-        glyph = _glyph_array(cls, scale)
+    for cls, rows in enumerate(_GLYPHS):
+        base = np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
+        glyph = np.kron(base, np.ones((scale, scale), dtype=np.uint8))
         gh, gw = glyph.shape
         for dr, dc in itertools.product(shifts, shifts):
             r = min(max((height - gh) // 2 + dr, 0), height - gh)

@@ -675,8 +675,12 @@ class TestTempCommand:
         assert r1[2] == pytest.approx(r1[1] - 273.15)
 
     def test_vacuum_eps_is_usage_error(self, capsys):
-        code, _, err = run(["temp", "--eps", "0.5"], capsys)
-        assert code == 2
+        # reported as the thermal parameter typed, not as the occupation eps - 1/2
+        for eps in ("0.5", "0.4"):
+            code, out, err = run(["temp", "--eps", eps], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [f"error: thermal parameter must exceed 1/2, got {eps}"]
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, _ = run(["temp", "--eps", "1.5", "--nbar", "1.0"], capsys)
@@ -700,25 +704,54 @@ class TestTempCommand:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, name",
     [
-        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:inf:1"],
-        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "inf:10:1"],
-        ["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:nan:1"],
-        ["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
-         "--M", "1:inf:1"],
-        ["temp", "--nbar", "1:inf:1"],
-        ["temp", "--nbar", "1:2:inf"],
+        (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:inf:1"],
+         "squeezing"),
+        (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "inf:10:1"],
+         "squeezing"),
+        (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5:nan:1"],
+         "squeezing"),
+        (["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
+          "--M", "1:inf:1"], "probe copy"),
+        (["temp", "--nbar", "1:inf:1"], "occupation"),
+        (["temp", "--nbar", "1:2:inf"], "occupation"),
     ],
     ids=["fidelity-inf-stop", "fidelity-inf-start", "fidelity-nan-stop", "bounds-inf-stop",
          "temp-inf-stop", "temp-inf-step"],
 )
-def test_non_finite_range_is_usage_error(capsys, argv):
+def test_non_finite_range_is_usage_error(capsys, argv, name):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert f"error: grid range must be finite, got {argv[-1]!r}" in err
+    assert f"error: {name} grid range must be finite, got {argv[-1]!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["temp", "--eps", "1::2"], "thermal parameter"),
+        (["temp", "--eps", "abc"], "thermal parameter"),
+        (["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4", "--M", "x"],
+         "probe copy"),
+        (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5,y"], "squeezing"),
+    ],
+    ids=["temp-empty-range-field", "temp-word", "bounds-word", "fidelity-list-word"],
+)
+def test_non_numeric_grid_is_usage_error(capsys, argv, name):
+    # not Python's own "could not convert string to float" message
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {name} grid must hold numbers, got {argv[-1]!r}"]
+
+
+def test_non_positive_step_is_usage_error(capsys):
+    code, out, err = run(["temp", "--nbar", "1:2:0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: occupation grid step must be positive, got '1:2:0'"]
 
 
 @pytest.mark.parametrize(
@@ -826,12 +859,12 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, monkeypatch, target):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["temp", "--nbar", "inf,1"], "grid values must be finite, got 'inf,1'"),
-        (["temp", "--eps", "nan"], "grid values must be finite, got 'nan'"),
+        (["temp", "--nbar", "inf,1"], "occupation grid values must be finite, got 'inf,1'"),
+        (["temp", "--eps", "nan"], "thermal parameter grid values must be finite, got 'nan'"),
         (["fidelity", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--a", "0.5,inf"],
-         "grid values must be finite, got '0.5,inf'"),
+         "squeezing grid values must be finite, got '0.5,inf'"),
         (["bounds", "--kind", "additive", "--nuT", "0.01", "--nuB", "0.02", "--m", "4",
-          "--M", "1,inf"], "grid values must be finite, got '1,inf'"),
+          "--M", "1,inf"], "probe copy grid values must be finite, got '1,inf'"),
         (["temp", "--eps", "18.5", "--wavelength", "nan"],
          "wavelength must be positive and finite, got nan"),
         (["temp", "--eps", "18.5", "--wavelength", "inf"],

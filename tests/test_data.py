@@ -16,9 +16,11 @@ from qthermal.cli import main
 from qthermal.data import (
     _GLYPHS,
     _FLIP_ROWS,
+    _SPECKLE,
     DATASET_DIR_ENV,
     BinaryImageDataset,
     binarize,
+    flip_rows,
     load_idx,
     load_idx_split,
     load_splits,
@@ -32,6 +34,8 @@ from qthermal.errors import (
     IdxFormatError,
     TruncatedPayloadError,
 )
+
+from conftest import block_digit_templates
 
 
 def reference_digits(n, seed, split, height, width):
@@ -329,6 +333,28 @@ class TestSyntheticDigits:
         ds = synthetic_digits(n, seed=4, split="evaluation", height=height, width=width)
         images, labels, clipped = reference_digits(n, 4, "evaluation", height, width)
         assert clipped
+        assert np.array_equal(ds.images, images)
+        assert np.array_equal(ds.labels, labels)
+
+    @given(
+        n=st.integers(0, 120),
+        seed=st.integers(0, 2**64),
+        split=st.sampled_from(["training", "evaluation"]),
+        height=st.integers(9, 40),
+        width=st.integers(7, 40),
+    )
+    def test_each_image_is_a_template_bank_entry_plus_speckle(self, n, seed, split, height, width):
+        # the mixture the Bayes floor assumes, at every canvas: the split's
+        # stream draws each image's (row, column) shift, then flips the
+        # speckle of its class's template at that shift
+        templates, template_labels = block_digit_templates(height, width)
+        rng = trial_stream(seed, int.from_bytes(hashlib.sha256(split.encode()).digest()[:4], "big"))
+        labels = np.arange(n) % 10
+        shifts = rng.integers(-2, 3, size=(n, 2)) + 2
+        images = templates[(labels * 5 + shifts[:, 0]) * 5 + shifts[:, 1]]
+        flip_rows(images, _SPECKLE, rng)
+        ds = synthetic_digits(n, seed, split=split, height=height, width=width)
+        assert np.array_equal(template_labels[labels * 25], labels)
         assert np.array_equal(ds.images, images)
         assert np.array_equal(ds.labels, labels)
 
